@@ -17,6 +17,11 @@ attracting.  (A swap that always dumps the full ``eta`` share into the
 single cheapest bin overshoots: the receiving bin's cost jumps by roughly
 ``eta * N * dc/dm``, orders of magnitude above any useful gap tolerance, and
 the system limit-cycles instead of converging.)
+
+The pairwise split never forms the n x n advantage matrix.  With the bins
+sorted once by cost excess, a bin's total advantage over cheaper bins and
+its inflow from costlier bins are both cumulative sums over the sorted
+order, so a day costs O(n log n) time and O(n) memory per class.
 """
 
 from __future__ import annotations
@@ -123,17 +128,34 @@ def init_assignment(scenario: Scenario, bin_width: float) -> BinAssignment:
     return BinAssignment(bin_width=bin_width, centers=centers, masses=masses, day=0)
 
 
-def day_step(assignment: BinAssignment, scenario: Scenario, eta: float) -> BinAssignment:
+def day_step(
+    assignment: BinAssignment,
+    scenario: Scenario,
+    eta: float,
+    costs: np.ndarray | None = None,
+) -> BinAssignment:
     """Advance one day: per class, swap mass from costly bins toward cheaper ones.
 
-    Bin ``i`` sends ``eta * m_i * min(1, (c_i - c_min) / c_min)``, split over
-    cheaper bins proportionally to the pairwise cost difference.  All moves
-    use the costs observed at the start of the day, and each class's total
-    mass is conserved exactly.
+    Bin ``i`` sends ``o_i = eta * m_i * min(1, (c_i - c_min) / c_min)``,
+    split over cheaper bins proportionally to the pairwise cost difference.
+    All moves use the costs observed at the start of the day (``costs``, the
+    :func:`bin_costs` of ``assignment``, computed here when omitted), and
+    each class's total mass is conserved exactly.
+
+    The split is evaluated in the cost excess ``e = c - c_min``, sorted once
+    per class.  With ``d_t`` the gap between sorted positions ``t-1`` and
+    ``t``, bin ``i`` at position ``t`` has total advantage
+    ``W_i = sum_j max(e_i - e_j, 0) = sum_{u<=t} u * d_u`` and receives
+    ``sum_k o_k / W_k * max(e_k - e_i, 0) = sum_{u>t} R_u * d_u``, where
+    ``R_u`` sums ``o_k / W_k`` over positions ``u`` and above.  Both are
+    running sums of nonnegative terms, and tied bins (``d = 0``) trade
+    nothing, exactly as in the pairwise form.  A day costs O(n log n) time
+    and O(n) memory for n bins.
     """
     if not 0.0 < eta <= 1.0:
         raise ValueError("eta must lie in (0, 1]")
-    costs = bin_costs(assignment, scenario)
+    if costs is None:
+        costs = bin_costs(assignment, scenario)
     new_masses = assignment.masses.copy()
     for row in range(len(CLASS_ORDER)):
         m = assignment.masses[row]
@@ -144,15 +166,19 @@ def day_step(assignment: BinAssignment, scenario: Scenario, eta: float) -> BinAs
         c_min = float(np.min(c))
         excess = c - c_min
         outflow = eta * m * np.minimum(1.0, excess / max(c_min, 1e-12))
-        advantage = np.maximum(c[:, None] - c[None, :], 0.0)
-        weight_sum = advantage.sum(axis=1)
+        order = np.argsort(excess, kind="stable")
+        rise = np.diff(excess[order])
+        weight_sum = np.empty_like(excess)
+        weight_sum[order] = np.concatenate(([0.0], np.cumsum(np.arange(1, m.size) * rise)))
         senders = (weight_sum > 0.0) & (outflow > 0.0)
         if not np.any(senders):
             continue
         outflow[~senders] = 0.0
-        share = np.zeros_like(advantage)
-        share[senders] = advantage[senders] / weight_sum[senders, None]
-        inflow = outflow @ share
+        rate = np.zeros_like(outflow)
+        rate[senders] = outflow[senders] / weight_sum[senders]
+        rate_above = np.cumsum(rate[order][::-1])[::-1]
+        inflow = np.empty_like(excess)
+        inflow[order] = np.concatenate((np.cumsum((rate_above[1:] * rise)[::-1])[::-1], [0.0]))
         updated = m - outflow + inflow
         np.maximum(updated, 0.0, out=updated)
         new_total = float(updated.sum())
@@ -166,11 +192,17 @@ def gap_measure(
     assignment: BinAssignment,
     scenario: Scenario,
     used_mass_fraction: float = USED_MASS_FRACTION,
+    costs: np.ndarray | None = None,
 ) -> GapReport:
-    """Cost spread between a class's used bins and the cheapest bin anywhere."""
+    """Cost spread between a class's used bins and the cheapest bin anywhere.
+
+    ``costs`` is the :func:`bin_costs` of ``assignment``, computed here when
+    omitted.
+    """
     if assignment.total_mass == 0.0:
         return GapReport(gap={}, relative_gap={})
-    costs = bin_costs(assignment, scenario)
+    if costs is None:
+        costs = bin_costs(assignment, scenario)
     gaps: dict[VehicleClass, float] = {}
     rels: dict[VehicleClass, float] = {}
     for row, cls in enumerate(CLASS_ORDER):
@@ -217,8 +249,11 @@ def run_until_converged(
     def trace_row(report: GapReport) -> list[float]:
         return [report.relative_gap.get(cls, 0.0) for cls in CLASS_ORDER]
 
+    # each day's costs are computed once: they score the day's state and
+    # then drive the next day's moves
     trace = []
-    report = gap_measure(assignment, scenario, used_mass_fraction)
+    costs = bin_costs(assignment, scenario)
+    report = gap_measure(assignment, scenario, used_mass_fraction, costs=costs)
     trace.append(trace_row(report))
     days = 0
     while days < max_days:
@@ -229,12 +264,14 @@ def run_until_converged(
             grow_lo, grow_hi = crowded_edges(assignment, scenario, used_mass_fraction)
             if grow_lo or grow_hi:
                 assignment = extend_grid(assignment, grow_lo, grow_hi)
-                report = gap_measure(assignment, scenario, used_mass_fraction)
+                costs = bin_costs(assignment, scenario)
+                report = gap_measure(assignment, scenario, used_mass_fraction, costs=costs)
             elif report.worst_relative_gap < gap_tol:
                 break
-        assignment = day_step(assignment, scenario, eta)
+        assignment = day_step(assignment, scenario, eta, costs=costs)
         days += 1
-        report = gap_measure(assignment, scenario, used_mass_fraction)
+        costs = bin_costs(assignment, scenario)
+        report = gap_measure(assignment, scenario, used_mass_fraction, costs=costs)
         trace.append(trace_row(report))
     grow_lo, grow_hi = crowded_edges(assignment, scenario, used_mass_fraction)
     converged = report.worst_relative_gap < gap_tol and not (grow_lo or grow_hi)
@@ -247,15 +284,6 @@ def run_until_converged(
         trace=np.asarray(trace),
     )
     return assignment, final
-
-
-def used_mask(
-    assignment: BinAssignment,
-    cls: VehicleClass,
-    threshold_mass: float,
-) -> np.ndarray:
-    """Bins where one class's mass exceeds an absolute threshold (veh)."""
-    return assignment.class_mass(cls) > threshold_mass
 
 
 def crowded_edges(

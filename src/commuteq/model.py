@@ -13,6 +13,7 @@ immutable after construction and safe for concurrent use.
 from __future__ import annotations
 
 import enum
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -26,6 +27,14 @@ ArrayLike = float | np.ndarray
 class VehicleClass(enum.Enum):
     GV = "gv"
     EV = "ev"
+
+
+def _check_finite(record, names: tuple[str, ...]) -> None:
+    # NaN passes every ``<=`` range check, so finiteness is checked first
+    for name in names:
+        value = getattr(record, name)
+        if not math.isfinite(value):
+            raise ScenarioError(f"{name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -42,6 +51,7 @@ class EnergyModel:
     c2: float
 
     def __post_init__(self):
+        _check_finite(self, ("c1", "c2"))
         if self.c1 < 0.0 or self.c2 < 0.0:
             raise ScenarioError(
                 f"energy coefficients must be nonnegative, got "
@@ -90,6 +100,11 @@ class Scenario:
     s_max: float = 60.0
 
     def __post_init__(self):
+        _check_finite(
+            self,
+            ("alpha", "beta", "gamma", "t_star", "nu", "n_total")
+            + ("capacity_r", "trip_km", "mpr", "s_max"),
+        )
         for name in ("alpha", "beta", "gamma", "nu", "capacity_r", "trip_km", "s_max"):
             if getattr(self, name) <= 0.0:
                 raise ScenarioError(f"{name} must be positive, got {getattr(self, name)}")

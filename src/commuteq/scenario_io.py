@@ -20,6 +20,7 @@ the environment as ``CEQ_<SECTION>_<KEY>``, e.g. ``CEQ_DEMAND_MPR=0.3``.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, fields, replace
 from importlib import resources
@@ -66,6 +67,10 @@ class Numerics:
     mixed_rtol: float = 1e-8
 
     def __post_init__(self):
+        for fld in fields(self):
+            value = getattr(self, fld.name)
+            if not math.isfinite(value):
+                raise ScenarioError(f"{fld.name} must be finite, got {value}")
         if self.dt_minutes <= 0.0 or self.bin_minutes <= 0.0:
             raise ScenarioError("dt_minutes and bin_minutes must be positive")
         if not 0.0 < self.eta <= 1.0:
@@ -96,9 +101,12 @@ class ScenarioConfig:
 
 def _parse_number(token: str, where: str) -> float:
     try:
-        return float(token)
+        value = float(token)
     except ValueError:
         raise ScenarioError(f"{where}: expected a number, got {token!r}") from None
+    if not math.isfinite(value):
+        raise ScenarioError(f"{where}: expected a finite number, got {token!r}")
+    return value
 
 
 def parse_config_text(text: str, source: str = "<string>") -> dict[str, dict[str, float]]:

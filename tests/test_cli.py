@@ -134,6 +134,21 @@ class TestExitCodes:
         code = main(["solve", "--out", str(blocker / "out"), "--quiet"])
         assert code == EXIT_IO
 
+    @pytest.mark.parametrize(
+        "var, value",
+        [
+            ("CEQ_NUMERICS_BIN_MINUTES", "nan"),
+            ("CEQ_NUMERICS_BIN_MINUTES", "inf"),
+            ("CEQ_NUMERICS_GAP_TOL", "nan"),
+        ],
+    )
+    def test_non_finite_numerics_rejected(self, tmp_path, monkeypatch, var, value):
+        # a short day cap keeps a wrongly accepted value from running long
+        monkeypatch.setenv("CEQ_NUMERICS_MAX_DAYS", "50")
+        monkeypatch.setenv(var, value)
+        code = main(["oracle", "--out", str(tmp_path / "o"), "--quiet"])
+        assert code == EXIT_INPUT
+
     def test_nonpositive_dt_rejected(self, tmp_path):
         code = main(["solve", "--out", str(tmp_path / "o"), "--dt", "0", "--quiet"])
         assert code == EXIT_INPUT

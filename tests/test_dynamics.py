@@ -1,5 +1,6 @@
 """Day-to-day oracle tests: conservation, fixed points, convergence."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -59,6 +60,102 @@ def _equal_cost_assignment(sc, level: float) -> BinAssignment:
     return BinAssignment(
         bin_width=BIN_WIDTH, centers=assignment.centers, masses=masses, day=0
     )
+
+
+def _pairwise_day_step(masses: np.ndarray, costs: np.ndarray, eta: float) -> np.ndarray:
+    """Reference swap that forms the full n x n pairwise-advantage matrix."""
+    new_masses = masses.copy()
+    for row in range(masses.shape[0]):
+        m = masses[row]
+        total = float(m.sum())
+        if total <= 0.0:
+            continue
+        c = costs[row]
+        c_min = float(np.min(c))
+        excess = c - c_min
+        outflow = eta * m * np.minimum(1.0, excess / max(c_min, 1e-12))
+        advantage = np.maximum(c[:, None] - c[None, :], 0.0)
+        weight_sum = advantage.sum(axis=1)
+        senders = (weight_sum > 0.0) & (outflow > 0.0)
+        if not np.any(senders):
+            continue
+        outflow[~senders] = 0.0
+        share = np.zeros_like(advantage)
+        share[senders] = advantage[senders] / weight_sum[senders, None]
+        inflow = outflow @ share
+        updated = m - outflow + inflow
+        np.maximum(updated, 0.0, out=updated)
+        new_total = float(updated.sum())
+        if new_total > 0.0:
+            updated *= total / new_total
+        new_masses[row] = updated
+    return new_masses
+
+
+def _random_state(rng, case: int) -> tuple[BinAssignment, np.ndarray, float]:
+    """Seeded bin masses and costs; ``case`` cycles through the edge cases."""
+    n = int(rng.integers(2, 300))
+    masses = rng.random((2, n)) * rng.random((2, 1)) * (N_TOTAL / n)
+    masses[:, rng.random(n) < 0.2] = 0.0
+    costs = 2.0 + 3.0 * rng.random((2, n))
+    if case % 4 == 1:
+        masses[int(rng.integers(2))] = 0.0  # a class with zero population
+    if case % 5 == 2:
+        costs[int(rng.integers(2)), int(rng.integers(n))] = 0.0  # c_min hits the floor
+    if case % 3 == 0:
+        costs = np.round(costs, 1)  # many exactly tied bins
+    eta = 1.0 if case % 7 == 3 else float(rng.uniform(0.01, 0.2))
+    centers = 8.0 + BIN_WIDTH * np.arange(n, dtype=float)
+    assignment = BinAssignment(bin_width=BIN_WIDTH, centers=centers, masses=masses)
+    return assignment, costs, eta
+
+
+class TestDayStepMatchesPairwiseForm:
+    def test_random_states(self):
+        sc = basic_scenario(mpr=0.5)
+        rng = np.random.default_rng(20200922)
+        for case in range(300):
+            assignment, costs, eta = _random_state(rng, case)
+            expected = _pairwise_day_step(assignment.masses, costs, eta)
+            stepped = day_step(assignment, sc, eta, costs=costs)
+            scale = max(assignment.total_mass, 1.0)
+            assert np.max(np.abs(stepped.masses - expected)) <= 1e-12 * scale, case
+
+    def test_scenario_costs_by_default(self):
+        sc = basic_scenario(mpr=0.4)
+        assignment = init_assignment(sc, BIN_WIDTH)
+        for _ in range(20):
+            expected = _pairwise_day_step(assignment.masses, bin_costs(assignment, sc), 0.05)
+            assignment = day_step(assignment, sc, eta=0.05)
+            assert np.max(np.abs(assignment.masses - expected)) <= 1e-12 * N_TOTAL
+
+    def test_given_costs_match_computed_ones(self):
+        sc = basic_scenario(mpr=0.4)
+        assignment = day_step(init_assignment(sc, BIN_WIDTH), sc, eta=0.05)
+        costs = bin_costs(assignment, sc)
+        assert np.array_equal(
+            day_step(assignment, sc, 0.05, costs=costs).masses,
+            day_step(assignment, sc, 0.05).masses,
+        )
+        assert gap_measure(assignment, sc, costs=costs) == gap_measure(assignment, sc)
+
+    def test_memory_stays_linear_in_bins(self):
+        # the pairwise form needs 3.2 GB per n x n temporary at 20,000 bins
+        sc = basic_scenario(mpr=0.5)
+        n = 20_000
+        rng = np.random.default_rng(5)
+        masses = rng.random((2, n))
+        masses *= (N_TOTAL / 2.0) / masses.sum(axis=1, keepdims=True)
+        centers = 8.0 + BIN_WIDTH * (np.arange(n, dtype=float) - n // 2)
+        assignment = BinAssignment(bin_width=BIN_WIDTH, centers=centers, masses=masses)
+        tracemalloc.start()
+        try:
+            stepped = day_step(assignment, sc, eta=0.05)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+        assert_allclose(stepped.masses.sum(axis=1), N_TOTAL / 2.0, rtol=1e-13)
 
 
 class TestDayStep:
@@ -163,6 +260,11 @@ class TestConvergedRuns:
         used = assignment.class_mass(VehicleClass.GV) > 1e-3 * N_TOTAL
         deviation = np.abs(delays - reference)[used] / float(np.max(reference))
         assert float(np.max(deviation)) <= 0.02
+
+    def test_single_class_day_counts(self, oracle_mpr0, oracle_mpr1):
+        # the bundled corridor; any change to the update rule moves these
+        assert oracle_mpr0[1].days == 2831
+        assert oracle_mpr1[1].days == 1555
 
     def test_gap_trend_over_fifty_day_windows(self, oracle_mpr0):
         _, report, _ = oracle_mpr0

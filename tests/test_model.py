@@ -1,5 +1,7 @@
 """Core formula tests: values checked by hand arithmetic or closed forms."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -239,6 +241,16 @@ class TestScenarioValidation:
                 ev_energy=EnergyModel(VehicleClass.EV, 2.0, 2.0),
                 mpr=0.5,
             )
+
+    @pytest.mark.parametrize("field", ["alpha", "t_star", "n_total", "capacity_r", "mpr"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_parameter(self, sc, field, value):
+        with pytest.raises(ScenarioError, match=f"{field} must be finite"):
+            replace(sc, **{field: value})
+
+    def test_non_finite_energy_coefficient(self):
+        with pytest.raises(ScenarioError, match="c2 must be finite"):
+            EnergyModel(VehicleClass.EV, 0.5, float("nan"))
 
     def test_negative_energy_coefficient(self):
         with pytest.raises(ScenarioError):

@@ -110,6 +110,10 @@ class TestValidation:
         with pytest.raises(ScenarioError, match="duplicate"):
             load_config(path, env={})
 
+    def test_non_finite_number_reports_location(self):
+        with pytest.raises(ScenarioError, match="line 2.*finite"):
+            parse_config_text("[corridor]\nnu = nan\n")
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ScenarioError, match="not found"):
             load_config(tmp_path / "absent.toml", env={})
@@ -137,6 +141,12 @@ class TestNumerics:
     def test_invalid_eta(self):
         with pytest.raises(ScenarioError, match="eta"):
             Numerics(eta=1.5)
+
+    @pytest.mark.parametrize("field", ["bin_minutes", "gap_tol", "eta"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_rejected(self, field, value):
+        with pytest.raises(ScenarioError, match=f"{field} must be finite"):
+            Numerics(**{field: value})
 
 
 class TestEnvOverrides:
