@@ -3,11 +3,11 @@
 A user equilibrium is pinned down by two conditions: every commuter of a
 class bears the same total trip cost over that class's active interval, and
 each class's arrival flow integrates to its population.  For a single class
-this reduces to a scalar root-find on the equilibrium cost; with two classes
+this reduces to a scalar root-find on the equilibrium cost.  With two classes
 sharing the road the gasoline vehicles occupy the window flanks and the
-electric vehicles the high-delay center, and the pair of class costs is
-solved as a two-dimensional root problem with the segment boundaries
-determined by delay continuity.
+electric vehicles the high-delay center; delay continuity at the class
+boundary decouples the pair of class costs into two such scalar roots, one
+per class (see :func:`solve_mixed`), both through :func:`conservation_root`.
 
 Conservation integrals run in the cost-residual variable: along the early
 flank the schedule penalty falls linearly at rate beta, so arrival time and
@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -119,37 +120,58 @@ def _window_grid(t_star: float, window: tuple[float, float], dt: float) -> np.nd
     return t_star + dt * np.arange(-k_lo, k_hi + 1, dtype=float)
 
 
-def residual_flow(
-    scenario: Scenario, invert: Callable[[np.ndarray], np.ndarray]
-) -> Callable[[np.ndarray], np.ndarray]:
-    """Arrival flow as a function of the congestion-cost residual."""
-
-    def q(r: np.ndarray) -> np.ndarray:
-        return flow_from_delay(invert(r), scenario)
-
-    return q
-
-
 def window_mass(
     scenario: Scenario,
     invert: Callable[[np.ndarray], np.ndarray],
     r_hi: float,
     quad_rtol: float,
+    r_lo: float = 0.0,
 ) -> float:
-    """Commuters absorbed while the cost residual climbs from 0 to ``r_hi``.
+    """Commuters absorbed while the cost residual climbs from ``r_lo`` to ``r_hi``.
 
-    Equals `(1/beta + 1/gamma) * int_0^{r_hi} q(r) dr`; the substitution
-    r = r_hi * u**3 regularizes the r**(1/nu) behavior of ``q`` at r = 0.
+    Equals `(1/beta + 1/gamma) * int_{r_lo}^{r_hi} q(r) dr` with the arrival
+    flow ``q(r) = flow_from_delay(invert(r))``; the substitution
+    r = r_lo + (r_hi - r_lo) * u**3 regularizes the r**(1/nu) behavior of
+    ``q`` at r = 0.
     """
-    if r_hi <= 0.0:
+    width = r_hi - r_lo
+    if width <= 0.0:
         return 0.0
-    q = residual_flow(scenario, invert)
 
     def integrand(u: np.ndarray) -> np.ndarray:
-        return q(r_hi * u**3) * 3.0 * r_hi * u * u
+        return flow_from_delay(invert(r_lo + width * u**3), scenario) * 3.0 * width * u * u
 
     integral = trapezoid_refine(integrand, 0.0, 1.0, rtol=quad_rtol)
     return (1.0 / scenario.beta + 1.0 / scenario.gamma) * integral
+
+
+def conservation_root(
+    scenario: Scenario,
+    invert: Callable[[np.ndarray], np.ndarray],
+    population: float,
+    seed: float,
+    quad_rtol: float,
+    root_rtol: float,
+    r_lo: float = 0.0,
+) -> float:
+    """Residual span ``s`` whose window ``[r_lo, r_lo + s]`` absorbs ``population``.
+
+    The absorbed count grows monotonically from 0 at s = 0, so the root is
+    bracketed by growing ``[0, seed]`` geometrically and then refined to
+    ``root_rtol`` relative.  Every equilibrium and optimum cost here is such
+    a root, with ``invert`` the inverse of the class's cost map.
+    """
+
+    def conservation(s: float) -> float:
+        return window_mass(scenario, invert, r_lo + s, quad_rtol, r_lo) - population
+
+    lo, hi = expand_bracket(conservation, max(seed, 1e-9))
+    return solve_bracketed(conservation, lo, hi, rtol=root_rtol)
+
+
+def _packed_cost(model: EnergyModel, scenario: Scenario, population: float) -> float:
+    """Congestion cost of packing ``population`` into one hour: a root seed."""
+    return float(congestion_cost(model, scenario, delay_from_flow(population, scenario)))
 
 
 def _empty_solution(scenario: Scenario, dt: float) -> EquilibriumSolution:
@@ -203,18 +225,9 @@ def solve_single_class(
     if scenario.n_total == 0.0:
         return _empty_solution(scenario, dt)
 
-    def invert(r: np.ndarray) -> np.ndarray:
-        return invert_congestion_cost(model, scenario, r)
-
-    def conservation(c: float) -> float:
-        return window_mass(scenario, invert, c, quad_rtol) - scenario.n_total
-
-    # Seed the bracket from the cost of packing everyone into one hour.
-    seed = float(
-        congestion_cost(model, scenario, delay_from_flow(scenario.n_total, scenario))
-    )
-    lo, hi = expand_bracket(conservation, max(seed, 1e-9))
-    cost = solve_bracketed(conservation, lo, hi, rtol=root_rtol)
+    invert = partial(invert_congestion_cost, model, scenario)
+    seed = _packed_cost(model, scenario, scenario.n_total)
+    cost = conservation_root(scenario, invert, scenario.n_total, seed, quad_rtol, root_rtol)
     count = window_mass(scenario, invert, cost, quad_rtol)
 
     t0 = scenario.t_star - cost / scenario.beta
@@ -231,47 +244,6 @@ def solve_single_class(
     )
 
 
-def _mixed_state(
-    scenario: Scenario,
-    cost_gv: float,
-    cost_ev: float,
-    quad_rtol: float,
-) -> tuple[float, float, float] | None:
-    """Masses and boundary schedule level for a candidate cost pair.
-
-    Returns ``(mass_gv, mass_ev, s_star)`` where ``s_star`` is the schedule
-    penalty at which the two isocost delay curves intersect (the same level
-    on both flanks), or None when the pair admits no GV-EV-GV topology.
-    """
-    if not 0.0 < cost_ev < cost_gv:
-        return None
-    gv, ev = scenario.gv_energy, scenario.ev_energy
-    peak_gv = float(invert_congestion_cost(gv, scenario, cost_gv))
-    peak_ev = float(invert_congestion_cost(ev, scenario, cost_ev))
-    if peak_ev <= peak_gv:
-        return None  # EV curve must sit above the GV curve at the center
-
-    def curve_gap(s: float) -> float:
-        return float(
-            invert_congestion_cost(gv, scenario, cost_gv - s)
-            - invert_congestion_cost(ev, scenario, cost_ev - s)
-        )
-
-    s_star = solve_bracketed(curve_gap, 0.0, cost_ev, rtol=1e-13)
-
-    def invert_gv(r: np.ndarray) -> np.ndarray:
-        return invert_congestion_cost(gv, scenario, r)
-
-    def invert_ev(r: np.ndarray) -> np.ndarray:
-        return invert_congestion_cost(ev, scenario, r)
-
-    mass_gv = window_mass(scenario, invert_gv, cost_gv - s_star, quad_rtol)
-    mass_ev = window_mass(scenario, invert_ev, cost_ev, quad_rtol) - window_mass(
-        scenario, invert_ev, cost_ev - s_star, quad_rtol
-    )
-    return mass_gv, mass_ev, s_star
-
-
 def solve_mixed(
     scenario: Scenario,
     dt: float = DEFAULT_DT,
@@ -282,12 +254,16 @@ def solve_mixed(
     """Two-class equilibrium at the scenario's EV market penetration.
 
     Degenerates to :func:`solve_single_class` at mpr 0 or 1.  Otherwise the
-    unknown pair (C_GV, C_EV) is driven to per-class conservation by a damped
-    Newton iteration with finite-difference Jacobian; each residual
-    evaluation nests a bracketed solve for the boundary schedule level at
-    which the class delay curves join continuously.  A nested
-    bisection-based search backs the Newton iteration up if it stalls, and
-    the returned segmentation is validated against profitable deviations.
+    GVs hold the window flanks and the EVs the center, joined at the
+    schedule penalty ``s*``, and the solve decouples into two scalar
+    conservation roots.  The GV flanks absorb `K * int_0^x q_GV` with
+    ``x = C_GV - s*``, so ``x`` is the single-class GV cost of the GV
+    population.  Delay continuity at the class boundary gives the EV
+    congestion cost there in closed form, ``y = Phi_EV(Phi_GV^{-1}(x))``, and
+    ``s*`` is the root of `K * int_y^{y+s} q_EV = mpr * N`.  Then
+    ``C_GV = x + s*`` and ``C_EV = y + s*``.  The segmentation is validated
+    against profitable deviations, and each class's absorbed count must match
+    its population to ``mixed_rtol * n_total``.
     """
     if scenario.n_total == 0.0:
         return _empty_solution(scenario, dt)
@@ -296,56 +272,33 @@ def solve_mixed(
     if scenario.mpr == 1.0:
         return solve_single_class(scenario, scenario.ev_energy, dt, quad_rtol, root_rtol)
 
+    gv, ev = scenario.gv_energy, scenario.ev_energy
     pop_gv = scenario.population(VehicleClass.GV)
     pop_ev = scenario.population(VehicleClass.EV)
-    inner_rtol = quad_rtol * 1e-2  # keep quadrature noise below the 2-D residual target
-    tol = mixed_rtol * scenario.n_total
+    invert_gv = partial(invert_congestion_cost, gv, scenario)
+    invert_ev = partial(invert_congestion_cost, ev, scenario)
 
-    gv_single = solve_single_class(scenario, scenario.gv_energy, dt, quad_rtol, root_rtol)
-    ev_single = solve_single_class(scenario, scenario.ev_energy, dt, quad_rtol, root_rtol)
-    cg_s = gv_single.class_costs[VehicleClass.GV]
-    ce_s = ev_single.class_costs[VehicleClass.EV]
+    seed_gv = _packed_cost(gv, scenario, pop_gv)
+    x = conservation_root(scenario, invert_gv, pop_gv, seed_gv, quad_rtol, root_rtol)
+    y = float(congestion_cost(ev, scenario, invert_gv(x)))
+    seed_ev = _packed_cost(ev, scenario, pop_ev)
+    s_star = conservation_root(scenario, invert_ev, pop_ev, seed_ev, quad_rtol, root_rtol, r_lo=y)
+    cost_gv, cost_ev = x + s_star, y + s_star
+    _validate_no_deviation(scenario, cost_gv, cost_ev, s_star)
 
-    def ce_floor_of(cg: float) -> float:
-        # EV cost of a vanishing center bite: EV congestion cost at the GV peak delay
-        return float(
-            congestion_cost(
-                scenario.ev_energy,
-                scenario,
-                invert_congestion_cost(scenario.gv_energy, scenario, cg),
-            )
-        )
-
-    def residuals(x: tuple[float, float]):
-        state = _mixed_state(scenario, x[0], x[1], inner_rtol)
-        if state is None:
-            return None
-        mass_gv, mass_ev, s_star = state
-        return np.array([mass_gv - pop_gv, mass_ev - pop_ev]), s_star
-
-    mpr = scenario.mpr
-    x = (
-        (1.0 - mpr) * cg_s + mpr * ce_s,
-        (1.0 - mpr) * ce_floor_of(cg_s) + mpr * ce_s,
-    )
-    # Nudge the seed strictly inside the admissible wedge.
-    floor = ce_floor_of(x[0])
-    x = (x[0], min(max(x[1], floor * (1.0 + 1e-9)), x[0] * (1.0 - 1e-12)))
-
-    solved = _mixed_newton(residuals, x, tol)
-    if solved is None:
-        solved = _mixed_nested(scenario, residuals, cg_s, ce_floor_of, pop_ev, tol)
-    if solved is None:
-        state = residuals(x)
+    mass_gv = window_mass(scenario, invert_gv, x, quad_rtol)
+    mass_ev = window_mass(scenario, invert_ev, cost_ev, quad_rtol, r_lo=y)
+    if max(abs(mass_gv - pop_gv), abs(mass_ev - pop_ev)) > mixed_rtol * scenario.n_total:
         raise SolverError(
-            "mixed equilibrium did not converge",
+            "mixed equilibrium misses per-class conservation",
             diagnostics={
-                "mpr": mpr,
-                "seed_costs": x,
-                "seed_residuals": None if state is None else state[0].tolist(),
+                "mpr": scenario.mpr,
+                "costs": (cost_gv, cost_ev),
+                "counts": (mass_gv, mass_ev),
+                "populations": (pop_gv, pop_ev),
+                "mixed_rtol": mixed_rtol,
             },
         )
-    (cost_gv, cost_ev), s_star = solved
 
     t0 = scenario.t_star - cost_gv / scenario.beta
     t1 = scenario.t_star + cost_gv / scenario.gamma
@@ -356,11 +309,6 @@ def solve_mixed(
         ClassSegment(VehicleClass.EV, a, b, cost_ev),
         ClassSegment(VehicleClass.GV, b, t1, cost_gv),
     )
-    _validate_no_deviation(scenario, segments, cost_gv, cost_ev)
-
-    state = _mixed_state(scenario, cost_gv, cost_ev, inner_rtol)
-    assert state is not None
-    mass_gv, mass_ev, _ = state
     profile = _sample(scenario, (t0, t1), segments, dt)
     return EquilibriumSolution(
         scenario=scenario,
@@ -372,140 +320,38 @@ def solve_mixed(
     )
 
 
-def _mixed_newton(residuals, x0, tol, max_iter: int = 60):
-    """Damped Newton on the class-cost pair; None on failure."""
-    x = np.array(x0, dtype=float)
-    state = residuals((x[0], x[1]))
-    if state is None:
-        return None
-    res, s_star = state
-    for _ in range(max_iter):
-        norm = float(np.max(np.abs(res)))
-        if norm <= tol:
-            return (float(x[0]), float(x[1])), s_star
-        jac = np.empty((2, 2))
-        ok = True
-        for j in range(2):
-            step = max(1e-7 * abs(x[j]), 1e-10)
-            probe = x.copy()
-            probe[j] += step
-            probed = residuals((probe[0], probe[1]))
-            if probed is None:
-                probe[j] -= 2.0 * step
-                probed = residuals((probe[0], probe[1]))
-                step = -step
-            if probed is None:
-                ok = False
-                break
-            jac[:, j] = (probed[0] - res) / step
-        if not ok:
-            return None
-        det = jac[0, 0] * jac[1, 1] - jac[0, 1] * jac[1, 0]
-        if det == 0.0 or not math.isfinite(det):
-            return None
-        delta = -np.linalg.solve(jac, res)
-        lam = 1.0
-        accepted = False
-        for _ in range(30):
-            trial = x + lam * delta
-            probed = residuals((trial[0], trial[1]))
-            if probed is not None and float(np.max(np.abs(probed[0]))) < norm:
-                x, (res, s_star) = trial, probed
-                accepted = True
-                break
-            lam *= 0.5
-        if not accepted:
-            return None
-    return None
-
-
-def _mixed_nested(scenario, residuals, cg_hi_seed, ce_floor_of, pop_ev, tol):
-    """Bisection fallback: outer search on C_GV, inner conservation on C_EV."""
-
-    def inner_cost_ev(cg: float) -> float | None:
-        lo = ce_floor_of(cg) * (1.0 + 1e-12)
-        hi = cg * (1.0 - 1e-14)
-        if lo >= hi:
-            return None
-
-        def ev_gap(ce: float) -> float:
-            state = residuals((cg, ce))
-            return -pop_ev if state is None else float(state[0][1])
-
-        if ev_gap(hi) < 0.0:
-            return None  # even a full-window EV bite is too small: cg too low
-        return solve_bracketed(ev_gap, lo, hi, rtol=1e-13)
-
-    def outer_gap(cg: float) -> float:
-        ce = inner_cost_ev(cg)
-        if ce is None:
-            return -scenario.n_total
-        state = residuals((cg, ce))
-        if state is None:
-            return -scenario.n_total
-        return float(state[0][0])
-
-    hi = cg_hi_seed
-    for _ in range(50):
-        if outer_gap(hi) >= 0.0:
-            break
-        hi *= 1.1
-    else:
-        return None
-    lo = hi
-    for _ in range(120):
-        lo *= 0.85
-        if outer_gap(lo) < 0.0:
-            break
-    else:
-        return None
-    cost_gv = solve_bracketed(outer_gap, lo, hi, rtol=1e-13)
-    cost_ev = inner_cost_ev(cost_gv)
-    if cost_ev is None:
-        return None
-    state = residuals((cost_gv, cost_ev))
-    if state is None or float(np.max(np.abs(state[0]))) > tol:
-        return None
-    return (cost_gv, cost_ev), state[1]
-
-
 def _validate_no_deviation(
     scenario: Scenario,
-    segments: tuple[ClassSegment, ...],
     cost_gv: float,
     cost_ev: float,
+    s_star: float,
     n_check: int = 257,
 ) -> None:
     """Assert neither class can undercut its cost inside the other's segments.
 
     The GV-EV-GV topology is an assumption of the construction; this check
-    turns it into a verified property and fails loudly if violated.
+    turns it into a verified property and fails loudly if violated.  Both
+    flanks run over the same schedule-penalty levels, so the check sweeps
+    levels rather than clock times: ``[0, s*]`` in the EV center and
+    ``[s*, C_GV]`` in the GV flanks.
     """
     gv, ev = scenario.gv_energy, scenario.ev_energy
-    slack_gv = 1e-9 * cost_gv
-    slack_ev = 1e-9 * cost_ev
-    for seg in segments:
-        ts = np.linspace(seg.t_lo, seg.t_hi, n_check)
-        sd = schedule_delay(ts, scenario)
-        own = scenario.energy_model(seg.vehicle_class)
-        residual = np.maximum(seg.equilibrium_cost - sd, 0.0)
-        delay = invert_congestion_cost(own, scenario, residual)
-        if seg.vehicle_class is VehicleClass.EV:
-            tempted = congestion_cost(gv, scenario, delay) + sd
-            if np.any(tempted < cost_gv - slack_gv):
-                raise SolverError(
-                    "mixed topology invalid: a GV commuter could profit inside "
-                    "the EV segment",
-                    diagnostics={"min_cost": float(np.min(tempted)), "cost_gv": cost_gv},
-                )
-        else:
-            tempted = congestion_cost(ev, scenario, delay) + sd
-            if np.any(tempted < cost_ev - slack_ev):
-                raise SolverError(
-                    "mixed topology invalid: an EV commuter could profit inside "
-                    "a GV segment",
-                    diagnostics={"min_cost": float(np.min(tempted)), "cost_ev": cost_ev},
-                )
+    sd = np.linspace(0.0, s_star, n_check)
+    delay = invert_congestion_cost(ev, scenario, np.maximum(cost_ev - sd, 0.0))
+    tempted = congestion_cost(gv, scenario, delay) + sd
+    if np.any(tempted < cost_gv - 1e-9 * cost_gv):
+        raise SolverError(
+            "mixed topology invalid: a GV commuter could profit inside the EV segment",
+            diagnostics={"min_cost": float(np.min(tempted)), "cost_gv": cost_gv},
+        )
+    sd = np.linspace(s_star, cost_gv, n_check)
+    delay = invert_congestion_cost(gv, scenario, np.maximum(cost_gv - sd, 0.0))
+    tempted = congestion_cost(ev, scenario, delay) + sd
+    if np.any(tempted < cost_ev - 1e-9 * cost_ev):
+        raise SolverError(
+            "mixed topology invalid: an EV commuter could profit inside a GV segment",
+            diagnostics={"min_cost": float(np.min(tempted)), "cost_ev": cost_ev},
+        )
 
 
 def _sample(

@@ -57,7 +57,9 @@ def solve_bracketed(
     whenever it lands strictly inside the current bracket.  ``fn(lo)`` and
     ``fn(hi)`` must have opposite signs (zero endpoints count as roots).
     Terminates when the bracket width drops below ``rtol`` relative to the
-    iterate magnitude (with an absolute floor of ``rtol`` for roots near 0).
+    larger endpoint magnitude, with no absolute floor, so small roots are
+    resolved as finely as large ones.  A root at exactly 0 is found only if
+    an evaluation hits it; the callers' conservation roots are positive.
     """
     fa = fn(lo)
     if fa == 0.0:
@@ -75,7 +77,7 @@ def solve_bracketed(
     stale = 0  # consecutive moves of the same end (secant stagnation)
     for _ in range(max_iter):
         width = b - a
-        if width <= rtol * max(1.0, abs(a), abs(b)):
+        if width <= rtol * max(abs(a), abs(b)):
             break
         # Secant through the bracket endpoints, bisection as fallback.
         x = b - fb * (b - a) / (fb - fa) if fb != fa else 0.5 * (a + b)

@@ -75,7 +75,7 @@ class Numerics:
             raise ScenarioError("dt_minutes and bin_minutes must be positive")
         if not 0.0 < self.eta <= 1.0:
             raise ScenarioError(f"eta must lie in (0,1], got {self.eta}")
-        if self.gap_tol <= 0.0 or self.quad_rtol <= 0.0 or self.root_rtol <= 0.0:
+        if min(self.gap_tol, self.quad_rtol, self.root_rtol, self.mixed_rtol) <= 0.0:
             raise ScenarioError("tolerances must be positive")
         if self.max_days < 0:
             raise ScenarioError(f"max_days must be nonnegative, got {self.max_days}")

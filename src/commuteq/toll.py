@@ -19,11 +19,12 @@ system; :func:`verify_tolled_equilibrium` certifies that identity.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .dynamics import init_assignment
-from .equilibrium import DEFAULT_DT, TimeProfile, _window_grid, _zero_profile, window_mass
+from .equilibrium import DEFAULT_DT, TimeProfile, _window_grid, _zero_profile, conservation_root
 from .model import (
     EnergyModel,
     Scenario,
@@ -34,7 +35,7 @@ from .model import (
     flow_from_delay,
     schedule_delay,
 )
-from .numerics import expand_bracket, project_to_simplex, solve_bracketed, trapezoid_refine
+from .numerics import project_to_simplex, trapezoid_refine
 
 
 @dataclass(frozen=True)
@@ -127,17 +128,11 @@ def solve_system_optimum(
             toll_revenue=0.0,
         )
 
-    def invert(r: np.ndarray) -> np.ndarray:
-        return invert_marginal_social_cost(model, scenario, r)
-
-    def conservation(lam: float) -> float:
-        return window_mass(scenario, invert, lam, quad_rtol) - scenario.n_total
-
+    invert = partial(invert_marginal_social_cost, model, scenario)
     seed = float(
         marginal_social_cost(model, scenario, delay_from_flow(scenario.n_total, scenario))
     )
-    lo, hi = expand_bracket(conservation, max(seed, 1e-9))
-    lam = solve_bracketed(conservation, lo, hi, rtol=root_rtol)
+    lam = conservation_root(scenario, invert, scenario.n_total, seed, quad_rtol, root_rtol)
 
     t0 = scenario.t_star - lam / scenario.beta
     t1 = scenario.t_star + lam / scenario.gamma

@@ -149,6 +149,13 @@ class TestExitCodes:
         code = main(["oracle", "--out", str(tmp_path / "o"), "--quiet"])
         assert code == EXIT_INPUT
 
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_nonpositive_mixed_rtol_rejected(self, tmp_path, monkeypatch, value):
+        monkeypatch.setenv("CEQ_DEMAND_MPR", "0.5")
+        monkeypatch.setenv("CEQ_NUMERICS_MIXED_RTOL", value)
+        code = main(["solve", "--out", str(tmp_path / "o"), "--quiet"])
+        assert code == EXIT_INPUT
+
     def test_nonpositive_dt_rejected(self, tmp_path):
         code = main(["solve", "--out", str(tmp_path / "o"), "--dt", "0", "--quiet"])
         assert code == EXIT_INPUT

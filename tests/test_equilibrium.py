@@ -5,12 +5,15 @@ profiles within tolerance (see test_acceptance.py); they guard regressions.
 """
 
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from commuteq import (
+    EnergyModel,
+    SolverError,
     VehicleClass,
     flow_from_delay,
     invert_congestion_cost,
@@ -21,6 +24,7 @@ from commuteq import (
     solve_single_class,
 )
 from commuteq.equilibrium import window_mass
+from commuteq.numerics import solve_bracketed
 from conftest import N_TOTAL, basic_scenario
 
 GOLDEN_COST_GV = 4.389575841217798
@@ -175,47 +179,13 @@ class TestMixed:
             deviation = np.abs(profile.cost_total[mask] - cost) / cost
             assert float(np.max(deviation)) <= 1e-6
 
-    @pytest.mark.parametrize("mpr", [0.05, 0.25, 0.75, 0.95])
+    @pytest.mark.parametrize("mpr", [1e-6, 0.05, 0.25, 0.75, 0.95, 1.0 - 1e-6])
     def test_other_penetrations_conserve(self, scenario, mpr):
         solution = solve_mixed(replace(scenario, mpr=mpr))
         assert_allclose(
             solution.class_counts[VehicleClass.GV], (1.0 - mpr) * N_TOTAL, rtol=1e-6
         )
         assert_allclose(solution.class_counts[VehicleClass.EV], mpr * N_TOTAL, rtol=1e-6)
-
-    def test_nested_fallback_agrees_with_newton(self, scenario, mixed_solution):
-        # the dormant bisection fallback must land on the Newton cost pair
-        from commuteq.equilibrium import _mixed_nested, _mixed_state
-
-        sc = replace(scenario, mpr=0.5)
-        pop_gv = sc.population(VehicleClass.GV)
-        pop_ev = sc.population(VehicleClass.EV)
-
-        def residuals(x):
-            # looser quadrature than production keeps this rescue-path check fast
-            state = _mixed_state(sc, x[0], x[1], 1e-9)
-            if state is None:
-                return None
-            mass_gv, mass_ev, s_star = state
-            return np.array([mass_gv - pop_gv, mass_ev - pop_ev]), s_star
-
-        def ce_floor_of(cg):
-            from commuteq import congestion_cost
-
-            return float(
-                congestion_cost(
-                    sc.ev_energy,
-                    sc,
-                    invert_congestion_cost(sc.gv_energy, sc, cg),
-                )
-            )
-
-        cg_seed = solve_single_class(sc, sc.gv_energy).class_costs[VehicleClass.GV]
-        solved = _mixed_nested(sc, residuals, cg_seed, ce_floor_of, pop_ev, 1e-7 * N_TOTAL)
-        assert solved is not None
-        (cost_gv, cost_ev), _ = solved
-        assert_allclose(cost_gv, mixed_solution.class_costs[VehicleClass.GV], rtol=1e-6)
-        assert_allclose(cost_ev, mixed_solution.class_costs[VehicleClass.EV], rtol=1e-6)
 
     def test_peak_delay_nondecreasing_in_mpr(self, scenario):
         peaks = [
@@ -228,6 +198,95 @@ class TestMixed:
         duration_gv = solve_mixed(scenario).duration
         duration_ev = solve_mixed(replace(scenario, mpr=1.0)).duration
         assert duration_ev < duration_gv
+
+
+def _reference_state(sc, cost_gv, cost_ev, quad_rtol=1e-9):
+    """Per-class masses and boundary level of a cost pair, built independently.
+
+    ``s*`` is where the two isocost delay curves cross and the EV mass is the
+    difference of two integrals from r = 0, so the check shares neither the
+    closed-form boundary cost nor the shifted quadrature with solve_mixed.
+    """
+    gv, ev = sc.gv_energy, sc.ev_energy
+
+    def curve_gap(s):
+        delay_gv = invert_congestion_cost(gv, sc, cost_gv - s)
+        return float(delay_gv - invert_congestion_cost(ev, sc, cost_ev - s))
+
+    s_star = solve_bracketed(curve_gap, 0.0, cost_ev, rtol=1e-13)
+    invert_gv = partial(invert_congestion_cost, gv, sc)
+    invert_ev = partial(invert_congestion_cost, ev, sc)
+    mass_gv = window_mass(sc, invert_gv, cost_gv - s_star, quad_rtol)
+    mass_ev = window_mass(sc, invert_ev, cost_ev, quad_rtol) - window_mass(
+        sc, invert_ev, cost_ev - s_star, quad_rtol
+    )
+    return mass_gv, mass_ev, s_star
+
+
+def _grid_scenarios(count=24, seed=20201):
+    rng = np.random.default_rng(seed)
+    base = basic_scenario()
+    return [
+        replace(
+            base,
+            mpr=float(rng.uniform(0.02, 0.98)),
+            nu=float(rng.uniform(2.0, 6.0)),
+            n_total=N_TOTAL * float(rng.uniform(0.3, 3.0)),
+            capacity_r=base.capacity_r * float(rng.uniform(0.5, 2.0)),
+        )
+        for _ in range(count)
+    ]
+
+
+class TestMixedAgainstReference:
+    @pytest.mark.parametrize(
+        "sc", _grid_scenarios(), ids=lambda sc: f"mpr{sc.mpr:.3f}-nu{sc.nu:.2f}"
+    )
+    def test_costs_conserve_each_class(self, sc):
+        solution = solve_mixed(sc)
+        cost_gv = solution.class_costs[VehicleClass.GV]
+        cost_ev = solution.class_costs[VehicleClass.EV]
+        mass_gv, mass_ev, s_star = _reference_state(sc, cost_gv, cost_ev)
+        assert_allclose(mass_gv, sc.population(VehicleClass.GV), rtol=1e-8)
+        assert_allclose(mass_ev, sc.population(VehicleClass.EV), rtol=1e-8)
+        center = solution.segments[1]
+        levels = schedule_delay(np.array([center.t_lo, center.t_hi]), sc)
+        assert_allclose(levels, s_star, rtol=1e-9)
+
+
+class TestMixedEdgeCases:
+    def _assert_conserves(self, solution, rtol=1e-9):
+        sc = solution.scenario
+        for cls in (VehicleClass.GV, VehicleClass.EV):
+            assert_allclose(solution.class_counts[cls], sc.population(cls), rtol=rtol)
+
+    @pytest.mark.parametrize("n_total", [1e-9, 1e-6])
+    def test_tiny_population(self, n_total):
+        solution = solve_mixed(replace(basic_scenario(0.5), n_total=n_total))
+        self._assert_conserves(solution)
+        assert 0.0 < solution.class_costs[VehicleClass.EV] < solution.class_costs[VehicleClass.GV]
+
+    def test_tight_quadrature_tolerance(self):
+        # each quadrature takes ~2 M points at 1e-12; the looser root needs a
+        # quarter fewer of them and still lands well inside the golden bound
+        solution = solve_mixed(basic_scenario(0.5), quad_rtol=1e-12, root_rtol=1e-6)
+        self._assert_conserves(solution)
+        assert_allclose(solution.class_costs[VehicleClass.GV], GOLDEN_MIXED_COST_GV, rtol=1e-6)
+        assert_allclose(solution.class_costs[VehicleClass.EV], GOLDEN_MIXED_COST_EV, rtol=1e-6)
+
+    def test_equal_energy_models_share_the_single_class_cost(self, gv_solution):
+        sc = replace(basic_scenario(0.5), ev_energy=EnergyModel(VehicleClass.EV, 4.0, 16.8))
+        solution = solve_mixed(sc)
+        self._assert_conserves(solution)
+        single = gv_solution.class_costs[VehicleClass.GV]
+        assert_allclose(solution.class_costs[VehicleClass.GV], single, rtol=1e-8)
+        assert_allclose(solution.class_costs[VehicleClass.EV], single, rtol=1e-8)
+
+    def test_missed_conservation_is_a_solver_error(self):
+        # a root stopped at 0.1% of the cost leaves the counts far outside 1e-8 * N
+        with pytest.raises(SolverError, match="per-class conservation") as err:
+            solve_mixed(basic_scenario(0.5), root_rtol=1e-3, mixed_rtol=1e-8)
+        assert err.value.diagnostics["populations"] == (1500.0, 1500.0)
 
 
 class TestSampleProfiles:
