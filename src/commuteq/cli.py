@@ -107,11 +107,7 @@ def _solution_summary(solution: EquilibriumSolution, report: metrics.MetricsRepo
 
 def _solve_with_numerics(scenario: Scenario, numerics: Numerics, dt: float) -> EquilibriumSolution:
     return solve_mixed(
-        scenario,
-        dt=dt,
-        quad_rtol=numerics.quad_rtol,
-        root_rtol=numerics.root_rtol,
-        mixed_rtol=numerics.mixed_rtol,
+        scenario, dt=dt, root_rtol=numerics.root_rtol, mixed_rtol=numerics.mixed_rtol
     )
 
 
@@ -181,15 +177,17 @@ def cmd_toll(config: ScenarioConfig, out_dir: Path, dt: float, incentive: bool, 
     cls = VehicleClass.EV if scenario.mpr > 0.0 else VehicleClass.GV
     model = scenario.energy_model(cls)
     so = toll_mod.solve_system_optimum(
-        scenario, model, dt=dt, quad_rtol=numerics.quad_rtol, root_rtol=numerics.root_rtol
-    )
-    schedule = toll_mod.compute_toll(so, model, scenario)
-    residual = toll_mod.verify_tolled_equilibrium(schedule, scenario, model)
-    ue = solve_mixed(
-        replace(scenario, mpr=1.0 if cls is VehicleClass.EV else 0.0),
+        scenario,
+        model,
         dt=dt,
         quad_rtol=numerics.quad_rtol,
         root_rtol=numerics.root_rtol,
+        mixed_rtol=numerics.mixed_rtol,
+    )
+    schedule = toll_mod.compute_toll(so, model, scenario)
+    residual = toll_mod.verify_tolled_equilibrium(schedule, scenario, model)
+    ue = _solve_with_numerics(
+        replace(scenario, mpr=1.0 if cls is VehicleClass.EV else 0.0), numerics, dt
     )
     # exact basis (cost * population), comparable with the SO total
     ue_social = sum(
@@ -282,7 +280,7 @@ def cmd_oracle(config: ScenarioConfig, out_dir: Path, dt: float, quiet: bool) ->
         analytic = _solve_with_numerics(scenario, numerics, dt)
         reference = solution_delay(analytic, assignment.centers)
         peak = max(float(np.max(reference)), 1e-300)
-        used = (assignment.masses.sum(axis=0)) > 1e-3 * scenario.n_total
+        used = assignment.masses.sum(axis=0) > dynamics.USED_MASS_FRACTION * scenario.n_total
         deviation = float(np.max(np.abs(delays - reference)[used]) / peak) if used.any() else 0.0
         items.append(("max_delay_deviation_vs_analytic", deviation))
         for row, cls in enumerate(dynamics.CLASS_ORDER):

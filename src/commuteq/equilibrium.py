@@ -13,32 +13,34 @@ Conservation integrals run in the cost-residual variable: along the early
 flank the schedule penalty falls linearly at rate beta, so arrival time and
 residual cost are affine in each other and the two window flanks collapse
 into a single integral `(1/beta + 1/gamma) * int_0^r q(x) dx`, where
-``q(x)`` is the arrival flow at congestion-cost residual ``x``.  A cubic
-stretch of the integration variable removes the `x**(1/nu)` edge singularity
-so the trapezoid refinement converges at second order.
+``q(x)`` is the arrival flow at congestion-cost residual ``x``.  Every cost
+map is quadratic in the delay, so substituting the delay for the residual
+makes that integral a closed form (see :func:`window_mass`): the masses are
+exact, with no quadrature.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable
 
 import numpy as np
 
 from .errors import SolverError
 from .model import (
+    CostMap,
     EnergyModel,
     Scenario,
     VehicleClass,
     congestion_cost,
+    congestion_cost_map,
     delay_from_flow,
     flow_from_delay,
     invert_congestion_cost,
     schedule_delay,
 )
-from .numerics import expand_bracket, solve_bracketed, trapezoid_refine
+from .numerics import expand_bracket, solve_bracketed
 
 DEFAULT_DT = 1.0 / 60.0
 
@@ -120,37 +122,32 @@ def _window_grid(t_star: float, window: tuple[float, float], dt: float) -> np.nd
     return t_star + dt * np.arange(-k_lo, k_hi + 1, dtype=float)
 
 
-def window_mass(
-    scenario: Scenario,
-    invert: Callable[[np.ndarray], np.ndarray],
-    r_hi: float,
-    quad_rtol: float,
-    r_lo: float = 0.0,
-) -> float:
+def window_mass(scenario: Scenario, cmap: CostMap, r_hi: float, r_lo: float = 0.0) -> float:
     """Commuters absorbed while the cost residual climbs from ``r_lo`` to ``r_hi``.
 
-    Equals `(1/beta + 1/gamma) * int_{r_lo}^{r_hi} q(r) dr` with the arrival
-    flow ``q(r) = flow_from_delay(invert(r))``; the substitution
-    r = r_lo + (r_hi - r_lo) * u**3 regularizes the r**(1/nu) behavior of
-    ``q`` at r = 0.
+    Equals `K * int_{r_lo}^{r_hi} q(r) dr` with K = 1/beta + 1/gamma and the
+    arrival flow ``q = R * (T/m)**p`` at delay ``T = cmap.invert(r)``,
+    p = 1/nu.  Substituting r = a*T + b*T**2, dr = (a + 2*b*T) dT, gives the
+    exact value `K * R * m**-p * [F(T_hi) - F(T_lo)]` with
+    `F(T) = a * T**(1+p) / (1+p) + 2*b * T**(2+p) / (2+p)`.
     """
-    width = r_hi - r_lo
-    if width <= 0.0:
+    if r_hi <= r_lo:
         return 0.0
+    p = 1.0 / scenario.nu
 
-    def integrand(u: np.ndarray) -> np.ndarray:
-        return flow_from_delay(invert(r_lo + width * u**3), scenario) * 3.0 * width * u * u
+    def antiderivative(r: float) -> float:
+        delay = float(cmap.invert(r))
+        return delay ** (1.0 + p) * (cmap.a / (1.0 + p) + 2.0 * cmap.b * delay / (2.0 + p))
 
-    integral = trapezoid_refine(integrand, 0.0, 1.0, rtol=quad_rtol)
-    return (1.0 / scenario.beta + 1.0 / scenario.gamma) * integral
+    scale = (1.0 / scenario.beta + 1.0 / scenario.gamma) * scenario.capacity_r
+    return scale * scenario.trip_km**-p * (antiderivative(r_hi) - antiderivative(r_lo))
 
 
 def conservation_root(
     scenario: Scenario,
-    invert: Callable[[np.ndarray], np.ndarray],
+    cmap: CostMap,
     population: float,
     seed: float,
-    quad_rtol: float,
     root_rtol: float,
     r_lo: float = 0.0,
 ) -> float:
@@ -159,14 +156,37 @@ def conservation_root(
     The absorbed count grows monotonically from 0 at s = 0, so the root is
     bracketed by growing ``[0, seed]`` geometrically and then refined to
     ``root_rtol`` relative.  Every equilibrium and optimum cost here is such
-    a root, with ``invert`` the inverse of the class's cost map.
+    a root, with ``cmap`` the class's cost map.
     """
 
     def conservation(s: float) -> float:
-        return window_mass(scenario, invert, r_lo + s, quad_rtol, r_lo) - population
+        return window_mass(scenario, cmap, r_lo + s, r_lo) - population
 
     lo, hi = expand_bracket(conservation, max(seed, 1e-9))
     return solve_bracketed(conservation, lo, hi, rtol=root_rtol)
+
+
+def _check_conservation(
+    scenario: Scenario,
+    what: str,
+    costs: tuple[float, ...],
+    counts: tuple[float, ...],
+    populations: tuple[float, ...],
+    mixed_rtol: float,
+) -> None:
+    """Raise unless every class's count is within ``mixed_rtol * n_total`` of its population."""
+    miss = max(abs(count - pop) for count, pop in zip(counts, populations))
+    if miss > mixed_rtol * scenario.n_total:
+        raise SolverError(
+            f"{what} misses per-class conservation",
+            diagnostics={
+                "mpr": scenario.mpr,
+                "costs": costs,
+                "counts": counts,
+                "populations": populations,
+                "mixed_rtol": mixed_rtol,
+            },
+        )
 
 
 def _packed_cost(model: EnergyModel, scenario: Scenario, population: float) -> float:
@@ -211,8 +231,8 @@ def solve_single_class(
     scenario: Scenario,
     model: EnergyModel,
     dt: float = DEFAULT_DT,
-    quad_rtol: float = 1e-8,
     root_rtol: float = 1e-10,
+    mixed_rtol: float = 1e-8,
 ) -> EquilibriumSolution:
     """Equilibrium when the whole fleet is one vehicle class.
 
@@ -220,15 +240,19 @@ def solve_single_class(
     schedule penalty only and the window is [t* - C/beta, t* + C/gamma].
     Inside it the delay profile follows the isocost curve
     ``T(t) = Phi^{-1}(C - schedule_delay(t))`` and the equilibrium cost C is
-    the root of the monotone conservation map C -> absorbed commuters.
+    the root of the monotone conservation map C -> absorbed commuters.  The
+    absorbed count must match the fleet to ``mixed_rtol * n_total``.
     """
     if scenario.n_total == 0.0:
         return _empty_solution(scenario, dt)
 
-    invert = partial(invert_congestion_cost, model, scenario)
+    cmap = congestion_cost_map(model, scenario)
     seed = _packed_cost(model, scenario, scenario.n_total)
-    cost = conservation_root(scenario, invert, scenario.n_total, seed, quad_rtol, root_rtol)
-    count = window_mass(scenario, invert, cost, quad_rtol)
+    cost = conservation_root(scenario, cmap, scenario.n_total, seed, root_rtol)
+    count = window_mass(scenario, cmap, cost)
+    _check_conservation(
+        scenario, "single-class equilibrium", (cost,), (count,), (scenario.n_total,), mixed_rtol
+    )
 
     t0 = scenario.t_star - cost / scenario.beta
     t1 = scenario.t_star + cost / scenario.gamma
@@ -247,7 +271,6 @@ def solve_single_class(
 def solve_mixed(
     scenario: Scenario,
     dt: float = DEFAULT_DT,
-    quad_rtol: float = 1e-8,
     root_rtol: float = 1e-10,
     mixed_rtol: float = 1e-8,
 ) -> EquilibriumSolution:
@@ -268,37 +291,34 @@ def solve_mixed(
     if scenario.n_total == 0.0:
         return _empty_solution(scenario, dt)
     if scenario.mpr == 0.0:
-        return solve_single_class(scenario, scenario.gv_energy, dt, quad_rtol, root_rtol)
+        return solve_single_class(scenario, scenario.gv_energy, dt, root_rtol, mixed_rtol)
     if scenario.mpr == 1.0:
-        return solve_single_class(scenario, scenario.ev_energy, dt, quad_rtol, root_rtol)
+        return solve_single_class(scenario, scenario.ev_energy, dt, root_rtol, mixed_rtol)
 
     gv, ev = scenario.gv_energy, scenario.ev_energy
     pop_gv = scenario.population(VehicleClass.GV)
     pop_ev = scenario.population(VehicleClass.EV)
-    invert_gv = partial(invert_congestion_cost, gv, scenario)
-    invert_ev = partial(invert_congestion_cost, ev, scenario)
+    map_gv = congestion_cost_map(gv, scenario)
+    map_ev = congestion_cost_map(ev, scenario)
 
     seed_gv = _packed_cost(gv, scenario, pop_gv)
-    x = conservation_root(scenario, invert_gv, pop_gv, seed_gv, quad_rtol, root_rtol)
-    y = float(congestion_cost(ev, scenario, invert_gv(x)))
+    x = conservation_root(scenario, map_gv, pop_gv, seed_gv, root_rtol)
+    y = float(congestion_cost(ev, scenario, map_gv.invert(x)))
     seed_ev = _packed_cost(ev, scenario, pop_ev)
-    s_star = conservation_root(scenario, invert_ev, pop_ev, seed_ev, quad_rtol, root_rtol, r_lo=y)
+    s_star = conservation_root(scenario, map_ev, pop_ev, seed_ev, root_rtol, r_lo=y)
     cost_gv, cost_ev = x + s_star, y + s_star
     _validate_no_deviation(scenario, cost_gv, cost_ev, s_star)
 
-    mass_gv = window_mass(scenario, invert_gv, x, quad_rtol)
-    mass_ev = window_mass(scenario, invert_ev, cost_ev, quad_rtol, r_lo=y)
-    if max(abs(mass_gv - pop_gv), abs(mass_ev - pop_ev)) > mixed_rtol * scenario.n_total:
-        raise SolverError(
-            "mixed equilibrium misses per-class conservation",
-            diagnostics={
-                "mpr": scenario.mpr,
-                "costs": (cost_gv, cost_ev),
-                "counts": (mass_gv, mass_ev),
-                "populations": (pop_gv, pop_ev),
-                "mixed_rtol": mixed_rtol,
-            },
-        )
+    mass_gv = window_mass(scenario, map_gv, x)
+    mass_ev = window_mass(scenario, map_ev, cost_ev, r_lo=y)
+    _check_conservation(
+        scenario,
+        "mixed equilibrium",
+        (cost_gv, cost_ev),
+        (mass_gv, mass_ev),
+        (pop_gv, pop_ev),
+        mixed_rtol,
+    )
 
     t0 = scenario.t_star - cost_gv / scenario.beta
     t1 = scenario.t_star + cost_gv / scenario.gamma

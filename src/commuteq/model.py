@@ -193,19 +193,37 @@ def congestion_cost_slope(model: EnergyModel, scenario: Scenario, delay: ArrayLi
     return scenario.alpha + model.c1 + 2.0 * model.c2 * delay
 
 
-def invert_congestion_cost(model: EnergyModel, scenario: Scenario, cost: ArrayLike) -> ArrayLike:
-    """Unique delay T >= 0 whose congestion cost equals ``cost`` >= 0.
+@dataclass(frozen=True)
+class CostMap:
+    """A cost quadratic in the congestion delay, ``a*T + b*T**2`` with a > 0, b >= 0.
 
-    Closed form for the quadratic model: with a = alpha + c1,
-    T = (-a + sqrt(a**2 + 4*c2*cost)) / (2*c2), evaluated in the rationalized
-    form 2*cost / (a + sqrt(a**2 + 4*c2*cost)) which has no cancellation for
-    small costs and covers c2 = 0 as well.
+    The private congestion cost Phi and the marginal social cost Psi both
+    have this form; the map is strictly increasing on T >= 0.
     """
+
+    a: float
+    b: float
+
+    def invert(self, cost: ArrayLike) -> ArrayLike:
+        """Unique delay T >= 0 with a*T + b*T**2 = ``cost`` >= 0 (unchecked).
+
+        T = (-a + sqrt(a**2 + 4*b*cost)) / (2*b), evaluated in the
+        rationalized form 2*cost / (a + sqrt(a**2 + 4*b*cost)), which has no
+        cancellation for small costs and covers b = 0 as well.
+        """
+        cost = np.asarray(cost, dtype=float)
+        return 2.0 * cost / (self.a + np.sqrt(self.a * self.a + 4.0 * self.b * cost))
+
+
+def congestion_cost_map(model: EnergyModel, scenario: Scenario) -> CostMap:
+    """Phi(T) = (alpha + c1)*T + c2*T**2, the congestion cost as a :class:`CostMap`."""
+    return CostMap(scenario.alpha + model.c1, model.c2)
+
+
+def invert_congestion_cost(model: EnergyModel, scenario: Scenario, cost: ArrayLike) -> ArrayLike:
+    """Unique delay T >= 0 whose congestion cost equals ``cost`` >= 0."""
     _check_nonnegative(cost, "congestion cost")
-    a = scenario.alpha + model.c1
-    return 2.0 * np.asarray(cost, dtype=float) / (
-        a + np.sqrt(a * a + 4.0 * model.c2 * np.asarray(cost, dtype=float))
-    )
+    return congestion_cost_map(model, scenario).invert(cost)
 
 
 def delay_from_flow(flow: ArrayLike, scenario: Scenario) -> ArrayLike:

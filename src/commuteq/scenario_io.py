@@ -11,7 +11,12 @@ comments).  Every solver input lives in one of five sections::
     [numerics]   dt_minutes, bin_minutes, eta, gap_tol, max_days,
                  quad_rtol, root_rtol, mixed_rtol
 
-``[numerics]`` keys all have defaults; ``s_max`` defaults to 60 km/h;
+``[numerics]`` keys all have defaults.  ``root_rtol`` is the relative
+tolerance of every conservation root; ``mixed_rtol`` is the largest miss,
+as a fraction of ``n_total``, allowed between a class's absorbed count and
+its population in every solve (exit 3 beyond it); ``quad_rtol`` bounds only
+the trapezoid refinement of the system optimum's toll revenue, since the
+conservation masses are exact.  ``s_max`` defaults to 60 km/h;
 ``[energy.ev]`` may be omitted only when mpr = 0 (the EV record then copies
 the GV coefficients, making the classes indistinguishable).  Unknown
 sections or keys are rejected by name.  Any key can be overridden through

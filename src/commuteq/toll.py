@@ -19,13 +19,21 @@ system; :func:`verify_tolled_equilibrium` certifies that identity.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
 from .dynamics import init_assignment
-from .equilibrium import DEFAULT_DT, TimeProfile, _window_grid, _zero_profile, conservation_root
+from .equilibrium import (
+    DEFAULT_DT,
+    TimeProfile,
+    _check_conservation,
+    _window_grid,
+    _zero_profile,
+    conservation_root,
+    window_mass,
+)
 from .model import (
+    CostMap,
     EnergyModel,
     Scenario,
     VehicleClass,
@@ -87,18 +95,18 @@ def marginal_social_cost(model: EnergyModel, scenario: Scenario, delay) -> np.nd
     ) * congestion_cost_slope(model, scenario, delay)
 
 
-def invert_marginal_social_cost(model: EnergyModel, scenario: Scenario, value) -> np.ndarray:
-    """Unique T >= 0 with Psi(T) = value >= 0.
+def marginal_social_cost_map(model: EnergyModel, scenario: Scenario) -> CostMap:
+    """Psi(T) = (1+nu)*(alpha+c1)*T + (1+2*nu)*c2*T**2 as a :class:`CostMap`."""
+    return CostMap(
+        (1.0 + scenario.nu) * (scenario.alpha + model.c1), (1.0 + 2.0 * scenario.nu) * model.c2
+    )
 
-    Psi is quadratic, so the closed form mirrors the congestion-cost inverse;
-    the rationalized evaluation avoids cancellation near zero.
-    """
+
+def invert_marginal_social_cost(model: EnergyModel, scenario: Scenario, value) -> np.ndarray:
+    """Unique T >= 0 with Psi(T) = value >= 0."""
     if np.any(np.asarray(value) < 0.0):
         raise ValueError("marginal social cost must be nonnegative")
-    a = (1.0 + scenario.nu) * (scenario.alpha + model.c1)
-    b = (1.0 + 2.0 * scenario.nu) * model.c2
-    value = np.asarray(value, dtype=float)
-    return 2.0 * value / (a + np.sqrt(a * a + 4.0 * b * value))
+    return marginal_social_cost_map(model, scenario).invert(value)
 
 
 def toll_at_delay(model: EnergyModel, scenario: Scenario, delay) -> np.ndarray:
@@ -114,8 +122,13 @@ def solve_system_optimum(
     dt: float = DEFAULT_DT,
     quad_rtol: float = 1e-8,
     root_rtol: float = 1e-10,
+    mixed_rtol: float = 1e-8,
 ) -> SystemOptimum:
-    """Minimize total system cost over departure patterns of one class."""
+    """Minimize total system cost over departure patterns of one class.
+
+    ``quad_rtol`` bounds the toll-revenue quadrature; the optimal pattern
+    must absorb the fleet to ``mixed_rtol * n_total``.
+    """
     if scenario.n_total == 0.0:
         profile = _zero_profile(scenario.t_star, dt)
         return SystemOptimum(
@@ -128,11 +141,15 @@ def solve_system_optimum(
             toll_revenue=0.0,
         )
 
-    invert = partial(invert_marginal_social_cost, model, scenario)
+    cmap = marginal_social_cost_map(model, scenario)
     seed = float(
         marginal_social_cost(model, scenario, delay_from_flow(scenario.n_total, scenario))
     )
-    lam = conservation_root(scenario, invert, scenario.n_total, seed, quad_rtol, root_rtol)
+    lam = conservation_root(scenario, cmap, scenario.n_total, seed, root_rtol)
+    count = window_mass(scenario, cmap, lam)
+    _check_conservation(
+        scenario, "system optimum", (lam,), (count,), (scenario.n_total,), mixed_rtol
+    )
 
     t0 = scenario.t_star - lam / scenario.beta
     t1 = scenario.t_star + lam / scenario.gamma

@@ -156,6 +156,15 @@ class TestExitCodes:
         code = main(["solve", "--out", str(tmp_path / "o"), "--quiet"])
         assert code == EXIT_INPUT
 
+    @pytest.mark.parametrize("command, mpr", [("solve", "0"), ("solve", "1"), ("toll", "0"), ("toll", "1")])
+    def test_loose_root_tolerance_misses_conservation(self, tmp_path, monkeypatch, capsys, command, mpr):
+        # single-class and system-optimum roots face the same mixed_rtol check
+        monkeypatch.setenv("CEQ_DEMAND_MPR", mpr)
+        monkeypatch.setenv("CEQ_NUMERICS_ROOT_RTOL", "1e-2")
+        code = main([command, "--out", str(tmp_path / "o"), "--quiet"])
+        assert code == EXIT_SOLVER
+        assert "per-class conservation" in capsys.readouterr().err
+
     def test_nonpositive_dt_rejected(self, tmp_path):
         code = main(["solve", "--out", str(tmp_path / "o"), "--dt", "0", "--quiet"])
         assert code == EXIT_INPUT

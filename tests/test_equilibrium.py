@@ -23,14 +23,35 @@ from commuteq import (
     solve_mixed,
     solve_single_class,
 )
+from commuteq.cli import EXIT_OK, main
 from commuteq.equilibrium import window_mass
-from commuteq.numerics import solve_bracketed
+from commuteq.model import congestion_cost_map, delay_from_flow
+from commuteq.numerics import solve_bracketed, trapezoid_refine
+from commuteq.scenario_io import Numerics, ScenarioConfig, emit_config
+from commuteq.toll import invert_marginal_social_cost, marginal_social_cost_map
 from conftest import N_TOTAL, basic_scenario
 
 GOLDEN_COST_GV = 4.389575841217798
 GOLDEN_COST_EV = 4.02175345295732
 GOLDEN_MIXED_COST_GV = 4.3164995926668555
 GOLDEN_MIXED_COST_EV = 3.373332243505434
+
+
+def _trapezoid_mass(sc, invert, r_hi, r_lo=0.0, rtol=1e-12):
+    """`(1/beta + 1/gamma) * int_{r_lo}^{r_hi} q(r) dr` by trapezoid refinement.
+
+    The reference for the closed-form :func:`window_mass`.  The quintic
+    stretch r = r_lo + (r_hi - r_lo) * u**3 * (10 - 15u + 6u**2) flattens the
+    integrand at both ends of [0, 1], including the r**(1/nu) edge at r = 0,
+    so the refinement reaches 1e-12 in a few thousand points.
+    """
+    width = r_hi - r_lo
+
+    def integrand(u):
+        r = r_lo + width * u**3 * (10.0 - 15.0 * u + 6.0 * u * u)
+        return flow_from_delay(invert(r), sc) * 30.0 * width * (u * (1.0 - u)) ** 2
+
+    return (1.0 / sc.beta + 1.0 / sc.gamma) * trapezoid_refine(integrand, 0.0, 1.0, rtol=rtol)
 
 
 class TestSingleClass:
@@ -91,11 +112,15 @@ class TestSingleClass:
         assert np.all(np.diff(after) <= 1e-9)
 
     def test_conservation_map_is_increasing(self, scenario):
-        def invert(r):
-            return invert_congestion_cost(scenario.gv_energy, scenario, r)
-
-        masses = [window_mass(scenario, invert, c, 1e-8) for c in (1.0, 2.0, 4.0, 6.0)]
+        cmap = congestion_cost_map(scenario.gv_energy, scenario)
+        masses = [window_mass(scenario, cmap, c) for c in (1.0, 2.0, 4.0, 6.0)]
         assert np.all(np.diff(masses) > 0.0)
+
+    def test_missed_conservation_is_a_solver_error(self, scenario):
+        # a root stopped at 1% of the cost misses the fleet by ~1e-4 of N
+        with pytest.raises(SolverError, match="per-class conservation") as err:
+            solve_single_class(scenario, scenario.gv_energy, root_rtol=1e-2)
+        assert err.value.diagnostics["populations"] == (N_TOTAL,)
 
     def test_quadrature_against_brute_force(self, scenario, gv_solution):
         # independent check: plain trapezoid of f(t) over a dense time grid
@@ -204,8 +229,9 @@ def _reference_state(sc, cost_gv, cost_ev, quad_rtol=1e-9):
     """Per-class masses and boundary level of a cost pair, built independently.
 
     ``s*`` is where the two isocost delay curves cross and the EV mass is the
-    difference of two integrals from r = 0, so the check shares neither the
-    closed-form boundary cost nor the shifted quadrature with solve_mixed.
+    difference of two integrals from r = 0, both by trapezoid refinement, so
+    the check shares neither the closed-form boundary cost nor the closed-form
+    masses with solve_mixed.
     """
     gv, ev = sc.gv_energy, sc.ev_energy
 
@@ -216,9 +242,9 @@ def _reference_state(sc, cost_gv, cost_ev, quad_rtol=1e-9):
     s_star = solve_bracketed(curve_gap, 0.0, cost_ev, rtol=1e-13)
     invert_gv = partial(invert_congestion_cost, gv, sc)
     invert_ev = partial(invert_congestion_cost, ev, sc)
-    mass_gv = window_mass(sc, invert_gv, cost_gv - s_star, quad_rtol)
-    mass_ev = window_mass(sc, invert_ev, cost_ev, quad_rtol) - window_mass(
-        sc, invert_ev, cost_ev - s_star, quad_rtol
+    mass_gv = _trapezoid_mass(sc, invert_gv, cost_gv - s_star, rtol=quad_rtol)
+    mass_ev = _trapezoid_mass(sc, invert_ev, cost_ev, rtol=quad_rtol) - _trapezoid_mass(
+        sc, invert_ev, cost_ev - s_star, rtol=quad_rtol
     )
     return mass_gv, mass_ev, s_star
 
@@ -266,13 +292,21 @@ class TestMixedEdgeCases:
         self._assert_conserves(solution)
         assert 0.0 < solution.class_costs[VehicleClass.EV] < solution.class_costs[VehicleClass.GV]
 
-    def test_tight_quadrature_tolerance(self):
-        # each quadrature takes ~2 M points at 1e-12; the looser root needs a
-        # quarter fewer of them and still lands well inside the golden bound
-        solution = solve_mixed(basic_scenario(0.5), quad_rtol=1e-12, root_rtol=1e-6)
-        self._assert_conserves(solution)
-        assert_allclose(solution.class_costs[VehicleClass.GV], GOLDEN_MIXED_COST_GV, rtol=1e-6)
-        assert_allclose(solution.class_costs[VehicleClass.EV], GOLDEN_MIXED_COST_EV, rtol=1e-6)
+    def test_tight_quadrature_tolerance(self, tmp_path):
+        # the masses are exact, so quad_rtol bounds only the toll revenue; a
+        # scenario file that tightens it still loads and solves
+        path = tmp_path / "tight.toml"
+        config = ScenarioConfig(basic_scenario(0.5), Numerics(quad_rtol=1e-12))
+        path.write_text(emit_config(config), encoding="utf-8")
+        out = tmp_path / "run"
+        assert main(["solve", "--scenario", str(path), "--out", str(out), "--quiet"]) == EXIT_OK
+        summary = dict(
+            line.split(" = ") for line in (out / "summary.txt").read_text().splitlines()
+        )
+        assert_allclose(float(summary["cost_gv"]), GOLDEN_MIXED_COST_GV, rtol=1e-6)
+        assert_allclose(float(summary["cost_ev"]), GOLDEN_MIXED_COST_EV, rtol=1e-6)
+        assert_allclose(float(summary["count_gv"]), 1500.0, rtol=1e-9)
+        assert_allclose(float(summary["count_ev"]), 1500.0, rtol=1e-9)
 
     def test_equal_energy_models_share_the_single_class_cost(self, gv_solution):
         sc = replace(basic_scenario(0.5), ev_energy=EnergyModel(VehicleClass.EV, 4.0, 16.8))
@@ -287,6 +321,41 @@ class TestMixedEdgeCases:
         with pytest.raises(SolverError, match="per-class conservation") as err:
             solve_mixed(basic_scenario(0.5), root_rtol=1e-3, mixed_rtol=1e-8)
         assert err.value.diagnostics["populations"] == (1500.0, 1500.0)
+
+
+class TestWindowMassClosedForm:
+    def test_matches_trapezoid_reference(self):
+        # Phi and Psi maps of both classes, each from r = 0 and from r_lo > 0
+        rng = np.random.default_rng(20261018)
+        base = basic_scenario()
+        worst = 0.0
+        for i in range(200):
+            sc = replace(
+                base,
+                nu=float(rng.uniform(2.0, 6.0)),
+                n_total=N_TOTAL * float(rng.uniform(0.3, 3.0)),
+                capacity_r=base.capacity_r * float(rng.uniform(0.5, 2.0)),
+            )
+            model = (sc.gv_energy, sc.ev_energy)[i % 2]
+            if i % 4 < 2:
+                cmap = congestion_cost_map(model, sc)
+                invert = partial(invert_congestion_cost, model, sc)
+            else:
+                cmap = marginal_social_cost_map(model, sc)
+                invert = partial(invert_marginal_social_cost, model, sc)
+            packed = float(delay_from_flow(sc.n_total, sc))
+            r_hi = (cmap.a * packed + cmap.b * packed**2) * float(rng.uniform(0.2, 2.0))
+            r_lo = 0.0 if i % 8 < 4 else r_hi * float(rng.uniform(0.0, 0.99))
+            exact = window_mass(sc, cmap, r_hi, r_lo)
+            reference = _trapezoid_mass(sc, invert, r_hi, r_lo)
+            worst = max(worst, abs(exact - reference) / reference)
+        assert worst <= 1e-10
+
+    @pytest.mark.parametrize("mpr", [0.0, 0.5, 1.0])
+    def test_bundled_counts_are_exact(self, mpr):
+        solution = solve_mixed(basic_scenario(mpr))
+        for cls, count in solution.class_counts.items():
+            assert_allclose(count, solution.scenario.population(cls), rtol=1e-12)
 
 
 class TestSampleProfiles:

@@ -7,6 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from commuteq import (
+    SolverError,
     TollSchedule,
     VehicleClass,
     compute_toll,
@@ -97,6 +98,12 @@ class TestSystemOptimum:
     def test_cheaper_than_equilibrium(self, so, ev_solution):
         ue_total = ev_solution.class_costs[VehicleClass.EV] * N_TOTAL
         assert so.total_cost < ue_total * (1.0 - 0.001)
+
+    def test_missed_conservation_is_a_solver_error(self, sc):
+        # a root stopped at 1% of the multiplier misses the fleet by ~1e-4 of N
+        with pytest.raises(SolverError, match="per-class conservation") as err:
+            solve_system_optimum(sc, sc.ev_energy, root_rtol=1e-2)
+        assert err.value.diagnostics["populations"] == (N_TOTAL,)
 
     def test_tolled_cost_constant_at_multiplier(self, so):
         inside = so.profile.active >= 0
