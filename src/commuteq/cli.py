@@ -44,11 +44,13 @@ def _fmt(x: float) -> str:
     return format(float(x), ".10g")
 
 
-def _write_csv(path: Path, header: tuple[str, ...], rows) -> None:
+def _write_csv(path: Path, header: tuple[str, ...], rows, template: str | None = None) -> None:
+    """Write each row tuple through one ``%`` template, by default ``%.10g`` per
+    cell (on floats byte-identical to :func:`_fmt`, and one call per row)."""
+    line = (template or ",".join(["%.10g"] * len(header))) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(cell if isinstance(cell, str) else _fmt(cell) for cell in row) + "\n")
+        fh.writelines(line % row for row in rows)
 
 
 def _write_summary(path: Path, items: list[tuple[str, object]]) -> None:
@@ -75,8 +77,9 @@ def write_profile_csv(path: Path, profile: TimeProfile) -> None:
     _write_csv(path, PROFILE_COLUMNS, rows)
 
 
-def _cost_cell(solution: EquilibriumSolution, cls: VehicleClass) -> object:
-    return solution.class_costs.get(cls, "")
+def _cost_cell(solution: EquilibriumSolution, cls: VehicleClass) -> str:
+    cost = solution.class_costs.get(cls)
+    return "" if cost is None else _fmt(cost)
 
 
 def _solution_summary(solution: EquilibriumSolution, report: metrics.MetricsReport):
@@ -167,6 +170,7 @@ def cmd_sweep(config: ScenarioConfig, out_dir: Path, dt: float, mprs: list[float
             "social_cost",
         ),
         rows,
+        template="%.10g,%s,%s,%.10g,%.10g,%.10g,%.10g,%.10g",
     )
     return EXIT_OK
 
@@ -174,21 +178,23 @@ def cmd_sweep(config: ScenarioConfig, out_dir: Path, dt: float, mprs: list[float
 def cmd_toll(config: ScenarioConfig, out_dir: Path, dt: float, incentive: bool, quiet: bool) -> int:
     scenario = config.scenario
     numerics = config.numerics
-    cls = VehicleClass.EV if scenario.mpr > 0.0 else VehicleClass.GV
+    if 0.0 < scenario.mpr < 1.0:
+        raise ScenarioError(
+            f"toll needs a single-class fleet, mpr 0 or 1, got mpr={scenario.mpr}: "
+            "the mixed-fleet system optimum is not implemented"
+        )
+    cls = VehicleClass.EV if scenario.mpr == 1.0 else VehicleClass.GV
     model = scenario.energy_model(cls)
     so = toll_mod.solve_system_optimum(
         scenario,
         model,
         dt=dt,
-        quad_rtol=numerics.quad_rtol,
         root_rtol=numerics.root_rtol,
         mixed_rtol=numerics.mixed_rtol,
     )
     schedule = toll_mod.compute_toll(so, model, scenario)
     residual = toll_mod.verify_tolled_equilibrium(schedule, scenario, model)
-    ue = _solve_with_numerics(
-        replace(scenario, mpr=1.0 if cls is VehicleClass.EV else 0.0), numerics, dt
-    )
+    ue = _solve_with_numerics(scenario, numerics, dt)
     # exact basis (cost * population), comparable with the SO total
     ue_social = sum(
         ue.class_costs[c] * ue.class_counts[c] for c in ue.class_costs

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -38,7 +37,10 @@ from .model import (
     delay_from_flow,
     flow_from_delay,
     invert_congestion_cost,
+    marginal_social_cost,
+    marginal_social_cost_map,
     schedule_delay,
+    toll_at_delay,
 )
 from .numerics import expand_bracket, solve_bracketed
 
@@ -189,41 +191,50 @@ def _check_conservation(
         )
 
 
+def _solve_segment(
+    scenario: Scenario,
+    model: EnergyModel,
+    dt: float,
+    root_rtol: float,
+    mixed_rtol: float,
+    optimum: bool = False,
+) -> tuple[ClassSegment, float, TimeProfile]:
+    """The whole fleet as one segment of ``model``'s class: segment, count, profile.
+
+    Phi gives the single-class user equilibrium, Psi (``optimum``) the system
+    optimum.  The cost C is the conservation root for ``n_total``, the window
+    [t* - C/beta, t* + C/gamma] has zero delay at both edges, and the exact
+    count must match the fleet to ``mixed_rtol * n_total``.  ``model`` must be
+    the scenario's own, as the sampler looks models up by class.
+    """
+    if model != scenario.energy_model(model.vehicle_class):
+        raise ValueError("model must be the scenario's energy model of its class")
+    cmap = (marginal_social_cost_map if optimum else congestion_cost_map)(model, scenario)
+    cost_at = marginal_social_cost if optimum else congestion_cost
+    seed = float(cost_at(model, scenario, delay_from_flow(scenario.n_total, scenario)))
+    what = "system optimum" if optimum else "single-class equilibrium"
+    cost = conservation_root(scenario, cmap, scenario.n_total, seed, root_rtol)
+    count = window_mass(scenario, cmap, cost)
+    _check_conservation(scenario, what, (cost,), (count,), (scenario.n_total,), mixed_rtol)
+    window = (scenario.t_star - cost / scenario.beta, scenario.t_star + cost / scenario.gamma)
+    segment = ClassSegment(model.vehicle_class, *window, cost)
+    return segment, count, _sample(scenario, window, (segment,), dt, optimum)
+
+
 def _packed_cost(model: EnergyModel, scenario: Scenario, population: float) -> float:
     """Congestion cost of packing ``population`` into one hour: a root seed."""
     return float(congestion_cost(model, scenario, delay_from_flow(population, scenario)))
 
 
 def _empty_solution(scenario: Scenario, dt: float) -> EquilibriumSolution:
-    t_star = scenario.t_star
-    solution = EquilibriumSolution(
+    window = (scenario.t_star, scenario.t_star)
+    return EquilibriumSolution(
         scenario=scenario,
-        window=(t_star, t_star),
+        window=window,
         segments=(),
         class_costs={},
         class_counts={},
-        profile=_zero_profile(t_star, dt),
-    )
-    return solution
-
-
-def _zero_profile(t_star: float, dt: float) -> TimeProfile:
-    times = t_star + dt * np.arange(-2, 3, dtype=float)
-    zeros = np.zeros_like(times)
-    return TimeProfile(
-        times=times,
-        dt=dt,
-        window=(t_star, t_star),
-        delay=zeros.copy(),
-        flow_total=zeros.copy(),
-        flow_gv=zeros.copy(),
-        flow_ev=zeros.copy(),
-        cost_travel_time=zeros.copy(),
-        cost_energy=zeros.copy(),
-        cost_schedule=zeros.copy(),
-        toll=zeros.copy(),
-        cost_total=zeros.copy(),
-        active=np.full(times.shape, -1, dtype=np.int8),
+        profile=_sample(scenario, window, (), dt),
     )
 
 
@@ -236,33 +247,20 @@ def solve_single_class(
 ) -> EquilibriumSolution:
     """Equilibrium when the whole fleet is one vehicle class.
 
-    The window edges carry zero delay, so the first and last commuters pay
-    schedule penalty only and the window is [t* - C/beta, t* + C/gamma].
-    Inside it the delay profile follows the isocost curve
-    ``T(t) = Phi^{-1}(C - schedule_delay(t))`` and the equilibrium cost C is
-    the root of the monotone conservation map C -> absorbed commuters.  The
-    absorbed count must match the fleet to ``mixed_rtol * n_total``.
+    One segment on the congestion cost map Phi (see :func:`_solve_segment`):
+    the delay follows the isocost curve ``T(t) = Phi^{-1}(C - schedule_delay(t))``
+    and the cost C is the root of the monotone conservation map C -> absorbed
+    commuters, whose count must match the fleet to ``mixed_rtol * n_total``.
     """
     if scenario.n_total == 0.0:
         return _empty_solution(scenario, dt)
 
-    cmap = congestion_cost_map(model, scenario)
-    seed = _packed_cost(model, scenario, scenario.n_total)
-    cost = conservation_root(scenario, cmap, scenario.n_total, seed, root_rtol)
-    count = window_mass(scenario, cmap, cost)
-    _check_conservation(
-        scenario, "single-class equilibrium", (cost,), (count,), (scenario.n_total,), mixed_rtol
-    )
-
-    t0 = scenario.t_star - cost / scenario.beta
-    t1 = scenario.t_star + cost / scenario.gamma
-    segments = (ClassSegment(model.vehicle_class, t0, t1, cost),)
-    profile = _sample(scenario, (t0, t1), segments, dt)
+    segment, count, profile = _solve_segment(scenario, model, dt, root_rtol, mixed_rtol)
     return EquilibriumSolution(
         scenario=scenario,
-        window=(t0, t1),
-        segments=segments,
-        class_costs={model.vehicle_class: cost},
+        window=profile.window,
+        segments=(segment,),
+        class_costs={model.vehicle_class: segment.equilibrium_cost},
         class_counts={model.vehicle_class: count},
         profile=profile,
     )
@@ -379,15 +377,16 @@ def _sample(
     window: tuple[float, float],
     segments: tuple[ClassSegment, ...],
     dt: float,
-    toll_fn: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None,
+    optimum: bool = False,
 ) -> TimeProfile:
     """Evaluate the solution curves on a uniform grid spanning the window.
 
     The grid is anchored so the preferred arrival time (where delay and flow
     peak) is a grid point; it starts at least two steps before the window and
     ends at least two steps after it, and delay and flows are identically
-    zero outside the window.  ``toll_fn(times, delay)`` optionally fills the
-    toll column (used by the system-optimum sampler).
+    zero outside the window (everywhere, with no segments).  With ``optimum``
+    the segments are system-optimum ones: the delay inverts the marginal social
+    cost Psi, not Phi, and the toll column carries the charge ``tau = Psi - Phi``.
     """
     t0, t1 = window
     times = _window_grid(scenario.t_star, window, dt)
@@ -398,7 +397,9 @@ def _sample(
     cost_tt = np.zeros_like(times)
     cost_en = np.zeros_like(times)
     cost_sd = np.zeros_like(times)
+    toll = np.zeros_like(times)
     active = np.full(times.shape, -1, dtype=np.int8)
+    cost_map = marginal_social_cost_map if optimum else congestion_cost_map
 
     tiny = 1e-12 * max(1.0, abs(t1))
     claimed = np.zeros(times.shape, dtype=bool)
@@ -410,7 +411,7 @@ def _sample(
         model = scenario.energy_model(seg.vehicle_class)
         sd = schedule_delay(times[mask], scenario)
         residual = np.maximum(seg.equilibrium_cost - sd, 0.0)
-        seg_delay = invert_congestion_cost(model, scenario, residual)
+        seg_delay = cost_map(model, scenario).invert(residual)
         seg_flow = flow_from_delay(seg_delay, scenario)
         delay[mask] = seg_delay
         if seg.vehicle_class is VehicleClass.GV:
@@ -420,11 +421,10 @@ def _sample(
         cost_tt[mask] = scenario.alpha * seg_delay
         cost_en[mask] = model.c1 * seg_delay + model.c2 * seg_delay**2
         cost_sd[mask] = sd
+        if optimum:
+            toll[mask] = toll_at_delay(model, scenario, seg_delay)
         active[mask] = _class_index(seg.vehicle_class)
 
-    toll = np.zeros_like(times)
-    if toll_fn is not None:
-        toll = np.where(claimed, toll_fn(times, delay), 0.0)
     total = cost_tt + cost_en + cost_sd + toll
     return TimeProfile(
         times=times,
@@ -447,8 +447,6 @@ def sample_profiles(solution: EquilibriumSolution, dt: float) -> TimeProfile:
     """Resample a solved pattern onto a uniform grid with spacing ``dt`` hours."""
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    if solution.is_empty:
-        return _zero_profile(solution.scenario.t_star, dt)
     return _sample(solution.scenario, solution.window, solution.segments, dt)
 
 

@@ -220,6 +220,25 @@ def congestion_cost_map(model: EnergyModel, scenario: Scenario) -> CostMap:
     return CostMap(scenario.alpha + model.c1, model.c2)
 
 
+def marginal_social_cost_map(model: EnergyModel, scenario: Scenario) -> CostMap:
+    """Psi(T) = (1+nu)*(alpha+c1)*T + (1+2*nu)*c2*T**2, the marginal social cost map."""
+    return CostMap(
+        (1.0 + scenario.nu) * (scenario.alpha + model.c1), (1.0 + 2.0 * scenario.nu) * model.c2
+    )
+
+
+def toll_at_delay(model: EnergyModel, scenario: Scenario, delay: ArrayLike) -> ArrayLike:
+    """Externality charge tau = nu * T * Phi'(T) = Psi(T) - Phi(T) at delay T."""
+    return scenario.nu * np.asarray(delay, dtype=float) * congestion_cost_slope(
+        model, scenario, delay
+    )
+
+
+def marginal_social_cost(model: EnergyModel, scenario: Scenario, delay: ArrayLike) -> ArrayLike:
+    """Psi(T) = Phi(T) + nu*T*Phi'(T), the social cost slope of added flow."""
+    return congestion_cost(model, scenario, delay) + toll_at_delay(model, scenario, delay)
+
+
 def invert_congestion_cost(model: EnergyModel, scenario: Scenario, cost: ArrayLike) -> ArrayLike:
     """Unique delay T >= 0 whose congestion cost equals ``cost`` >= 0."""
     _check_nonnegative(cost, "congestion cost")

@@ -9,18 +9,18 @@ comments).  Every solver input lives in one of five sections::
     [energy.gv]  c1, c2
     [energy.ev]  c1, c2
     [numerics]   dt_minutes, bin_minutes, eta, gap_tol, max_days,
-                 quad_rtol, root_rtol, mixed_rtol
+                 root_rtol, mixed_rtol
 
 ``[numerics]`` keys all have defaults.  ``root_rtol`` is the relative
 tolerance of every conservation root; ``mixed_rtol`` is the largest miss,
 as a fraction of ``n_total``, allowed between a class's absorbed count and
-its population in every solve (exit 3 beyond it); ``quad_rtol`` bounds only
-the trapezoid refinement of the system optimum's toll revenue, since the
-conservation masses are exact.  ``s_max`` defaults to 60 km/h;
-``[energy.ev]`` may be omitted only when mpr = 0 (the EV record then copies
-the GV coefficients, making the classes indistinguishable).  Unknown
-sections or keys are rejected by name.  Any key can be overridden through
-the environment as ``CEQ_<SECTION>_<KEY>``, e.g. ``CEQ_DEMAND_MPR=0.3``.
+its population in every solve (exit 3 beyond it).  No solver runs a
+quadrature, so the retired ``quad_rtol`` key loads (finite) and is ignored.
+``s_max`` defaults to 60 km/h; ``[energy.ev]`` may be omitted only when
+mpr = 0 (the EV record then copies the GV coefficients, making the classes
+indistinguishable).  Unknown sections or keys are rejected by name.  Any key
+can be overridden through the environment as ``CEQ_<SECTION>_<KEY>``, e.g.
+``CEQ_DEMAND_MPR=0.3``.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ _OPTIONAL = {
         "eta",
         "gap_tol",
         "max_days",
-        "quad_rtol",
+        "quad_rtol",  # retired: loads and is ignored
         "root_rtol",
         "mixed_rtol",
     ),
@@ -67,7 +67,6 @@ class Numerics:
     eta: float = 0.05
     gap_tol: float = 1e-3
     max_days: int = 10000
-    quad_rtol: float = 1e-8
     root_rtol: float = 1e-10
     mixed_rtol: float = 1e-8
 
@@ -80,7 +79,7 @@ class Numerics:
             raise ScenarioError("dt_minutes and bin_minutes must be positive")
         if not 0.0 < self.eta <= 1.0:
             raise ScenarioError(f"eta must lie in (0,1], got {self.eta}")
-        if min(self.gap_tol, self.quad_rtol, self.root_rtol, self.mixed_rtol) <= 0.0:
+        if min(self.gap_tol, self.root_rtol, self.mixed_rtol) <= 0.0:
             raise ScenarioError("tolerances must be positive")
         if self.max_days < 0:
             raise ScenarioError(f"max_days must be nonnegative, got {self.max_days}")
@@ -209,6 +208,7 @@ def _build_config(sections: dict[str, dict[str, float]], source: str) -> Scenari
         )
 
     numerics_raw = dict(sections.get("numerics", {}))
+    numerics_raw.pop("quad_rtol", None)
     if "max_days" in numerics_raw:
         max_days = numerics_raw["max_days"]
         if max_days != int(max_days):

@@ -9,41 +9,41 @@ optimality condition reads ``Psi(T) + SD(t) = lambda`` on the support, where
 
 is the marginal social cost of the flow sustaining delay T.  Psi is strictly
 increasing, so the optimal delay profile is its inverse applied to
-``lambda - SD(t)`` and the multiplier ``lambda`` follows from the same
-bracketed conservation root-find as the user-equilibrium cost.  Charging the
-externality part ``tau = nu * T * Phi'(T)`` at the optimal flows makes the
-pattern cost-constant for individuals, i.e. a user equilibrium of the tolled
-system; :func:`verify_tolled_equilibrium` certifies that identity.
+``lambda - SD(t)``: the system optimum is the single-class user equilibrium
+with Psi in place of Phi, solved and sampled by the same code, and the
+multiplier ``lambda`` is its conservation root.  Charging the externality
+part ``tau = nu * T * Phi'(T)`` at the optimal flows makes the pattern
+cost-constant for individuals, i.e. a user equilibrium of the tolled system;
+:func:`verify_tolled_equilibrium` certifies that identity.  The toll revenue
+is a closed form, like the conservation masses.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dynamics import init_assignment
+from .dynamics import CLASS_ORDER, crowded_edges, extend_grid, init_assignment
 from .equilibrium import (
     DEFAULT_DT,
     TimeProfile,
-    _check_conservation,
-    _window_grid,
-    _zero_profile,
-    conservation_root,
-    window_mass,
+    _sample,
+    _solve_segment,
 )
 from .model import (
-    CostMap,
     EnergyModel,
     Scenario,
     VehicleClass,
     congestion_cost,
-    congestion_cost_slope,
+    congestion_cost_map,
     delay_from_flow,
-    flow_from_delay,
+    marginal_social_cost,
+    marginal_social_cost_map,
     schedule_delay,
+    toll_at_delay,  # re-exported: one of this module's public names
 )
-from .numerics import project_to_simplex, trapezoid_refine
+from .numerics import project_to_simplex
 
 
 @dataclass(frozen=True)
@@ -88,20 +88,6 @@ class TollSchedule:
         return self.toll - float(np.max(self.toll))
 
 
-def marginal_social_cost(model: EnergyModel, scenario: Scenario, delay) -> np.ndarray:
-    """Psi(T) = Phi(T) + nu*T*Phi'(T), the social cost slope of added flow."""
-    return congestion_cost(model, scenario, delay) + scenario.nu * np.asarray(
-        delay, dtype=float
-    ) * congestion_cost_slope(model, scenario, delay)
-
-
-def marginal_social_cost_map(model: EnergyModel, scenario: Scenario) -> CostMap:
-    """Psi(T) = (1+nu)*(alpha+c1)*T + (1+2*nu)*c2*T**2 as a :class:`CostMap`."""
-    return CostMap(
-        (1.0 + scenario.nu) * (scenario.alpha + model.c1), (1.0 + 2.0 * scenario.nu) * model.c2
-    )
-
-
 def invert_marginal_social_cost(model: EnergyModel, scenario: Scenario, value) -> np.ndarray:
     """Unique T >= 0 with Psi(T) = value >= 0."""
     if np.any(np.asarray(value) < 0.0):
@@ -109,128 +95,69 @@ def invert_marginal_social_cost(model: EnergyModel, scenario: Scenario, value) -
     return marginal_social_cost_map(model, scenario).invert(value)
 
 
-def toll_at_delay(model: EnergyModel, scenario: Scenario, delay) -> np.ndarray:
-    """Externality charge tau = nu * T * Phi'(T) at delay T."""
-    return scenario.nu * np.asarray(delay, dtype=float) * congestion_cost_slope(
-        model, scenario, delay
-    )
-
-
 def solve_system_optimum(
     scenario: Scenario,
     model: EnergyModel,
     dt: float = DEFAULT_DT,
-    quad_rtol: float = 1e-8,
     root_rtol: float = 1e-10,
     mixed_rtol: float = 1e-8,
 ) -> SystemOptimum:
     """Minimize total system cost over departure patterns of one class.
 
-    ``quad_rtol`` bounds the toll-revenue quadrature; the optimal pattern
+    The single-class equilibrium with Psi in place of Phi: one segment at the
+    multiplier, whose profile carries the toll column.  The optimal pattern
     must absorb the fleet to ``mixed_rtol * n_total``.
     """
     if scenario.n_total == 0.0:
-        profile = _zero_profile(scenario.t_star, dt)
+        window = (scenario.t_star, scenario.t_star)
         return SystemOptimum(
             scenario=scenario,
             model=model,
             multiplier=0.0,
-            window=(scenario.t_star, scenario.t_star),
-            profile=profile,
+            window=window,
+            profile=_sample(scenario, window, (), dt),
             total_cost=0.0,
             toll_revenue=0.0,
         )
 
-    cmap = marginal_social_cost_map(model, scenario)
-    seed = float(
-        marginal_social_cost(model, scenario, delay_from_flow(scenario.n_total, scenario))
-    )
-    lam = conservation_root(scenario, cmap, scenario.n_total, seed, root_rtol)
-    count = window_mass(scenario, cmap, lam)
-    _check_conservation(
-        scenario, "system optimum", (lam,), (count,), (scenario.n_total,), mixed_rtol
-    )
-
-    t0 = scenario.t_star - lam / scenario.beta
-    t1 = scenario.t_star + lam / scenario.gamma
-    profile = _resample_so(scenario, model, lam, (t0, t1), dt)
-
-    revenue = _so_toll_revenue(scenario, model, lam, quad_rtol)
-    total_cost = lam * scenario.n_total - revenue
+    segment, _, profile = _solve_segment(scenario, model, dt, root_rtol, mixed_rtol, optimum=True)
+    lam = segment.equilibrium_cost
+    revenue = _so_toll_revenue(scenario, model, lam)
     return SystemOptimum(
         scenario=scenario,
         model=model,
         multiplier=lam,
-        window=(t0, t1),
+        window=profile.window,
         profile=profile,
-        total_cost=total_cost,
+        total_cost=lam * scenario.n_total - revenue,
         toll_revenue=revenue,
     )
 
 
-def _resample_so(
-    scenario: Scenario,
-    model: EnergyModel,
-    lam: float,
-    window: tuple[float, float],
-    dt: float,
-) -> TimeProfile:
-    """Sample the system-optimum curves on the standard uniform grid."""
-    t0, t1 = window
-    times = _window_grid(scenario.t_star, window, dt)
-    inside = (times >= t0) & (times <= t1)
+def _so_toll_revenue(scenario: Scenario, model: EnergyModel, lam: float) -> float:
+    """Exact toll revenue `K * int_0^lam q * tau dr`, K = 1/beta + 1/gamma.
 
-    sd = np.where(inside, schedule_delay(times, scenario), 0.0)
-    residual = np.where(inside, np.maximum(lam - schedule_delay(times, scenario), 0.0), 0.0)
-    delay = invert_marginal_social_cost(model, scenario, residual)
-    flow = np.where(inside, flow_from_delay(delay, scenario), 0.0)
-    delay = np.where(inside, delay, 0.0)
-    toll = np.where(inside, toll_at_delay(model, scenario, delay), 0.0)
-    cost_tt = scenario.alpha * delay
-    cost_en = model.c1 * delay + model.c2 * delay**2
-    is_ev = model.vehicle_class is VehicleClass.EV
-    active = np.where(inside, 1 if is_ev else 0, -1).astype(np.int8)
-    return TimeProfile(
-        times=times,
-        dt=dt,
-        window=window,
-        delay=delay,
-        flow_total=flow,
-        flow_gv=np.zeros_like(flow) if is_ev else flow,
-        flow_ev=flow if is_ev else np.zeros_like(flow),
-        cost_travel_time=cost_tt,
-        cost_energy=cost_en,
-        cost_schedule=sd,
-        toll=toll,
-        cost_total=cost_tt + cost_en + sd + toll,
-        active=active,
+    With Phi = a*T + b*T**2, Psi = A*T + B*T**2, tau = nu*T*(a + 2*b*T),
+    q = R*(T/m)**p (p = 1/nu) and dr = (A + 2*B*T) dT, the revenue is
+    `K*R*m**-p*nu*[a*A*T**(2+p)/(2+p) + 2*(a*B + b*A)*T**(3+p)/(3+p)
+    + 4*b*B*T**(4+p)/(4+p)]` at T = Psi^{-1}(lam).
+    """
+    phi = congestion_cost_map(model, scenario)
+    psi = marginal_social_cost_map(model, scenario)
+    p = 1.0 / scenario.nu
+    delay = float(psi.invert(lam))
+    poly = (
+        phi.a * psi.a / (2.0 + p)
+        + 2.0 * (phi.a * psi.b + phi.b * psi.a) * delay / (3.0 + p)
+        + 4.0 * phi.b * psi.b * delay**2 / (4.0 + p)
     )
-
-
-def _so_toll_revenue(
-    scenario: Scenario, model: EnergyModel, lam: float, quad_rtol: float
-) -> float:
-    """Exact toll revenue `int f_so * tau dt` via the cost-residual variable."""
-    if lam <= 0.0:
-        return 0.0
-
-    def integrand(u: np.ndarray) -> np.ndarray:
-        r = lam * u**3
-        delay = invert_marginal_social_cost(model, scenario, r)
-        flow = flow_from_delay(delay, scenario)
-        return flow * toll_at_delay(model, scenario, delay) * 3.0 * lam * u * u
-
-    integral = trapezoid_refine(integrand, 0.0, 1.0, rtol=quad_rtol)
-    return (1.0 / scenario.beta + 1.0 / scenario.gamma) * integral
+    scale = (1.0 / scenario.beta + 1.0 / scenario.gamma) * scenario.capacity_r
+    return scale * scenario.trip_km**-p * scenario.nu * delay ** (2.0 + p) * poly
 
 
 def compute_toll(so: SystemOptimum, model: EnergyModel, scenario: Scenario) -> TollSchedule:
-    """Toll schedule tau(t) = nu * T_so(t) * Phi'(T_so(t)), zero off-window."""
-    if so.is_empty:
-        return TollSchedule(times=so.profile.times.copy(), toll=np.zeros_like(so.profile.times), optimum=so)
-    inside = so.profile.active >= 0
-    toll = np.where(inside, toll_at_delay(model, scenario, so.profile.delay), 0.0)
-    return TollSchedule(times=so.profile.times.copy(), toll=toll, optimum=so)
+    """Toll schedule tau(t) = nu * T_so(t) * Phi'(T_so(t)): the optimum's toll column."""
+    return TollSchedule(times=so.profile.times.copy(), toll=so.profile.toll.copy(), optimum=so)
 
 
 def verify_tolled_equilibrium(
@@ -265,10 +192,13 @@ def minimize_binned_total_cost(
     grid, with backtracking line search; serves as an independent check on
     the variational construction.  Returns (bin centers, masses, total cost).
     """
-    centers = init_assignment(scenario, bin_width).centers
+    # the day-to-day grid of a fleet that is all of this class
+    solo = replace(scenario, mpr=1.0 if model.vehicle_class is VehicleClass.EV else 0.0)
+    grid = init_assignment(solo, bin_width)
+    row = CLASS_ORDER.index(model.vehicle_class)
     n = scenario.n_total
     if n == 0.0:
-        return centers, np.zeros_like(centers), 0.0
+        return grid.centers, grid.masses[row], 0.0
 
     def descend(centers: np.ndarray, mass: np.ndarray):
         sd = np.asarray(schedule_delay(centers, scenario), dtype=float)
@@ -306,17 +236,12 @@ def minimize_binned_total_cost(
                 break
         return mass, value
 
-    mass = np.full(centers.size, n / centers.size)
     for _ in range(20):
-        mass, value = descend(centers, mass)
+        mass, value = descend(grid.centers, grid.masses[row])
+        grid.masses[row] = mass
         # grow the grid while the optimum presses against its edges
-        meaningful = mass > 1e-3 * n
-        used = np.nonzero(meaningful)[0]
-        if used.size == 0 or (used[0] >= 2 and used[-1] < centers.size - 2):
+        grow_lo, grow_hi = crowded_edges(grid, solo)
+        if not (grow_lo or grow_hi):
             break
-        extra = max(centers.size // 2, 8)
-        pad_lo = centers[0] - bin_width * np.arange(extra, 0, -1, dtype=float)
-        pad_hi = centers[-1] + bin_width * np.arange(1, extra + 1, dtype=float)
-        centers = np.concatenate([pad_lo, centers, pad_hi])
-        mass = np.concatenate([np.zeros(extra), mass, np.zeros(extra)])
-    return centers, mass, value
+        grid = extend_grid(grid, grow_lo, grow_hi)
+    return grid.centers, grid.masses[row], value

@@ -108,6 +108,14 @@ class TestToll:
         assert header == ["t_hours", "toll", "incentive"]
         assert all(float(r[2]) <= 1e-12 for r in rows)
 
+    def test_mixed_fleet_is_an_input_error(self, tmp_path, monkeypatch, capsys):
+        # the mixed-fleet system optimum is not built; no all-EV answer instead
+        monkeypatch.setenv("CEQ_DEMAND_MPR", "0.5")
+        out = tmp_path / "run"
+        assert main(["toll", "--out", str(out), "--quiet"]) == EXIT_INPUT
+        assert "mpr=0.5" in capsys.readouterr().err
+        assert not (out / "toll.csv").exists()
+
 
 class TestExitCodes:
     def test_missing_scenario_file(self, tmp_path):
@@ -140,6 +148,7 @@ class TestExitCodes:
             ("CEQ_NUMERICS_BIN_MINUTES", "nan"),
             ("CEQ_NUMERICS_BIN_MINUTES", "inf"),
             ("CEQ_NUMERICS_GAP_TOL", "nan"),
+            ("CEQ_NUMERICS_QUAD_RTOL", "inf"),
         ],
     )
     def test_non_finite_numerics_rejected(self, tmp_path, monkeypatch, var, value):

@@ -293,20 +293,20 @@ class TestMixedEdgeCases:
         assert 0.0 < solution.class_costs[VehicleClass.EV] < solution.class_costs[VehicleClass.GV]
 
     def test_tight_quadrature_tolerance(self, tmp_path):
-        # the masses are exact, so quad_rtol bounds only the toll revenue; a
-        # scenario file that tightens it still loads and solves
-        path = tmp_path / "tight.toml"
-        config = ScenarioConfig(basic_scenario(0.5), Numerics(quad_rtol=1e-12))
-        path.write_text(emit_config(config), encoding="utf-8")
-        out = tmp_path / "run"
-        assert main(["solve", "--scenario", str(path), "--out", str(out), "--quiet"]) == EXIT_OK
-        summary = dict(
-            line.split(" = ") for line in (out / "summary.txt").read_text().splitlines()
-        )
-        assert_allclose(float(summary["cost_gv"]), GOLDEN_MIXED_COST_GV, rtol=1e-6)
-        assert_allclose(float(summary["cost_ev"]), GOLDEN_MIXED_COST_EV, rtol=1e-6)
-        assert_allclose(float(summary["count_gv"]), 1500.0, rtol=1e-9)
-        assert_allclose(float(summary["count_ev"]), 1500.0, rtol=1e-9)
+        # no solver runs a quadrature, so the retired quad_rtol key loads and
+        # every output matches the same scenario file without it
+        path = tmp_path / "scenario.toml"
+        for command, mpr in (("solve", 0.5), ("toll", 1.0)):
+            text = emit_config(ScenarioConfig(basic_scenario(mpr), Numerics()))
+            assert "quad_rtol" not in text
+            outputs = []
+            for body in (text, text + "quad_rtol = 1e-12\n"):
+                path.write_text(body, encoding="utf-8")
+                out = tmp_path / f"{command}-{len(outputs)}"
+                args = [command, "--scenario", str(path), "--out", str(out), "--quiet"]
+                assert main(args) == EXIT_OK
+                outputs.append({f.name: f.read_bytes() for f in out.iterdir()})
+            assert outputs[0] == outputs[1]
 
     def test_equal_energy_models_share_the_single_class_cost(self, gv_solution):
         sc = replace(basic_scenario(0.5), ev_energy=EnergyModel(VehicleClass.EV, 4.0, 16.8))

@@ -7,10 +7,12 @@ import pytest
 from numpy.testing import assert_allclose
 
 from commuteq import (
+    EnergyModel,
     SolverError,
     TollSchedule,
     VehicleClass,
     compute_toll,
+    flow_from_delay,
     invert_marginal_social_cost,
     marginal_social_cost,
     minimize_binned_total_cost,
@@ -18,6 +20,7 @@ from commuteq import (
     toll_at_delay,
     verify_tolled_equilibrium,
 )
+from commuteq.numerics import trapezoid_refine
 from conftest import N_TOTAL, basic_scenario
 
 GOLDEN_MULTIPLIER = 5.496988810052838
@@ -110,6 +113,46 @@ class TestSystemOptimum:
         totals = so.profile.cost_total[inside]
         assert_allclose(totals, so.multiplier, rtol=1e-12)
 
+    def test_model_must_be_the_scenarios_own(self, sc):
+        # the profile is sampled with the scenario's model of the class
+        with pytest.raises(ValueError, match="energy model"):
+            solve_system_optimum(sc, EnergyModel(VehicleClass.EV, 1.0, 2.0))
+
+
+def _trapezoid_revenue(sc, model, lam, rtol=1e-12):
+    """`(1/beta + 1/gamma) * int_0^lam q * tau dr` by trapezoid refinement.
+
+    The reference for the closed-form revenue; the quintic stretch
+    r = lam * u**3 * (10 - 15u + 6u**2) flattens both ends of [0, 1].
+    """
+
+    def integrand(u):
+        r = lam * u**3 * (10.0 - 15.0 * u + 6.0 * u * u)
+        delay = invert_marginal_social_cost(model, sc, r)
+        q_tau = flow_from_delay(delay, sc) * toll_at_delay(model, sc, delay)
+        return q_tau * 30.0 * lam * (u * (1.0 - u)) ** 2
+
+    return (1.0 / sc.beta + 1.0 / sc.gamma) * trapezoid_refine(integrand, 0.0, 1.0, rtol=rtol)
+
+
+class TestTollRevenueClosedForm:
+    def test_matches_trapezoid_reference(self):
+        rng = np.random.default_rng(20261019)
+        base = basic_scenario(mpr=1.0)
+        worst = 0.0
+        for i in range(40):
+            sc = replace(
+                base,
+                nu=float(rng.uniform(2.0, 6.0)),
+                n_total=N_TOTAL * float(rng.uniform(0.3, 3.0)),
+                capacity_r=base.capacity_r * float(rng.uniform(0.5, 2.0)),
+            )
+            model = (sc.gv_energy, sc.ev_energy)[i % 2]
+            optimum = solve_system_optimum(sc, model)
+            reference = _trapezoid_revenue(sc, model, optimum.multiplier)
+            worst = max(worst, abs(optimum.toll_revenue - reference) / reference)
+        assert worst <= 1e-10
+
 
 class TestTollSchedule:
     def test_hand_computed_value(self, sc):
@@ -122,6 +165,17 @@ class TestTollSchedule:
     def test_zero_at_and_beyond_window_edges(self, so, schedule):
         outside = so.profile.active < 0
         assert np.all(schedule.toll[outside] == 0.0)
+
+    @pytest.mark.parametrize("mpr", [0.0, 1.0])
+    def test_equals_toll_at_delay_on_the_window(self, mpr):
+        sc = basic_scenario(mpr=mpr)
+        model = sc.energy_model(VehicleClass.EV if mpr else VehicleClass.GV)
+        optimum = solve_system_optimum(sc, model, dt=0.01 / 60.0)
+        tolls = compute_toll(optimum, model, sc).toll
+        inside = optimum.profile.active >= 0
+        expected = toll_at_delay(model, sc, optimum.profile.delay[inside])
+        assert np.array_equal(tolls[inside], expected)
+        assert np.all(tolls[~inside] == 0.0)
 
     def test_maximal_at_preferred_arrival(self, schedule):
         peak_index = int(np.argmax(schedule.toll))
