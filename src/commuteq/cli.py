@@ -114,8 +114,8 @@ def _solve_with_numerics(scenario: Scenario, numerics: Numerics, dt: float) -> E
     )
 
 
-def _baseline_profile(scenario: Scenario, numerics: Numerics, dt: float) -> TimeProfile:
-    return _solve_with_numerics(replace(scenario, mpr=0.0), numerics, dt).profile
+def _baseline(scenario: Scenario, numerics: Numerics, dt: float) -> EquilibriumSolution:
+    return _solve_with_numerics(replace(scenario, mpr=0.0), numerics, dt)
 
 
 def cmd_solve(config: ScenarioConfig, out_dir: Path, dt: float, quiet: bool) -> int:
@@ -124,7 +124,7 @@ def cmd_solve(config: ScenarioConfig, out_dir: Path, dt: float, quiet: bool) -> 
     baseline = (
         solution.profile
         if scenario.mpr == 0.0
-        else _baseline_profile(scenario, config.numerics, dt)
+        else _baseline(scenario, config.numerics, dt).profile
     )
     report = metrics.summarize(solution.profile, baseline)
     write_profile_csv(out_dir / "profile.csv", solution.profile)
@@ -138,11 +138,16 @@ def cmd_solve(config: ScenarioConfig, out_dir: Path, dt: float, quiet: bool) -> 
 def cmd_sweep(config: ScenarioConfig, out_dir: Path, dt: float, mprs: list[float], quiet: bool) -> int:
     numerics = config.numerics
     mprs = sorted(set(mprs))
-    baseline = _baseline_profile(config.scenario, numerics, dt)
+    # the solve is deterministic, so the mpr-0 row reuses the baseline's solution
+    baseline = _baseline(config.scenario, numerics, dt)
     rows = []
     for mpr in mprs:
-        solution = _solve_with_numerics(replace(config.scenario, mpr=mpr), numerics, dt)
-        report = metrics.summarize(solution.profile, baseline)
+        solution = (
+            baseline
+            if mpr == 0.0
+            else _solve_with_numerics(replace(config.scenario, mpr=mpr), numerics, dt)
+        )
+        report = metrics.summarize(solution.profile, baseline.profile)
         rows.append(
             (
                 mpr,

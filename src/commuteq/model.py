@@ -161,7 +161,7 @@ class CostComponents:
 
 
 def _check_nonnegative(x: ArrayLike, what: str) -> None:
-    if np.any(np.asarray(x) < 0.0):
+    if (np.asarray(x) < 0.0).any():
         raise ValueError(f"{what} must be nonnegative")
 
 
@@ -185,7 +185,7 @@ def energy_cost(model: EnergyModel, delay: ArrayLike) -> ArrayLike:
 def congestion_cost(model: EnergyModel, scenario: Scenario, delay: ArrayLike) -> ArrayLike:
     """Combined time-plus-energy cost of congestion: alpha*T + E(T)."""
     _check_nonnegative(delay, "congestion delay")
-    return (scenario.alpha + model.c1) * delay + model.c2 * delay * delay
+    return congestion_cost_map(model, scenario)(delay)
 
 
 def congestion_cost_slope(model: EnergyModel, scenario: Scenario, delay: ArrayLike) -> ArrayLike:
@@ -203,6 +203,10 @@ class CostMap:
 
     a: float
     b: float
+
+    def __call__(self, delay: ArrayLike) -> ArrayLike:
+        """The cost a*T + b*T**2 at delay T >= 0 (unchecked)."""
+        return self.a * delay + self.b * delay * delay
 
     def invert(self, cost: ArrayLike) -> ArrayLike:
         """Unique delay T >= 0 with a*T + b*T**2 = ``cost`` >= 0 (unchecked).

@@ -4,6 +4,7 @@ import csv
 
 import pytest
 
+from commuteq import cli
 from commuteq.cli import EXIT_INPUT, EXIT_IO, EXIT_OK, EXIT_SOLVER, PROFILE_COLUMNS, main
 
 GOLDEN_MAX_DELAY_EV = 0.3983845685044753  # bundled scenario has mpr = 1
@@ -78,6 +79,25 @@ class TestSweep:
         assert main(["sweep", "--out", str(out), "--mpr", "0,0.5,1", "--quiet"]) == EXIT_OK
         _, rows = _read_csv(out / "sweep.csv")
         assert [float(r[0]) for r in rows] == [0.0, 0.5, 1.0]
+
+    @pytest.mark.parametrize(
+        "extra, solves",
+        [([], 11), (["--mpr", "0.3,0.7,1"], 4), (["--mpr", "1,0,0.5"], 3)],
+    )
+    def test_each_mpr_is_solved_once(self, tmp_path, monkeypatch, extra, solves):
+        # the mpr-0 baseline doubles as the mpr-0 row
+        solved = []
+        real = cli.solve_mixed
+
+        def counting(scenario, **kwargs):
+            solved.append(scenario.mpr)
+            return real(scenario, **kwargs)
+
+        monkeypatch.setattr(cli, "solve_mixed", counting)
+        out = tmp_path / "run"
+        assert main(["sweep", "--out", str(out), "--quiet", *extra]) == EXIT_OK
+        assert len(solved) == solves
+        assert len(set(solved)) == solves
 
     def test_bad_list_is_input_error(self, tmp_path):
         out = tmp_path / "run"

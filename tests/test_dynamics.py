@@ -11,7 +11,9 @@ from commuteq import (
     EnergyModel,
     Scenario,
     VehicleClass,
+    congestion_cost,
     day_step,
+    delay_from_flow,
     flow_from_delay,
     gap_measure,
     init_assignment,
@@ -21,7 +23,7 @@ from commuteq import (
     solution_delay,
     solve_single_class,
 )
-from commuteq.dynamics import BinAssignment, bin_costs
+from commuteq.dynamics import CLASS_ORDER, BinAssignment, bin_costs
 from conftest import N_TOTAL, basic_scenario
 
 BIN_WIDTH = 1.0 / 60.0
@@ -92,6 +94,58 @@ def _pairwise_day_step(masses: np.ndarray, costs: np.ndarray, eta: float) -> np.
     return new_masses
 
 
+def _unsorted_day_step(masses: np.ndarray, costs: np.ndarray, eta: float) -> np.ndarray:
+    """The sort-and-running-sums swap written in bin order, with boolean gathers
+    and scatters; the day step must reproduce it bit for bit."""
+    new_masses = masses.copy()
+    for row in range(masses.shape[0]):
+        m = masses[row]
+        total = float(m.sum())
+        if total <= 0.0:
+            continue
+        c = costs[row]
+        c_min = float(np.min(c))
+        excess = c - c_min
+        outflow = eta * m * np.minimum(1.0, excess / max(c_min, 1e-12))
+        order = np.argsort(excess, kind="stable")
+        rise = np.diff(excess[order])
+        weight_sum = np.empty_like(excess)
+        weight_sum[order] = np.concatenate(([0.0], np.cumsum(np.arange(1, m.size) * rise)))
+        senders = (weight_sum > 0.0) & (outflow > 0.0)
+        if not np.any(senders):
+            continue
+        outflow[~senders] = 0.0
+        rate = np.zeros_like(outflow)
+        rate[senders] = outflow[senders] / weight_sum[senders]
+        rate_above = np.cumsum(rate[order][::-1])[::-1]
+        inflow = np.empty_like(excess)
+        inflow[order] = np.concatenate((np.cumsum((rate_above[1:] * rise)[::-1])[::-1], [0.0]))
+        updated = m - outflow + inflow
+        np.maximum(updated, 0.0, out=updated)
+        new_total = float(updated.sum())
+        if new_total > 0.0:
+            updated *= total / new_total
+        new_masses[row] = updated
+    return new_masses
+
+
+def _reference_costs(assignment: BinAssignment, sc: Scenario) -> np.ndarray:
+    """Bin costs rebuilt from the model formulas alone, nothing cached."""
+    delay = delay_from_flow(assignment.masses.sum(axis=0) / assignment.bin_width, sc)
+    sd = schedule_delay(assignment.centers, sc)
+    return np.array([congestion_cost(sc.energy_model(cls), sc, delay) + sd for cls in CLASS_ORDER])
+
+
+def _assert_no_stale_grid_state(assignment: BinAssignment, report, sc: Scenario) -> None:
+    """The run's last trace row and costs equal a from-scratch evaluation, bit for bit."""
+    costs = bin_costs(assignment, sc)
+    assert np.array_equal(costs, _reference_costs(assignment, sc))
+    fresh = gap_measure(assignment, sc, costs=None)
+    expected = [fresh.relative_gap.get(cls, 0.0) for cls in CLASS_ORDER]
+    assert report.trace[-1].tolist() == expected
+    assert report.relative_gap == fresh.relative_gap
+
+
 def _random_state(rng, case: int) -> tuple[BinAssignment, np.ndarray, float]:
     """Seeded bin masses and costs; ``case`` cycles through the edge cases."""
     n = int(rng.integers(2, 300))
@@ -120,6 +174,20 @@ class TestDayStepMatchesPairwiseForm:
             stepped = day_step(assignment, sc, eta, costs=costs)
             scale = max(assignment.total_mass, 1.0)
             assert np.max(np.abs(stepped.masses - expected)) <= 1e-12 * scale, case
+
+    def test_random_states_bit_for_bit_and_silent(self):
+        # sorted coordinates and masked division change no float operation,
+        # and the masked bins raise no floating-point warning
+        sc = basic_scenario(mpr=0.5)
+        rng = np.random.default_rng(20201018)
+        for case in range(300):
+            assignment, costs, eta = _random_state(rng, case)
+            expected = _unsorted_day_step(assignment.masses, costs, eta)
+            with np.errstate(all="raise"):
+                stepped = day_step(assignment, sc, eta, costs=costs)
+            assert np.array_equal(stepped.masses, expected), case
+            assert stepped.day == assignment.day + 1
+            assert stepped.centers is assignment.centers
 
     def test_scenario_costs_by_default(self):
         sc = basic_scenario(mpr=0.4)
@@ -202,6 +270,22 @@ class TestDayStep:
             day_step(assignment, sc, eta=0.0)
         with pytest.raises(ValueError):
             day_step(assignment, sc, eta=1.5)
+
+
+class TestBinCosts:
+    def test_given_schedule_matches_computed_one(self):
+        sc = basic_scenario(mpr=0.3)
+        assignment = init_assignment(sc, BIN_WIDTH)
+        schedule = schedule_delay(assignment.centers, sc)
+        assert np.array_equal(bin_costs(assignment, sc, schedule), bin_costs(assignment, sc))
+
+    def test_negative_mass_rejected(self):
+        sc = basic_scenario()
+        assignment = init_assignment(sc, BIN_WIDTH)
+        masses = assignment.masses.copy()
+        masses[0, 3] = -1.0
+        with pytest.raises(ValueError, match="flow must be nonnegative"):
+            bin_costs(replace(assignment, masses=masses), sc)
 
 
 class TestGapMeasure:
@@ -291,6 +375,17 @@ class TestConvergedRuns:
         assert abs(assignment.class_mass(VehicleClass.GV).sum() - 1500.0) <= 1e-9 * N_TOTAL
         assert abs(assignment.class_mass(VehicleClass.EV).sum() - 1500.0) <= 1e-9 * N_TOTAL
 
+    def test_mixed_run_leaves_no_stale_state(self, oracle_mixed):
+        assignment, report, _ = oracle_mixed
+        _assert_no_stale_grid_state(assignment, report, basic_scenario(mpr=0.5))
+
+    @pytest.mark.parametrize("eta", [5.0, 0.0, -1.0, float("nan")])
+    def test_eta_out_of_range_rejected_up_front(self, eta):
+        # an empty fleet never reaches day_step, so the run itself must check
+        sc = replace(basic_scenario(), n_total=0.0)
+        with pytest.raises(ValueError, match="eta must lie in"):
+            run_until_converged(sc, eta=eta)
+
     def test_unconverged_run_is_reported_not_raised(self, scenario):
         _, report = run_until_converged(scenario, max_days=3)
         assert report.converged is False
@@ -316,6 +411,8 @@ class TestConvergedRuns:
         assignment, report = run_until_converged(sc)
         assert assignment.centers.size > seed_grid.centers.size
         assert report.converged
+        # per-grid state (the schedule penalty) must follow the grown grid
+        _assert_no_stale_grid_state(assignment, report, sc)
         analytic = solve_single_class(sc, sc.gv_energy)
         delays = assignment.delays(sc)
         reference = solution_delay(analytic, assignment.centers)
