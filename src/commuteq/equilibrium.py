@@ -7,16 +7,16 @@ this reduces to a scalar root-find on the equilibrium cost.  With two classes
 sharing the road the gasoline vehicles occupy the window flanks and the
 electric vehicles the high-delay center; delay continuity at the class
 boundary decouples the pair of class costs into two such scalar roots, one
-per class (see :func:`solve_mixed`), both through :func:`conservation_root`.
+per class (see :func:`solve_mixed`), all through :func:`conservation_root`.
 
-Conservation integrals run in the cost-residual variable: along the early
-flank the schedule penalty falls linearly at rate beta, so arrival time and
-residual cost are affine in each other and the two window flanks collapse
-into a single integral `(1/beta + 1/gamma) * int_0^r q(x) dx`, where
-``q(x)`` is the arrival flow at congestion-cost residual ``x``.  Every cost
-map is quadratic in the delay, so substituting the delay for the residual
-makes that integral a closed form (see :func:`window_mass`): the masses are
-exact, with no quadrature.
+Along the early flank the schedule penalty falls linearly at rate beta, so
+arrival time and residual cost are affine in each other and the two window
+flanks collapse into a single integral `(1/beta + 1/gamma) * int q dr` over
+the congestion-cost residual ``r``.  Every cost map is quadratic in the
+delay, so substituting the delay for the residual makes that integral a
+closed form in the delay (see :func:`window_mass`): the masses are exact,
+with no quadrature and no inversion, and each conservation root is solved
+for the delay, whose cost then follows from the map.
 """
 
 from __future__ import annotations
@@ -34,15 +34,13 @@ from .model import (
     VehicleClass,
     congestion_cost,
     congestion_cost_map,
-    delay_from_flow,
     flow_from_delay,
     invert_congestion_cost,
-    marginal_social_cost,
     marginal_social_cost_map,
     schedule_delay,
     toll_at_delay,
 )
-from .numerics import expand_bracket, solve_bracketed
+from .numerics import solve_bracketed
 
 DEFAULT_DT = 1.0 / 60.0
 
@@ -124,48 +122,67 @@ def _window_grid(t_star: float, window: tuple[float, float], dt: float) -> np.nd
     return t_star + dt * np.arange(-k_lo, k_hi + 1, dtype=float)
 
 
-def window_mass(scenario: Scenario, cmap: CostMap, r_hi: float, r_lo: float = 0.0) -> float:
-    """Commuters absorbed while the cost residual climbs from ``r_lo`` to ``r_hi``.
+def _mass_scale(scenario: Scenario) -> float:
+    """`K * R * m**-p` with K = 1/beta + 1/gamma and p = 1/nu."""
+    k = 1.0 / scenario.beta + 1.0 / scenario.gamma
+    return k * scenario.capacity_r * scenario.trip_km ** (-1.0 / scenario.nu)
 
-    Equals `K * int_{r_lo}^{r_hi} q(r) dr` with K = 1/beta + 1/gamma and the
-    arrival flow ``q = R * (T/m)**p`` at delay ``T = cmap.invert(r)``,
-    p = 1/nu.  Substituting r = a*T + b*T**2, dr = (a + 2*b*T) dT, gives the
-    exact value `K * R * m**-p * [F(T_hi) - F(T_lo)]` with
+
+def _antiderivative(cmap: CostMap, p: float, delay: float) -> float:
+    """`F(T) = a * T**(1+p) / (1+p) + 2*b * T**(2+p) / (2+p)`."""
+    return delay ** (1.0 + p) * (cmap.a / (1.0 + p) + 2.0 * cmap.b * delay / (2.0 + p))
+
+
+def window_mass(scenario: Scenario, cmap: CostMap, t_hi: float, t_lo: float = 0.0) -> float:
+    """Commuters absorbed while the delay climbs from ``t_lo`` to ``t_hi``.
+
+    Equals `K * int q dr` with K = 1/beta + 1/gamma over the cost residual
+    ``r = cmap(T)`` from ``cmap(t_lo)`` to ``cmap(t_hi)``, where the arrival
+    flow is ``q = R * (T/m)**p``, p = 1/nu.  With dr = (a + 2*b*T) dT this
+    is exactly `K * R * m**-p * [F(t_hi) - F(t_lo)]`, where
     `F(T) = a * T**(1+p) / (1+p) + 2*b * T**(2+p) / (2+p)`.
     """
-    if r_hi <= r_lo:
+    if t_hi <= t_lo:
         return 0.0
     p = 1.0 / scenario.nu
-
-    def antiderivative(r: float) -> float:
-        delay = float(cmap.invert(r))
-        return delay ** (1.0 + p) * (cmap.a / (1.0 + p) + 2.0 * cmap.b * delay / (2.0 + p))
-
-    scale = (1.0 / scenario.beta + 1.0 / scenario.gamma) * scenario.capacity_r
-    return scale * scenario.trip_km**-p * (antiderivative(r_hi) - antiderivative(r_lo))
+    return _mass_scale(scenario) * (
+        _antiderivative(cmap, p, t_hi) - _antiderivative(cmap, p, t_lo)
+    )
 
 
 def conservation_root(
     scenario: Scenario,
     cmap: CostMap,
     population: float,
-    seed: float,
     root_rtol: float,
-    r_lo: float = 0.0,
+    t_lo: float = 0.0,
 ) -> float:
-    """Residual span ``s`` whose window ``[r_lo, r_lo + s]`` absorbs ``population``.
+    """Delay ``T`` whose window ``[t_lo, T]`` absorbs ``population`` > 0.
 
-    The absorbed count grows monotonically from 0 at s = 0, so the root is
-    bracketed by growing ``[0, seed]`` geometrically and then refined to
-    ``root_rtol`` relative.  Every equilibrium and optimum cost here is such
-    a root, with ``cmap`` the class's cost map.
+    The mass ``M(T) = window_mass(scenario, cmap, T, t_lo)`` is increasing
+    and convex with the exact slope `K * R * m**-p * T**p * (a + 2*b*T)`.
+    Each term of ``F`` alone is a lower bound on ``F``, so the smaller of
+    `((1+p) * F* / a)**(1/(1+p))` and `((2+p) * F* / (2*b))**(1/(2+p))`, with
+    `F* = F(t_lo) + population / (K * R * m**-p)`, lies above the root; a
+    relative pad keeps it there under rounding (with b = 0 the first bound is
+    the root itself).  Newton from that bound descends monotonically onto
+    the root (:func:`solve_bracketed`) until its last step is within
+    ``root_rtol`` of the delay.  Every equilibrium and optimum cost here is
+    ``cmap`` at such a root.
     """
+    p = 1.0 / scenario.nu
+    scale = _mass_scale(scenario)
+    a, b = cmap.a, cmap.b
+    target = _antiderivative(cmap, p, t_lo) + population / scale
+    hi = ((1.0 + p) * target / a) ** (1.0 / (1.0 + p))
+    if b > 0.0:
+        hi = min(hi, ((2.0 + p) * target / (2.0 * b)) ** (1.0 / (2.0 + p)))
 
-    def conservation(s: float) -> float:
-        return window_mass(scenario, cmap, r_lo + s, r_lo) - population
+    def conservation(delay: float) -> tuple[float, float]:
+        slope = scale * delay**p * (a + 2.0 * b * delay)
+        return window_mass(scenario, cmap, delay, t_lo) - population, slope
 
-    lo, hi = expand_bracket(conservation, max(seed, 1e-9))
-    return solve_bracketed(conservation, lo, hi, rtol=root_rtol)
+    return solve_bracketed(conservation, t_lo, hi * (1.0 + 1e-9), rtol=root_rtol)
 
 
 def _check_conservation(
@@ -202,28 +219,23 @@ def _solve_segment(
     """The whole fleet as one segment of ``model``'s class: segment, count, profile.
 
     Phi gives the single-class user equilibrium, Psi (``optimum``) the system
-    optimum.  The cost C is the conservation root for ``n_total``, the window
-    [t* - C/beta, t* + C/gamma] has zero delay at both edges, and the exact
-    count must match the fleet to ``mixed_rtol * n_total``.  ``model`` must be
+    optimum.  The peak delay is the conservation root for ``n_total``, the
+    cost C is the map at that delay, the window [t* - C/beta, t* + C/gamma]
+    has zero delay at both edges, and the exact count must match the fleet to
+    ``mixed_rtol * n_total``.  ``model`` must be
     the scenario's own, as the sampler looks models up by class.
     """
     if model != scenario.energy_model(model.vehicle_class):
         raise ValueError("model must be the scenario's energy model of its class")
     cmap = (marginal_social_cost_map if optimum else congestion_cost_map)(model, scenario)
-    cost_at = marginal_social_cost if optimum else congestion_cost
-    seed = float(cost_at(model, scenario, delay_from_flow(scenario.n_total, scenario)))
     what = "system optimum" if optimum else "single-class equilibrium"
-    cost = conservation_root(scenario, cmap, scenario.n_total, seed, root_rtol)
-    count = window_mass(scenario, cmap, cost)
+    peak_delay = conservation_root(scenario, cmap, scenario.n_total, root_rtol)
+    cost = cmap(peak_delay)
+    count = window_mass(scenario, cmap, peak_delay)
     _check_conservation(scenario, what, (cost,), (count,), (scenario.n_total,), mixed_rtol)
     window = (scenario.t_star - cost / scenario.beta, scenario.t_star + cost / scenario.gamma)
     segment = ClassSegment(model.vehicle_class, *window, cost)
     return segment, count, _sample(scenario, window, (segment,), dt, optimum)
-
-
-def _packed_cost(model: EnergyModel, scenario: Scenario, population: float) -> float:
-    """Congestion cost of packing ``population`` into one hour: a root seed."""
-    return float(congestion_cost(model, scenario, delay_from_flow(population, scenario)))
 
 
 def _empty_solution(scenario: Scenario, dt: float) -> EquilibriumSolution:
@@ -249,8 +261,9 @@ def solve_single_class(
 
     One segment on the congestion cost map Phi (see :func:`_solve_segment`):
     the delay follows the isocost curve ``T(t) = Phi^{-1}(C - schedule_delay(t))``
-    and the cost C is the root of the monotone conservation map C -> absorbed
-    commuters, whose count must match the fleet to ``mixed_rtol * n_total``.
+    and C = Phi(T_peak), with the peak delay the root of the monotone
+    conservation map T -> absorbed commuters, whose count must match the
+    fleet to ``mixed_rtol * n_total``.
     """
     if scenario.n_total == 0.0:
         return _empty_solution(scenario, dt)
@@ -277,12 +290,12 @@ def solve_mixed(
     Degenerates to :func:`solve_single_class` at mpr 0 or 1.  Otherwise the
     GVs hold the window flanks and the EVs the center, joined at the
     schedule penalty ``s*``, and the solve decouples into two scalar
-    conservation roots.  The GV flanks absorb `K * int_0^x q_GV` with
-    ``x = C_GV - s*``, so ``x`` is the single-class GV cost of the GV
-    population.  Delay continuity at the class boundary gives the EV
-    congestion cost there in closed form, ``y = Phi_EV(Phi_GV^{-1}(x))``, and
-    ``s*`` is the root of `K * int_y^{y+s} q_EV = mpr * N`.  Then
-    ``C_GV = x + s*`` and ``C_EV = y + s*``.  The segmentation is validated
+    conservation roots in the delay.  The GV flanks hold the delays up to the
+    boundary delay ``T_x``, so ``T_x`` is the single-class GV peak delay of
+    the GV population.  Delay is continuous at the class boundary, so the EV
+    center holds the delays from ``T_x`` up to the EV root ``T_ev``.  With
+    ``y = Phi_EV(T_x)``, ``s* = Phi_EV(T_ev) - y``, ``C_EV = Phi_EV(T_ev)``
+    and ``C_GV = Phi_GV(T_x) + s*``.  The segmentation is validated
     against profitable deviations, and each class's absorbed count must match
     its population to ``mixed_rtol * n_total``.
     """
@@ -299,16 +312,15 @@ def solve_mixed(
     map_gv = congestion_cost_map(gv, scenario)
     map_ev = congestion_cost_map(ev, scenario)
 
-    seed_gv = _packed_cost(gv, scenario, pop_gv)
-    x = conservation_root(scenario, map_gv, pop_gv, seed_gv, root_rtol)
-    y = float(congestion_cost(ev, scenario, map_gv.invert(x)))
-    seed_ev = _packed_cost(ev, scenario, pop_ev)
-    s_star = conservation_root(scenario, map_ev, pop_ev, seed_ev, root_rtol, r_lo=y)
-    cost_gv, cost_ev = x + s_star, y + s_star
+    t_x = conservation_root(scenario, map_gv, pop_gv, root_rtol)
+    t_ev = conservation_root(scenario, map_ev, pop_ev, root_rtol, t_lo=t_x)
+    cost_ev = map_ev(t_ev)
+    s_star = cost_ev - map_ev(t_x)
+    cost_gv = map_gv(t_x) + s_star
     _validate_no_deviation(scenario, cost_gv, cost_ev, s_star)
 
-    mass_gv = window_mass(scenario, map_gv, x)
-    mass_ev = window_mass(scenario, map_ev, cost_ev, r_lo=y)
+    mass_gv = window_mass(scenario, map_gv, t_x)
+    mass_ev = window_mass(scenario, map_ev, t_ev, t_lo=t_x)
     _check_conservation(
         scenario,
         "mixed equilibrium",
@@ -354,22 +366,23 @@ def _validate_no_deviation(
     ``[s*, C_GV]`` in the GV flanks.
     """
     gv, ev = scenario.gv_energy, scenario.ev_energy
-    sd = np.linspace(0.0, s_star, n_check)
-    delay = invert_congestion_cost(ev, scenario, np.maximum(cost_ev - sd, 0.0))
-    tempted = congestion_cost(gv, scenario, delay) + sd
-    if np.any(tempted < cost_gv - 1e-9 * cost_gv):
-        raise SolverError(
-            "mixed topology invalid: a GV commuter could profit inside the EV segment",
-            diagnostics={"min_cost": float(np.min(tempted)), "cost_gv": cost_gv},
-        )
-    sd = np.linspace(s_star, cost_gv, n_check)
-    delay = invert_congestion_cost(gv, scenario, np.maximum(cost_gv - sd, 0.0))
-    tempted = congestion_cost(ev, scenario, delay) + sd
-    if np.any(tempted < cost_ev - 1e-9 * cost_ev):
-        raise SolverError(
-            "mixed topology invalid: an EV commuter could profit inside a GV segment",
-            diagnostics={"min_cost": float(np.min(tempted)), "cost_ev": cost_ev},
-        )
+    for inside, own_cost, intruder, intruder_cost, levels, message in (
+        (ev, cost_ev, gv, cost_gv, (0.0, s_star),
+         "a GV commuter could profit inside the EV segment"),
+        (gv, cost_gv, ev, cost_ev, (s_star, cost_gv),
+         "an EV commuter could profit inside a GV segment"),
+    ):
+        sd = np.linspace(*levels, n_check)
+        delay = invert_congestion_cost(inside, scenario, np.maximum(own_cost - sd, 0.0))
+        tempted = congestion_cost(intruder, scenario, delay) + sd
+        if np.any(tempted < intruder_cost - 1e-9 * intruder_cost):
+            raise SolverError(
+                f"mixed topology invalid: {message}",
+                diagnostics={
+                    "min_cost": float(np.min(tempted)),
+                    f"cost_{intruder.vehicle_class.value}": intruder_cost,
+                },
+            )
 
 
 def _sample(

@@ -13,92 +13,54 @@ import numpy as np
 from .errors import SolverError
 
 
-def expand_bracket(
-    fn: Callable[[float], float],
-    x0: float,
-    growth: float = 2.0,
-    max_steps: int = 200,
-) -> tuple[float, float]:
-    """Grow ``[0, hi]`` geometrically from ``x0`` until ``fn`` changes sign.
-
-    ``fn(0) <= 0`` is assumed (conservation-style residuals vanish at zero
-    cost); the upper edge is doubled until ``fn(hi) >= 0``.  Raises
-    :class:`SolverError` carrying every attempted edge if no sign change is
-    found, which signals pathological scenario parameters.
-    """
-    hi = max(x0, 1e-12)
-    attempts = []
-    for _ in range(max_steps):
-        val = fn(hi)
-        attempts.append((hi, val))
-        if val >= 0.0:
-            return 0.0, hi
-        hi *= growth
-    raise SolverError(
-        "could not bracket root: residual stayed negative up to "
-        f"{hi / growth:.6g}",
-        diagnostics={"attempts": attempts},
-    )
-
-
 def solve_bracketed(
-    fn: Callable[[float], float],
+    fn: Callable[[float], tuple[float, float]],
     lo: float,
     hi: float,
     rtol: float = 1e-12,
     max_iter: int = 200,
 ) -> float:
-    """Find ``x`` in ``[lo, hi]`` with ``fn(x) = 0`` by safeguarded secant.
+    """Find ``x`` in ``[lo, hi]`` with ``f(x) = 0`` by Newton's method kept in the bracket.
 
-    Bisection guarantees convergence; a secant candidate accelerates it
-    whenever it lands strictly inside the current bracket.  ``fn(lo)`` and
-    ``fn(hi)`` must have opposite signs (zero endpoints count as roots).
-    Terminates when the bracket width drops below ``rtol`` relative to the
-    larger endpoint magnitude, with no absolute floor, so small roots are
-    resolved as finely as large ones.  A root at exactly 0 is found only if
-    an evaluation hits it; the callers' conservation roots are positive.
+    ``fn`` returns ``(f(x), f'(x))``.  ``f(lo)`` and ``f(hi)`` must have
+    opposite signs (zero endpoints count as roots).  Newton starts from
+    ``hi``; a step that would leave the current bracket, or a zero slope,
+    bisects instead.  The solve stops once a step is at most ``rtol * |x|``
+    and returns ``x`` minus that step, with no absolute floor, so small roots
+    are resolved as finely as large ones.  On an increasing convex ``f`` the
+    iterates descend monotonically onto the root.  A root at exactly 0 is
+    found only if an evaluation hits it; the callers' roots are positive.
     """
-    fa = fn(lo)
+    fa, _ = fn(lo)
     if fa == 0.0:
         return lo
-    fb = fn(hi)
-    if fb == 0.0:
+    fx, slope = fn(hi)
+    if fx == 0.0:
         return hi
-    if (fa > 0.0) == (fb > 0.0):
+    if (fa > 0.0) == (fx > 0.0):
         raise SolverError(
-            f"root not bracketed: f({lo:.6g})={fa:.6g}, f({hi:.6g})={fb:.6g}",
-            diagnostics={"lo": lo, "hi": hi, "flo": fa, "fhi": fb},
+            f"root not bracketed: f({lo:.6g})={fa:.6g}, f({hi:.6g})={fx:.6g}",
+            diagnostics={"lo": lo, "hi": hi, "flo": fa, "fhi": fx},
         )
-    a, b = lo, hi
-    last_side = 0  # +1: upper end moved, -1: lower end moved
-    stale = 0  # consecutive moves of the same end (secant stagnation)
+    a, b, x = lo, hi, hi
     for _ in range(max_iter):
-        width = b - a
-        if width <= rtol * max(abs(a), abs(b)):
-            break
-        # Secant through the bracket endpoints, bisection as fallback.
-        x = b - fb * (b - a) / (fb - fa) if fb != fa else 0.5 * (a + b)
-        margin = 0.01 * width
-        if not (a + margin <= x <= b - margin) or stale >= 2:
-            x = 0.5 * (a + b)
-            stale = 0
-        fx = fn(x)
+        step = x - 0.5 * (a + b)
+        if slope != 0.0 and a <= x - fx / slope <= b:
+            step = fx / slope
+        if abs(step) <= rtol * abs(x):
+            return x - step
+        x -= step
+        fx, slope = fn(x)
         if fx == 0.0:
             return x
-        side = 1 if (fx > 0.0) == (fb > 0.0) else -1
-        if side == 1:
-            b, fb = x, fx
+        if (fx > 0.0) == (fa > 0.0):
+            a = x
         else:
-            a, fa = x, fx
-        stale = stale + 1 if side == last_side else 1
-        last_side = side
-    else:
-        raise SolverError(
-            "bracketed solve did not reach tolerance",
-            diagnostics={"lo": a, "hi": b, "width": b - a, "rtol": rtol},
-        )
-    # Prefer the endpoint with the smaller residual.
-    return a if abs(fa) <= abs(fb) else b
+            b = x
+    raise SolverError(
+        "bracketed solve did not reach tolerance",
+        diagnostics={"lo": a, "hi": b, "width": b - a, "rtol": rtol},
+    )
 
 
 def trapezoid_refine(

@@ -11,10 +11,11 @@ comments).  Every solver input lives in one of five sections::
     [numerics]   dt_minutes, bin_minutes, eta, gap_tol, max_days,
                  root_rtol, mixed_rtol
 
-``[numerics]`` keys all have defaults.  ``root_rtol`` is the relative
-tolerance of every conservation root; ``mixed_rtol`` is the largest miss,
-as a fraction of ``n_total``, allowed between a class's absorbed count and
-its population in every solve (exit 3 beyond it).  No solver runs a
+``[numerics]`` keys all have defaults.  ``root_rtol`` bounds the last
+Newton step of every conservation root, relative to the root's delay;
+``mixed_rtol`` is the largest miss, as a fraction of ``n_total``, allowed
+between a class's absorbed count and its population in every solve (exit 3
+beyond it).  No solver runs a
 quadrature, so the retired ``quad_rtol`` key loads (finite) and is ignored.
 ``s_max`` defaults to 60 km/h; ``[energy.ev]`` may be omitted only when
 mpr = 0 (the EV record then copies the GV coefficients, making the classes

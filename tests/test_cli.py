@@ -185,14 +185,39 @@ class TestExitCodes:
         code = main(["solve", "--out", str(tmp_path / "o"), "--quiet"])
         assert code == EXIT_INPUT
 
-    @pytest.mark.parametrize("command, mpr", [("solve", "0"), ("solve", "1"), ("toll", "0"), ("toll", "1")])
+    @pytest.mark.parametrize(
+        "command, mpr",
+        [("solve", "0"), ("solve", "0.5"), ("solve", "1"), ("toll", "0"), ("toll", "1")],
+    )
     def test_loose_root_tolerance_misses_conservation(self, tmp_path, monkeypatch, capsys, command, mpr):
-        # single-class and system-optimum roots face the same mixed_rtol check
+        # single-class, mixed and system-optimum roots face the same mixed_rtol check
         monkeypatch.setenv("CEQ_DEMAND_MPR", mpr)
         monkeypatch.setenv("CEQ_NUMERICS_ROOT_RTOL", "1e-2")
         code = main([command, "--out", str(tmp_path / "o"), "--quiet"])
         assert code == EXIT_SOLVER
         assert "per-class conservation" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mpr", ["0.5", "1"])
+    @pytest.mark.parametrize("zeroed", [("EV",), ("GV", "EV")])
+    def test_linear_energy_costs_solve_and_conserve(self, tmp_path, monkeypatch, mpr, zeroed):
+        # with c2 = 0 the closed-form root bracket is the root itself, up to rounding
+        solutions = []
+        real = cli.solve_mixed
+
+        def recording(scenario, **kwargs):
+            solutions.append(real(scenario, **kwargs))
+            return solutions[-1]
+
+        monkeypatch.setattr(cli, "solve_mixed", recording)
+        monkeypatch.setenv("CEQ_DEMAND_MPR", mpr)
+        for cls in zeroed:
+            monkeypatch.setenv(f"CEQ_ENERGY_{cls}_C2", "0")
+        assert main(["solve", "--out", str(tmp_path / "o"), "--quiet"]) == EXIT_OK
+        assert float(mpr) in [solution.scenario.mpr for solution in solutions]
+        for solution in solutions:  # the requested mpr and the mpr-0 baseline
+            sc = solution.scenario
+            for cls, count in solution.class_counts.items():
+                assert abs(count - sc.population(cls)) <= 1e-12 * sc.n_total
 
     def test_nonpositive_dt_rejected(self, tmp_path):
         code = main(["solve", "--out", str(tmp_path / "o"), "--dt", "0", "--quiet"])

@@ -24,9 +24,10 @@ from commuteq import (
     solve_single_class,
 )
 from commuteq.cli import EXIT_OK, main
+from commuteq import equilibrium
 from commuteq.equilibrium import window_mass
 from commuteq.model import congestion_cost_map, delay_from_flow
-from commuteq.numerics import solve_bracketed, trapezoid_refine
+from commuteq.numerics import trapezoid_refine
 from commuteq.scenario_io import Numerics, ScenarioConfig, emit_config
 from commuteq.toll import invert_marginal_social_cost, marginal_social_cost_map
 from conftest import N_TOTAL, basic_scenario
@@ -113,7 +114,7 @@ class TestSingleClass:
 
     def test_conservation_map_is_increasing(self, scenario):
         cmap = congestion_cost_map(scenario.gv_energy, scenario)
-        masses = [window_mass(scenario, cmap, c) for c in (1.0, 2.0, 4.0, 6.0)]
+        masses = [window_mass(scenario, cmap, cmap.invert(c)) for c in (1.0, 2.0, 4.0, 6.0)]
         assert np.all(np.diff(masses) > 0.0)
 
     def test_missed_conservation_is_a_solver_error(self, scenario):
@@ -228,10 +229,11 @@ class TestMixed:
 def _reference_state(sc, cost_gv, cost_ev, quad_rtol=1e-9):
     """Per-class masses and boundary level of a cost pair, built independently.
 
-    ``s*`` is where the two isocost delay curves cross and the EV mass is the
-    difference of two integrals from r = 0, both by trapezoid refinement, so
-    the check shares neither the closed-form boundary cost nor the closed-form
-    masses with solve_mixed.
+    ``s*`` is where the two isocost delay curves cross, found by plain
+    bisection, and the EV mass is the difference of two integrals from r = 0,
+    both by trapezoid refinement, so the check shares neither the root
+    solver, the boundary construction nor the closed-form masses with
+    solve_mixed.
     """
     gv, ev = sc.gv_energy, sc.ev_energy
 
@@ -239,7 +241,15 @@ def _reference_state(sc, cost_gv, cost_ev, quad_rtol=1e-9):
         delay_gv = invert_congestion_cost(gv, sc, cost_gv - s)
         return float(delay_gv - invert_congestion_cost(ev, sc, cost_ev - s))
 
-    s_star = solve_bracketed(curve_gap, 0.0, cost_ev, rtol=1e-13)
+    lo, hi = 0.0, cost_ev
+    gap_lo = curve_gap(lo)
+    while hi - lo > 1e-13 * hi:
+        mid = 0.5 * (lo + hi)
+        if (curve_gap(mid) > 0.0) == (gap_lo > 0.0):
+            lo = mid
+        else:
+            hi = mid
+    s_star = 0.5 * (lo + hi)
     invert_gv = partial(invert_congestion_cost, gv, sc)
     invert_ev = partial(invert_congestion_cost, ev, sc)
     mass_gv = _trapezoid_mass(sc, invert_gv, cost_gv - s_star, rtol=quad_rtol)
@@ -316,10 +326,30 @@ class TestMixedEdgeCases:
         assert_allclose(solution.class_costs[VehicleClass.GV], single, rtol=1e-8)
         assert_allclose(solution.class_costs[VehicleClass.EV], single, rtol=1e-8)
 
+    @pytest.mark.parametrize(
+        "bumped, message, key",
+        [
+            (VehicleClass.GV, "a GV commuter could profit inside the EV segment", "cost_gv"),
+            (VehicleClass.EV, "an EV commuter could profit inside a GV segment", "cost_ev"),
+        ],
+    )
+    def test_profitable_deviation_is_a_solver_error(self, mixed_solution, bumped, message, key):
+        # a class cost above its equilibrium value lets that class undercut it
+        # inside the other class's segment at the boundary level s*
+        costs = dict(mixed_solution.class_costs)
+        s_star = float(schedule_delay(mixed_solution.segments[1].t_lo, mixed_solution.scenario))
+        validate = partial(equilibrium._validate_no_deviation, mixed_solution.scenario)
+        validate(costs[VehicleClass.GV], costs[VehicleClass.EV], s_star)
+        costs[bumped] *= 1.0 + 1e-6
+        with pytest.raises(SolverError, match=message) as err:
+            validate(costs[VehicleClass.GV], costs[VehicleClass.EV], s_star)
+        assert err.value.diagnostics[key] == costs[bumped]
+        assert err.value.diagnostics["min_cost"] < costs[bumped]
+
     def test_missed_conservation_is_a_solver_error(self):
-        # a root stopped at 0.1% of the cost leaves the counts far outside 1e-8 * N
+        # a root stopped at a 1% Newton step leaves the counts far outside 1e-8 * N
         with pytest.raises(SolverError, match="per-class conservation") as err:
-            solve_mixed(basic_scenario(0.5), root_rtol=1e-3, mixed_rtol=1e-8)
+            solve_mixed(basic_scenario(0.5), root_rtol=1e-2, mixed_rtol=1e-8)
         assert err.value.diagnostics["populations"] == (1500.0, 1500.0)
 
 
@@ -346,7 +376,7 @@ class TestWindowMassClosedForm:
             packed = float(delay_from_flow(sc.n_total, sc))
             r_hi = (cmap.a * packed + cmap.b * packed**2) * float(rng.uniform(0.2, 2.0))
             r_lo = 0.0 if i % 8 < 4 else r_hi * float(rng.uniform(0.0, 0.99))
-            exact = window_mass(sc, cmap, r_hi, r_lo)
+            exact = window_mass(sc, cmap, cmap.invert(r_hi), cmap.invert(r_lo))
             reference = _trapezoid_mass(sc, invert, r_hi, r_lo)
             worst = max(worst, abs(exact - reference) / reference)
         assert worst <= 1e-10
@@ -356,6 +386,48 @@ class TestWindowMassClosedForm:
         solution = solve_mixed(basic_scenario(mpr))
         for cls, count in solution.class_counts.items():
             assert_allclose(count, solution.scenario.population(cls), rtol=1e-12)
+
+
+class TestConservationRoot:
+    def test_conserves_in_few_evaluations(self, monkeypatch):
+        # Phi and Psi maps of both classes, with and without the quadratic
+        # term, each from t_lo = 0 and from a t_lo > 0, over wide nu and N
+        evals = []
+        real = equilibrium.solve_bracketed
+
+        def counting(fn, lo, hi, rtol):
+            evals.append(0)
+
+            def counted(delay):
+                evals[-1] += 1
+                return fn(delay)
+
+            return real(counted, lo, hi, rtol)
+
+        monkeypatch.setattr(equilibrium, "solve_bracketed", counting)
+        rng = np.random.default_rng(20261019)
+        base = basic_scenario()
+        worst = 0.0
+        for i in range(200):
+            sc = replace(
+                base,
+                nu=float(np.exp(rng.uniform(np.log(0.3), np.log(20.0)))),
+                capacity_r=base.capacity_r * float(rng.uniform(0.5, 2.0)),
+            )
+            model = (sc.gv_energy, sc.ev_energy)[i % 2]
+            if i % 3 == 0:
+                model = replace(model, c2=0.0)
+            cmap = (congestion_cost_map, marginal_social_cost_map)[i % 4 // 2](model, sc)
+            population = float(10.0 ** rng.uniform(-12.0, 9.0))
+            t_lo = 0.0
+            for _ in range(2):  # from 0, then from a fraction or multiple of that root
+                t_hi = equilibrium.conservation_root(sc, cmap, population, 1e-10, t_lo=t_lo)
+                miss = abs(window_mass(sc, cmap, t_hi, t_lo) - population) / population
+                worst = max(worst, miss)
+                t_lo = t_hi * float(rng.uniform(0.01, 3.0))
+        assert len(evals) == 400
+        assert worst <= 1e-12
+        assert max(evals) <= 15
 
 
 class TestSampleProfiles:

@@ -7,12 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from commuteq import SolverError
-from commuteq.numerics import (
-    expand_bracket,
-    project_to_simplex,
-    solve_bracketed,
-    trapezoid_refine,
-)
+from commuteq.numerics import project_to_simplex, solve_bracketed, trapezoid_refine
 
 
 class TestTrapezoidRefine:
@@ -42,38 +37,53 @@ class TestTrapezoidRefine:
 
 class TestSolveBracketed:
     def test_cubic_root(self):
-        root = solve_bracketed(lambda x: x**3 - 2.0, 0.0, 2.0, rtol=1e-14)
+        root = solve_bracketed(lambda x: (x**3 - 2.0, 3.0 * x * x), 0.0, 2.0, rtol=1e-14)
         assert_allclose(root, 2.0 ** (1.0 / 3.0), rtol=1e-12)
 
     def test_linear(self):
-        assert_allclose(solve_bracketed(lambda x: 3.0 * x - 1.5, -1.0, 1.0), 0.5, rtol=1e-10)
+        assert_allclose(solve_bracketed(lambda x: (3.0 * x - 1.5, 3.0), -1.0, 1.0), 0.5, rtol=1e-10)
 
     def test_steep_monotone(self):
-        root = solve_bracketed(lambda x: math.expm1(20.0 * (x - 0.3)), 0.0, 1.0, rtol=1e-13)
-        assert_allclose(root, 0.3, rtol=1e-10)
+        def fn(x):
+            return math.expm1(20.0 * (x - 0.3)), 20.0 * math.exp(20.0 * (x - 0.3))
+
+        assert_allclose(solve_bracketed(fn, 0.0, 1.0, rtol=1e-13), 0.3, rtol=1e-10)
 
     def test_endpoint_root(self):
-        assert solve_bracketed(lambda x: x, 0.0, 1.0) == 0.0
+        assert solve_bracketed(lambda x: (x, 1.0), 0.0, 1.0) == 0.0
 
     def test_not_bracketed(self):
-        with pytest.raises(SolverError):
-            solve_bracketed(lambda x: x + 10.0, 0.0, 1.0)
+        with pytest.raises(SolverError, match="not bracketed") as err:
+            solve_bracketed(lambda x: (x + 10.0, 1.0), 0.0, 1.0)
+        assert err.value.diagnostics == {"lo": 0.0, "hi": 1.0, "flo": 10.0, "fhi": 11.0}
 
     def test_decreasing_function(self):
-        root = solve_bracketed(lambda x: 1.0 - x * x, 0.5, 3.0, rtol=1e-13)
+        root = solve_bracketed(lambda x: (1.0 - x * x, -2.0 * x), 0.5, 3.0, rtol=1e-13)
         assert_allclose(root, 1.0, rtol=1e-10)
 
+    def test_zero_slope_bisects(self):
+        # no usable slope anywhere: every step is a bisection of the bracket
+        calls = []
 
-class TestExpandBracket:
-    def test_grows_until_sign_change(self):
-        lo, hi = expand_bracket(lambda x: x - 40.0, 1.0)
-        assert lo == 0.0
-        assert hi >= 40.0
+        def fn(x):
+            calls.append(x)
+            return x - 0.3, 0.0
 
-    def test_failure_carries_attempts(self):
-        with pytest.raises(SolverError) as err:
-            expand_bracket(lambda x: -1.0, 1.0, max_steps=10)
-        assert len(err.value.diagnostics["attempts"]) == 10
+        assert_allclose(solve_bracketed(fn, 0.0, 1.0, rtol=1e-12), 0.3, rtol=1e-11)
+        assert 35 <= len(calls) <= 45
+
+    def test_step_leaving_the_bracket_bisects(self):
+        # Newton from hi = 2 on atan overshoots far below lo = -1
+        root = solve_bracketed(lambda x: (math.atan(x), 1.0 / (1.0 + x * x)), -1.0, 2.0)
+        assert abs(root) <= 1e-12
+
+    def test_max_iter_exhaustion(self):
+        with pytest.raises(SolverError, match="did not reach tolerance") as err:
+            solve_bracketed(lambda x: (x - 0.3, 0.0), 0.0, 1.0, rtol=1e-12, max_iter=5)
+        diagnostics = err.value.diagnostics
+        assert diagnostics["lo"] < 0.3 < diagnostics["hi"]
+        assert diagnostics["width"] == pytest.approx(2.0**-5)
+        assert diagnostics["rtol"] == 1e-12
 
 
 class TestProjectToSimplex:
