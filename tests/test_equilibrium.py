@@ -23,8 +23,8 @@ from commuteq import (
     solve_mixed,
     solve_single_class,
 )
-from commuteq.cli import EXIT_OK, main
 from commuteq import equilibrium
+from commuteq.cli import EXIT_OK, main
 from commuteq.equilibrium import window_mass
 from commuteq.model import congestion_cost_map, delay_from_flow
 from commuteq.numerics import trapezoid_refine
