@@ -4,11 +4,17 @@ All numeric output is formatted to 10 significant digits and produced by
 deterministic computations, so repeated runs on the same inputs yield
 byte-identical files.  Exit codes: 0 success, 2 input or validation error,
 3 solver non-convergence, 4 I/O failure.
+
+The argument parser is built once per process, on the first :func:`main`
+call, and reused: parsing leaves it unchanged.  The scenario file and the
+``CEQ_*`` environment overrides are read again on every call, so repeated
+in-process calls write the same files as separate runs.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -248,8 +254,9 @@ def cmd_oracle(config: ScenarioConfig, out_dir: Path, dt: float, quiet: bool) ->
         gap_tol=numerics.gap_tol,
         max_days=numerics.max_days,
     )
-    costs = dynamics.bin_costs(assignment, scenario)
-    delays = assignment.delays(scenario)
+    with np.errstate(under="ignore"):  # as in the day loop: near-empty bins flush to zero
+        costs = dynamics.bin_costs(assignment, scenario)
+        delays = assignment.delays(scenario)
     flows = assignment.masses / assignment.bin_width
     rows = zip(
         assignment.centers,
@@ -336,7 +343,13 @@ def _parse_mpr_list(spec: str) -> list[float]:
     return values
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``commuteq`` parser, built on the first call and then reused.
+
+    ``parse_args`` does not change a parser and every default is immutable,
+    so the shared parser parses each command line as a fresh one would.
+    """
     parser = argparse.ArgumentParser(
         prog="commuteq",
         description="Morning-commute departure-time equilibrium solver for "
@@ -374,6 +387,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command line and return its exit code.
+
+    The parser comes from the first call's :func:`build_parser`; the scenario
+    file and the environment are read on every call.
+    """
     args = build_parser().parse_args(argv)
     try:
         scenario_path = args.scenario if args.scenario is not None else bundled_scenario_path()

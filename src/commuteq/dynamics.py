@@ -271,7 +271,9 @@ def run_until_converged(
     and passed to :func:`bin_costs`.  Non-convergence within ``max_days`` is
     reported, not raised; the caller decides what an unconverged oracle
     means.  ``eta`` outside (0, 1] and a nonpositive ``gap_tol`` raise
-    ``ValueError`` before any day runs, also for an empty fleet.
+    ``ValueError`` before any day runs, also for an empty fleet.  Underflow in
+    the days is flushed to zero whatever the caller's numpy error state, which
+    is restored on return.
     """
     if gap_tol <= 0.0:
         raise ValueError("gap_tol must be positive")
@@ -292,32 +294,35 @@ def run_until_converged(
     def trace_row(report: GapReport) -> list[float]:
         return [report.relative_gap.get(cls, 0.0) for cls in CLASS_ORDER]
 
-    # each day's costs are computed once: they score the day's state and
-    # then drive the next day's moves
-    trace = []
-    schedule = schedule_delay(assignment.centers, scenario)
-    costs = bin_costs(assignment, scenario, schedule)
-    report = gap_measure(assignment, scenario, used_mass_fraction, costs=costs)
-    trace.append(trace_row(report))
-    days = 0
-    while days < max_days:
-        # a too narrow initial spread can equalize costs inside a cramped
-        # grid, so convergence is only accepted (and progress periodically
-        # rechecked) with the support sitting clear of the grid edges
-        if report.worst_relative_gap < gap_tol or (days > 0 and days % 500 == 0):
-            grow_lo, grow_hi = crowded_edges(assignment, scenario, used_mass_fraction)
-            if grow_lo or grow_hi:
-                assignment = extend_grid(assignment, grow_lo, grow_hi)
-                schedule = schedule_delay(assignment.centers, scenario)
-                costs = bin_costs(assignment, scenario, schedule)
-                report = gap_measure(assignment, scenario, used_mass_fraction, costs=costs)
-            elif report.worst_relative_gap < gap_tol:
-                break
-        assignment = day_step(assignment, scenario, eta, costs=costs)
-        days += 1
+    # a near-empty bin's b*T*T underflows, and zero is the right value; one
+    # errstate for the whole run, since entering one costs about 3% of a day
+    with np.errstate(under="ignore"):
+        # each day's costs are computed once: they score the day's state and
+        # then drive the next day's moves
+        trace = []
+        schedule = schedule_delay(assignment.centers, scenario)
         costs = bin_costs(assignment, scenario, schedule)
         report = gap_measure(assignment, scenario, used_mass_fraction, costs=costs)
         trace.append(trace_row(report))
+        days = 0
+        while days < max_days:
+            # a too narrow initial spread can equalize costs inside a cramped
+            # grid, so convergence is only accepted (and progress periodically
+            # rechecked) with the support sitting clear of the grid edges
+            if report.worst_relative_gap < gap_tol or (days > 0 and days % 500 == 0):
+                grow_lo, grow_hi = crowded_edges(assignment, scenario, used_mass_fraction)
+                if grow_lo or grow_hi:
+                    assignment = extend_grid(assignment, grow_lo, grow_hi)
+                    schedule = schedule_delay(assignment.centers, scenario)
+                    costs = bin_costs(assignment, scenario, schedule)
+                    report = gap_measure(assignment, scenario, used_mass_fraction, costs=costs)
+                elif report.worst_relative_gap < gap_tol:
+                    break
+            assignment = day_step(assignment, scenario, eta, costs=costs)
+            days += 1
+            costs = bin_costs(assignment, scenario, schedule)
+            report = gap_measure(assignment, scenario, used_mass_fraction, costs=costs)
+            trace.append(trace_row(report))
     grow_lo, grow_hi = crowded_edges(assignment, scenario, used_mass_fraction)
     converged = report.worst_relative_gap < gap_tol and not (grow_lo or grow_hi)
     final = GapReport(

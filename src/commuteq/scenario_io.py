@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 import os
+from collections.abc import Mapping
 from dataclasses import dataclass, fields, replace
 from importlib import resources
 from pathlib import Path
@@ -161,11 +162,16 @@ def parse_config_text(text: str, source: str = "<string>") -> dict[str, dict[str
 
 
 def _apply_env_overrides(
-    sections: dict[str, dict[str, float]], env: dict[str, str]
+    sections: dict[str, dict[str, float]], env: Mapping[str, str]
 ) -> dict[str, dict[str, float]]:
-    for var, raw in sorted(env.items()):
-        if not var.startswith(ENV_PREFIX):
-            continue
+    """Apply every ``CEQ_<SECTION>_<KEY>`` variable in ``env`` to ``sections``.
+
+    Only the names of ``env`` are scanned; values are read for ``CEQ_*``
+    names alone.  Those names are applied in sorted order, so the first bad
+    one reported does not depend on the order of the mapping.
+    """
+    for var in sorted(name for name in env if name.startswith(ENV_PREFIX)):
+        raw = env[var]
         tail = var[len(ENV_PREFIX) :].lower()
         for section in _SECTIONS:
             prefix = section.replace(".", "_") + "_"
@@ -235,20 +241,23 @@ def _build_config(sections: dict[str, dict[str, float]], source: str) -> Scenari
 
 
 def load_config(
-    path: str | Path, env: dict[str, str] | None = None
+    path: str | Path, env: Mapping[str, str] | None = None
 ) -> ScenarioConfig:
-    """Load, override from the environment, and validate a scenario file."""
+    """Load, override from the environment, and validate a scenario file.
+
+    ``env`` defaults to ``os.environ``, read afresh on every call.
+    """
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
     except FileNotFoundError:
         raise ScenarioError(f"scenario file not found: {path}") from None
     sections = parse_config_text(text, source=str(path))
-    sections = _apply_env_overrides(sections, dict(os.environ) if env is None else env)
+    sections = _apply_env_overrides(sections, os.environ if env is None else env)
     return _build_config(sections, source=str(path))
 
 
-def load_scenario(path: str | Path, env: dict[str, str] | None = None) -> Scenario:
+def load_scenario(path: str | Path, env: Mapping[str, str] | None = None) -> Scenario:
     """Load just the physical scenario from a file (numerics discarded)."""
     return load_config(path, env=env).scenario
 

@@ -1,7 +1,9 @@
 """CLI tests: outputs, column contract, exit codes, determinism."""
 
+import argparse
 import csv
 
+import numpy as np
 import pytest
 
 from commuteq import cli
@@ -15,6 +17,10 @@ def _read_csv(path):
     with open(path, newline="", encoding="utf-8") as fh:
         rows = list(csv.reader(fh))
     return rows[0], rows[1:]
+
+
+def _files(out):
+    return {path.name: path.read_bytes() for path in sorted(out.iterdir())}
 
 
 def _read_summary(path):
@@ -223,6 +229,13 @@ class TestExitCodes:
         code = main(["solve", "--out", str(tmp_path / "o"), "--dt", "0", "--quiet"])
         assert code == EXIT_INPUT
 
+    def test_oracle_underflow_is_flushed_under_a_raising_error_state(self, tmp_path, monkeypatch):
+        # near-empty bins underflow in b*T*T; at mpr 0 that raised out of main
+        monkeypatch.setenv("CEQ_DEMAND_MPR", "0")
+        with np.errstate(under="raise"):
+            assert main(["oracle", "--out", str(tmp_path / "o"), "--quiet"]) == EXIT_OK
+            assert np.geterr()["under"] == "raise"
+
 
 class TestDeterminism:
     def test_solve_outputs_are_byte_identical(self, tmp_path):
@@ -239,3 +252,50 @@ class TestDeterminism:
         cell = rows[len(rows) // 2][1]
         mantissa = cell.replace("-", "").replace(".", "").split("e")[0].lstrip("0")
         assert len(mantissa) <= 10
+
+
+class TestInProcessReuse:
+    """Repeated ``main`` calls in one process write what separate runs write."""
+
+    def test_parser_is_built_once_per_process(self, tmp_path, monkeypatch):
+        built = []
+        real_init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            real_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        cli.build_parser.cache_clear()
+        assert main(["solve", "--out", str(tmp_path / "warm"), "--quiet"]) == EXIT_OK
+        assert len(built) == 6  # the top parser, the shared options, four commands
+        built.clear()
+        for k in range(3):
+            assert main(["solve", "--out", str(tmp_path / f"o{k}"), "--quiet"]) == EXIT_OK
+        assert built == []
+
+    def test_flags_do_not_carry_over(self, tmp_path):
+        cli.build_parser.cache_clear()
+        assert main(["toll", "--out", str(tmp_path / "fresh"), "--quiet"]) == EXIT_OK
+        assert main(["toll", "--out", str(tmp_path / "a"), "--incentive", "--dt", "0.5", "--quiet"]) == EXIT_OK
+        assert main(["toll", "--out", str(tmp_path / "b"), "--quiet"]) == EXIT_OK
+        header, rows = _read_csv(tmp_path / "b" / "toll.csv")
+        assert header == ["t_hours", "toll"]
+        assert float(rows[1][0]) - float(rows[0][0]) == pytest.approx(1.0 / 60.0, abs=1e-8)
+        assert _files(tmp_path / "b") == _files(tmp_path / "fresh")
+
+    def test_rejected_command_line_leaves_the_next_call_alone(self, tmp_path):
+        assert main(["solve", "--out", str(tmp_path / "before"), "--quiet"]) == EXIT_OK
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--out", str(tmp_path / "bad"), "--dt", "fast", "--incentive"])
+        assert exc.value.code == 2
+        assert main(["solve", "--out", str(tmp_path / "after"), "--quiet"]) == EXIT_OK
+        assert _files(tmp_path / "after") == _files(tmp_path / "before")
+
+    def test_environment_is_read_on_every_call(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("CEQ_DEMAND_MPR", "0.5")
+        assert main(["solve", "--out", str(tmp_path / "a"), "--quiet"]) == EXIT_OK
+        monkeypatch.setenv("CEQ_DEMAND_MPR", "0.25")
+        assert main(["solve", "--out", str(tmp_path / "b"), "--quiet"]) == EXIT_OK
+        assert _read_summary(tmp_path / "a" / "summary.txt")["mpr"] == "0.5"
+        assert _read_summary(tmp_path / "b" / "summary.txt")["mpr"] == "0.25"

@@ -1,5 +1,7 @@
 """Scenario file parsing, validation messages, round trips, env overrides."""
 
+from collections.abc import Mapping
+
 import pytest
 
 from commuteq import (
@@ -179,6 +181,45 @@ class TestEnvOverrides:
         path = _write(tmp_path, MINIMAL)
         with pytest.raises(ScenarioError, match="CEQ_DEMAND_MPR"):
             load_config(path, env={"CEQ_DEMAND_MPR": "lots"})
+
+    @pytest.mark.parametrize(
+        "env, message",
+        [
+            ({"CEQ_WIBBLE": "1", "CEQ_ZZZ": "1"}, "CEQ_WIBBLE: does not name any scenario section"),
+            (
+                {"CEQ_DEMAND_WIBBLE": "1", "CEQ_DEMAND_MPR": "lots"},
+                "CEQ_DEMAND_MPR: expected a number, got 'lots'",
+            ),
+            ({"CEQ_NUMERICS_WIBBLE": "1"}, "CEQ_NUMERICS_WIBBLE: unknown key 'wibble' for [numerics]"),
+        ],
+    )
+    def test_first_bad_name_in_sorted_order_is_reported(self, tmp_path, env, message):
+        path = _write(tmp_path, MINIMAL)
+        for items in (list(env.items()), list(env.items())[::-1]):
+            with pytest.raises(ScenarioError) as exc:
+                load_config(path, env=dict(items))
+            assert str(exc.value) == message
+
+    def test_only_ceq_values_are_read(self, tmp_path):
+        class Spy(Mapping):
+            def __init__(self, data):
+                self.data = data
+                self.read = []
+
+            def __getitem__(self, name):
+                self.read.append(name)
+                return self.data[name]
+
+            def __iter__(self):
+                return iter(self.data)
+
+            def __len__(self):
+                return len(self.data)
+
+        spy = Spy({"HOME": "/home/x", "PATH": "/bin", "CEQ_DEMAND_MPR": "0.25", "CEQX": "1", "XCEQ_DEMAND_MPR": "2"})
+        config = load_config(_write(tmp_path, MINIMAL), env=spy)
+        assert config.scenario.mpr == 0.25
+        assert spy.read == ["CEQ_DEMAND_MPR"]
 
 
 class TestRoundTrip:
