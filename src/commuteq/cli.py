@@ -284,14 +284,22 @@ def cmd_oracle(config: ScenarioConfig, out_dir: Path, dt: float, quiet: bool) ->
         ),
         rows,
     )
-    trace_rows = ((day, row[0], row[1]) for day, row in enumerate(report.trace))
-    _write_csv(out_dir / "gap_trace.csv", ("day", "rel_gap_gv", "rel_gap_ev"), trace_rows)
+    trace_rows = (
+        (day, rel[0], rel[1], weighted[0], weighted[1])
+        for day, (rel, weighted) in enumerate(zip(report.trace, report.weighted_trace))
+    )
+    _write_csv(
+        out_dir / "gap_trace.csv",
+        ("day", "rel_gap_gv", "rel_gap_ev", "weighted_gap_gv", "weighted_gap_ev"),
+        trace_rows,
+    )
 
     items: list[tuple[str, object]] = [
         ("command", "oracle"),
         ("converged", str(report.converged).lower()),
         ("days", report.days),
         ("stop_reason", report.stop_reason),
+        ("weighted_gap", report.worst_weighted_gap),
         ("relative_gap", report.worst_relative_gap),
     ]
     if scenario.n_total > 0.0:
@@ -308,12 +316,16 @@ def cmd_oracle(config: ScenarioConfig, out_dir: Path, dt: float, quiet: bool) ->
     if not quiet:
         print(
             f"oracle: days={report.days} converged={report.converged} "
-            f"gap={report.worst_relative_gap:.3e} -> {out_dir}"
+            f"weighted_gap={report.worst_weighted_gap:.3e} -> {out_dir}"
         )
     if not report.converged:
         raise SolverError(
             "day-to-day oracle did not converge within max_days",
-            diagnostics={"days": report.days, "relative_gap": report.worst_relative_gap},
+            diagnostics={
+                "days": report.days,
+                "weighted_gap": report.worst_weighted_gap,
+                "relative_gap": report.worst_relative_gap,
+            },
         )
     return EXIT_OK
 

@@ -4,7 +4,9 @@ Commuters are binned by arrival minute (fractional vehicle mass allowed) and
 reassign themselves toward cheaper bins day after day.  Fixed points of the
 update coincide with the discretized user equilibrium, equal cost across a
 class's occupied bins, which makes the converged state an independent check
-on the analytic solvers: the two share only the core cost formulas.
+on the analytic solvers: the two share only the core cost formulas.  A run
+stops once every class's mass-weighted relative gap is small
+(:func:`run_until_converged`).
 
 The update is a deterministic proportional swap.  Each day, every bin whose
 cost exceeds its class minimum sends a fraction of its mass toward cheaper
@@ -35,7 +37,8 @@ bundled corridor (237 bins) a day costs about 80 us for one class and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from array import array
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -84,22 +87,34 @@ class BinAssignment:
 class GapReport:
     """Distance from cost equalization, per class and overall.
 
+    ``weighted_gap`` is the mass-weighted relative gap
+    ``sum m (c - c_min) / sum m c_min`` per class, the oracle's stop
+    measure: the class's mean cost excess over the cheapest bin anywhere,
+    relative to that cheapest cost (Boyce, Ralevic-Dekic & Bar-Gera 2004).
     ``gap`` is (max cost among used bins) - (min cost among all bins) per
-    class; ``relative_gap`` divides by that min.  When produced by
-    :func:`run_until_converged` the report also says which stop condition
-    fired and carries the per-day per-class relative-gap trace.
+    class and ``relative_gap`` divides it by that min; it is kept as a
+    diagnostic, since one bin just above the used-mass cut decides it.
+    When produced by :func:`run_until_converged` the report also says which
+    stop condition fired and carries the per-day per-class traces of both
+    relative gaps.
     """
 
     gap: dict[VehicleClass, float]
     relative_gap: dict[VehicleClass, float]
+    weighted_gap: dict[VehicleClass, float]
     converged: bool | None = None
     days: int | None = None
     stop_reason: str | None = None
     trace: np.ndarray | None = None
+    weighted_trace: np.ndarray | None = None
 
     @property
     def worst_relative_gap(self) -> float:
         return max(self.relative_gap.values(), default=0.0)
+
+    @property
+    def worst_weighted_gap(self) -> float:
+        return max(self.weighted_gap.values(), default=0.0)
 
 
 def bin_costs(
@@ -229,42 +244,61 @@ def gap_measure(
     used_mass_fraction: float = USED_MASS_FRACTION,
     costs: np.ndarray | None = None,
 ) -> GapReport:
-    """Cost spread between a class's used bins and the cheapest bin anywhere.
+    """Both gaps per class: mass-weighted relative, and over the used bins.
 
-    ``costs`` is the :func:`bin_costs` of ``assignment``, computed here when
-    omitted.  An assignment holding no mass has an empty report.
+    The weighted gap ``sum m (c - c_min) / sum m c_min`` takes one dot
+    product per class, ``m . c``; the used-bin gap is the spread between the
+    costliest bin holding more than ``used_mass_fraction`` of the class and
+    the cheapest bin anywhere.  ``costs`` is the :func:`bin_costs` of
+    ``assignment``, computed here when omitted.  An assignment holding no
+    mass has an empty report.
     """
     masses = assignment.masses
     if not masses.any():
-        return GapReport(gap={}, relative_gap={})
+        return GapReport(gap={}, relative_gap={}, weighted_gap={})
     if costs is None:
         costs = bin_costs(assignment, scenario)
     gaps: dict[VehicleClass, float] = {}
     rels: dict[VehicleClass, float] = {}
+    weighted: dict[VehicleClass, float] = {}
     for row, cls in enumerate(CLASS_ORDER):
         population = scenario.population(cls)
         if population <= 0.0:
             continue
-        used = masses[row] > used_mass_fraction * population
-        if not used.any():
-            used = masses[row] > 0.0
+        m = masses[row]
         c = costs[row]
         c_min = float(c.min())
+        used = m > used_mass_fraction * population
+        if not used.any():
+            used = m > 0.0
         gap = float(c[used].max()) - c_min
         gaps[cls] = gap
-        rels[cls] = gap / max(c_min, 1e-12)
-    return GapReport(gap=gaps, relative_gap=rels)
+        floor = max(c_min, 1e-12)
+        rels[cls] = gap / floor
+        base = float(m.sum()) * floor
+        weighted[cls] = (float(m.dot(c)) - base) / base
+    return GapReport(gap=gaps, relative_gap=rels, weighted_gap=weighted)
 
 
 def run_until_converged(
     scenario: Scenario,
     bin_width: float = 1.0 / 60.0,
     eta: float = 0.05,
-    gap_tol: float = 1e-3,
+    gap_tol: float = 3e-5,
     max_days: int = 10000,
     used_mass_fraction: float = USED_MASS_FRACTION,
 ) -> tuple[BinAssignment, GapReport]:
-    """Iterate :func:`day_step` until the relative gap drops below ``gap_tol``.
+    """Iterate :func:`day_step` until every class's weighted gap drops below ``gap_tol``.
+
+    The stop measure is :attr:`GapReport.worst_weighted_gap`, the largest
+    per-class ``sum m (c - c_min) / sum m c_min``: the mean cost excess of a
+    class over its cheapest bin, relative to that cost.  A bin's weight is its
+    mass, so a nearly drained edge bin no longer holds the run open; the
+    used-bin ``relative_gap`` rides along as a diagnostic.  The weighted gap
+    is a much smaller number than the used-bin gap at the same state: on the
+    bundled corridor the default 3e-5 stops at mpr 0 with a used-bin gap near
+    5.5e-3, while a ``gap_tol`` of 1e-3 stops that run after 393 days, 1.33%
+    of the peak delay away from the analytic profile.
 
     Each day calls :func:`bin_costs`, :func:`gap_measure` and :func:`day_step`
     once; the schedule penalty of the bin centers is computed once per grid
@@ -284,54 +318,61 @@ def run_until_converged(
         report = GapReport(
             gap={},
             relative_gap={},
+            weighted_gap={},
             converged=True,
             days=0,
             stop_reason="empty",
             trace=np.zeros((1, len(CLASS_ORDER))),
+            weighted_trace=np.zeros((1, len(CLASS_ORDER))),
         )
         return assignment, report
 
-    def trace_row(report: GapReport) -> list[float]:
-        return [report.relative_gap.get(cls, 0.0) for cls in CLASS_ORDER]
+    # both gaps per class per day, flat: 8 bytes a value, not a float object
+    # in a list per day
+    trace = array("d")
+
+    def record(report: GapReport) -> None:
+        trace.extend([report.relative_gap.get(cls, 0.0) for cls in CLASS_ORDER])
+        trace.extend([report.weighted_gap.get(cls, 0.0) for cls in CLASS_ORDER])
 
     # a near-empty bin's b*T*T underflows, and zero is the right value; one
     # errstate for the whole run, since entering one costs about 3% of a day
     with np.errstate(under="ignore"):
         # each day's costs are computed once: they score the day's state and
         # then drive the next day's moves
-        trace = []
         schedule = schedule_delay(assignment.centers, scenario)
         costs = bin_costs(assignment, scenario, schedule)
         report = gap_measure(assignment, scenario, used_mass_fraction, costs=costs)
-        trace.append(trace_row(report))
+        record(report)
         days = 0
         while days < max_days:
             # a too narrow initial spread can equalize costs inside a cramped
             # grid, so convergence is only accepted (and progress periodically
             # rechecked) with the support sitting clear of the grid edges
-            if report.worst_relative_gap < gap_tol or (days > 0 and days % 500 == 0):
+            if report.worst_weighted_gap < gap_tol or (days > 0 and days % 500 == 0):
                 grow_lo, grow_hi = crowded_edges(assignment, scenario, used_mass_fraction)
                 if grow_lo or grow_hi:
                     assignment = extend_grid(assignment, grow_lo, grow_hi)
                     schedule = schedule_delay(assignment.centers, scenario)
                     costs = bin_costs(assignment, scenario, schedule)
                     report = gap_measure(assignment, scenario, used_mass_fraction, costs=costs)
-                elif report.worst_relative_gap < gap_tol:
+                elif report.worst_weighted_gap < gap_tol:
                     break
             assignment = day_step(assignment, scenario, eta, costs=costs)
             days += 1
             costs = bin_costs(assignment, scenario, schedule)
             report = gap_measure(assignment, scenario, used_mass_fraction, costs=costs)
-            trace.append(trace_row(report))
+            record(report)
     grow_lo, grow_hi = crowded_edges(assignment, scenario, used_mass_fraction)
-    converged = report.worst_relative_gap < gap_tol and not (grow_lo or grow_hi)
-    final = GapReport(
-        gap=report.gap,
-        relative_gap=report.relative_gap,
+    converged = report.worst_weighted_gap < gap_tol and not (grow_lo or grow_hi)
+    rows = np.array(trace).reshape(-1, 2, len(CLASS_ORDER))
+    final = replace(
+        report,
         converged=converged,
         days=days,
         stop_reason="gap_tol" if converged else "max_days",
-        trace=np.asarray(trace),
+        trace=rows[:, 0],
+        weighted_trace=rows[:, 1],
     )
     return assignment, final
 

@@ -15,12 +15,17 @@ from commuteq import (
     EnergyModel,
     Scenario,
     VehicleClass,
+    bundled_scenario_path,
+    load_config,
     run_until_converged,
     solve_mixed,
     solve_single_class,
 )
 
 N_TOTAL = 3000.0
+
+#: The oracle settings the bundled scenario file ships, as the CLI runs them.
+BUNDLED_NUMERICS = load_config(bundled_scenario_path(), env={}).numerics
 
 
 def basic_scenario(mpr: float = 0.0) -> Scenario:
@@ -60,10 +65,14 @@ def mixed_solution(scenario):
     return solve_mixed(replace(scenario, mpr=0.5))
 
 
-def _timed_oracle(scenario_run: Scenario):
+def timed_oracle(scenario_run: Scenario):
     start = time.perf_counter()
     assignment, report = run_until_converged(
-        scenario_run, bin_width=1.0 / 60.0, eta=0.05, gap_tol=1e-3
+        scenario_run,
+        bin_width=BUNDLED_NUMERICS.bin_width,
+        eta=BUNDLED_NUMERICS.eta,
+        gap_tol=BUNDLED_NUMERICS.gap_tol,
+        max_days=BUNDLED_NUMERICS.max_days,
     )
     elapsed = time.perf_counter() - start
     return assignment, report, elapsed
@@ -71,14 +80,14 @@ def _timed_oracle(scenario_run: Scenario):
 
 @pytest.fixture(scope="session")
 def oracle_mpr0(scenario):
-    return _timed_oracle(scenario)
+    return timed_oracle(scenario)
 
 
 @pytest.fixture(scope="session")
 def oracle_mpr1(scenario):
-    return _timed_oracle(replace(scenario, mpr=1.0))
+    return timed_oracle(replace(scenario, mpr=1.0))
 
 
 @pytest.fixture(scope="session")
 def oracle_mixed(scenario):
-    return _timed_oracle(replace(scenario, mpr=0.5))
+    return timed_oracle(replace(scenario, mpr=0.5))

@@ -2,11 +2,12 @@
 
 import argparse
 import csv
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from commuteq import cli
+from commuteq import SolverError, bundled_scenario_path, cli, load_config
 from commuteq.cli import EXIT_INPUT, EXIT_IO, EXIT_OK, EXIT_SOLVER, PROFILE_COLUMNS, main
 
 GOLDEN_MAX_DELAY_EV = 0.3983845685044753  # bundled scenario has mpr = 1
@@ -235,6 +236,39 @@ class TestExitCodes:
         with np.errstate(under="raise"):
             assert main(["oracle", "--out", str(tmp_path / "o"), "--quiet"]) == EXIT_OK
             assert np.geterr()["under"] == "raise"
+
+
+class TestOracle:
+    def test_summary_and_trace_carry_both_gaps(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("CEQ_DEMAND_MPR", "1")
+        out = tmp_path / "o"
+        assert main(["oracle", "--out", str(out)]) == EXIT_OK
+        summary = _read_summary(out / "summary.txt")
+        gap_tol = load_config(bundled_scenario_path(), env={}).numerics.gap_tol
+        assert summary["converged"] == "true"
+        # the weighted gap is the stop measure; the used-bin gap is reported beside it
+        assert 0.0 <= float(summary["weighted_gap"]) < gap_tol
+        assert float(summary["relative_gap"]) >= 0.0
+        header, rows = _read_csv(out / "gap_trace.csv")
+        assert header == ["day", "rel_gap_gv", "rel_gap_ev", "weighted_gap_gv", "weighted_gap_ev"]
+        assert len(rows) == int(summary["days"]) + 1
+        assert [row[0] for row in rows[:3]] == ["0", "1", "2"]
+        assert rows[-1][4] == summary["weighted_gap"]  # all-EV: the EV columns decide
+        assert rows[-1][2] == summary["relative_gap"]
+        assert float(rows[0][4]) > gap_tol
+        assert f"weighted_gap={float(summary['weighted_gap']):.3e}" in capsys.readouterr().out
+
+    def test_unconverged_oracle_diagnostics_carry_both_gaps(self, tmp_path):
+        config = load_config(bundled_scenario_path(), env={})
+        config = replace(config, numerics=replace(config.numerics, max_days=5))
+        with pytest.raises(SolverError) as info:
+            cli.cmd_oracle(config, tmp_path, config.numerics.dt, quiet=True)
+        diagnostics = info.value.diagnostics
+        assert diagnostics["days"] == 5
+        assert diagnostics["weighted_gap"] > config.numerics.gap_tol
+        assert diagnostics["relative_gap"] > 0.0
+        summary = _read_summary(tmp_path / "summary.txt")
+        assert float(summary["weighted_gap"]) == pytest.approx(diagnostics["weighted_gap"], rel=1e-9)
 
 
 class TestDeterminism:

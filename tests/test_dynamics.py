@@ -24,7 +24,7 @@ from commuteq import (
     solve_single_class,
 )
 from commuteq.dynamics import CLASS_ORDER, BinAssignment, bin_costs
-from conftest import N_TOTAL, basic_scenario
+from conftest import BUNDLED_NUMERICS, N_TOTAL, basic_scenario, timed_oracle
 
 BIN_WIDTH = 1.0 / 60.0
 
@@ -144,6 +144,9 @@ def _assert_no_stale_grid_state(assignment: BinAssignment, report, sc: Scenario)
     expected = [fresh.relative_gap.get(cls, 0.0) for cls in CLASS_ORDER]
     assert report.trace[-1].tolist() == expected
     assert report.relative_gap == fresh.relative_gap
+    expected = [fresh.weighted_gap.get(cls, 0.0) for cls in CLASS_ORDER]
+    assert report.weighted_trace[-1].tolist() == expected
+    assert report.weighted_gap == fresh.weighted_gap
 
 
 def _random_state(rng, case: int) -> tuple[BinAssignment, np.ndarray, float]:
@@ -294,12 +297,44 @@ class TestGapMeasure:
         report = gap_measure(init_assignment(sc, BIN_WIDTH), sc)
         assert report.gap == {}
         assert report.worst_relative_gap == 0.0
+        assert report.worst_weighted_gap == 0.0
 
     def test_equal_cost_state_has_zero_gap(self):
         sc = basic_scenario()
         assignment = _equal_cost_assignment(sc, level=4.0)
         report = gap_measure(assignment, sc)
         assert report.gap[VehicleClass.GV] <= 1e-9
+        assert 0.0 <= report.weighted_gap[VehicleClass.GV] <= 1e-9
+
+    def test_weighted_gap_matches_its_definition(self):
+        sc = basic_scenario(mpr=0.5)
+        rng = np.random.default_rng(2004)
+        for case in range(50):
+            assignment, costs, _ = _random_state(rng, case)
+            masses = assignment.masses
+            masses[:, 0] = 1.0  # both classes hold mass
+            report = gap_measure(assignment, sc, costs=costs)
+            for row, cls in enumerate(CLASS_ORDER):
+                m, c = masses[row], costs[row]
+                c_min = max(float(c.min()), 1e-12)
+                expected = float(np.sum(m * (c - c.min()))) / float(np.sum(m * c_min))
+                assert report.weighted_gap[cls] == pytest.approx(expected, rel=1e-9, abs=1e-15)
+
+    def test_near_empty_costly_bin_sets_only_the_used_bin_gap(self):
+        # one bin just above the used-mass cut, 1% dearer than the rest: the
+        # used-bin gap reads the full 1%, the weighted gap that share of it
+        sc = basic_scenario()
+        n = 10
+        masses = np.zeros((2, n))
+        masses[0] = (N_TOTAL - 6.0) / (n - 1)
+        masses[0, -1] = 6.0
+        costs = np.full((2, n), 4.0)
+        costs[0, -1] = 4.04
+        centers = 8.0 + BIN_WIDTH * np.arange(n, dtype=float)
+        assignment = BinAssignment(bin_width=BIN_WIDTH, centers=centers, masses=masses)
+        report = gap_measure(assignment, sc, costs=costs)
+        assert report.relative_gap[VehicleClass.GV] == pytest.approx(0.01)
+        assert report.weighted_gap[VehicleClass.GV] == pytest.approx(0.01 * 6.0 / N_TOTAL)
 
     def test_initial_spread_gap_dominated_by_schedule_penalty(self):
         # per-bin flows start tiny, so the cost spread is almost pure scheduling
@@ -335,7 +370,10 @@ class TestConvergedRuns:
         _, report, _ = oracle_mpr0
         assert report.converged
         assert report.stop_reason == "gap_tol"
-        assert report.worst_relative_gap < 1e-3
+        assert report.worst_weighted_gap < BUNDLED_NUMERICS.gap_tol
+        assert report.weighted_trace[-1].max() == report.worst_weighted_gap
+        # the used-bin gap is a diagnostic: about 5.5e-3 at this stop
+        print(f"used-bin relative gap at the stop: {report.worst_relative_gap:.3e}")
 
     def test_single_class_matches_analytic_profile(self, scenario, oracle_mpr0, gv_solution):
         assignment, _, _ = oracle_mpr0
@@ -346,9 +384,20 @@ class TestConvergedRuns:
         assert float(np.max(deviation)) <= 0.02
 
     def test_single_class_day_counts(self, oracle_mpr0, oracle_mpr1):
-        # the bundled corridor; any change to the update rule moves these
-        assert oracle_mpr0[1].days == 2831
-        assert oracle_mpr1[1].days == 1555
+        # the bundled corridor; any change to the update rule or the stop
+        # measure moves these
+        assert oracle_mpr0[1].days == 2034
+        assert oracle_mpr1[1].days == 1838
+
+    @pytest.mark.parametrize("scale", [0.99, 1.01])
+    def test_day_count_is_steady_under_a_small_demand_change(self, oracle_mpr1, scale):
+        # the used-bin stop took 9,450 and 8,725 days here against 1,555 at
+        # the bundled demand, while one edge bin drained
+        sc = basic_scenario(mpr=1.0)
+        _, report, _ = timed_oracle(replace(sc, n_total=scale * sc.n_total))
+        assert report.converged
+        bundled_days = oracle_mpr1[1].days
+        assert abs(report.days - bundled_days) <= 0.25 * bundled_days
 
     def test_gap_trend_over_fifty_day_windows(self, oracle_mpr0):
         _, report, _ = oracle_mpr0

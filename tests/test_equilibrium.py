@@ -26,7 +26,7 @@ from commuteq import (
 from commuteq import equilibrium
 from commuteq.cli import EXIT_OK, main
 from commuteq.equilibrium import window_mass
-from commuteq.model import congestion_cost_map, delay_from_flow
+from commuteq.model import CostMap, congestion_cost_map, delay_from_flow
 from commuteq.numerics import trapezoid_refine
 from commuteq.scenario_io import Numerics, ScenarioConfig, emit_config
 from commuteq.toll import invert_marginal_social_cost, marginal_social_cost_map
@@ -428,6 +428,42 @@ class TestConservationRoot:
         assert len(evals) == 400
         assert worst <= 1e-12
         assert max(evals) <= 15
+
+
+class TestComparativeStatics:
+    """The single-class peak delay and cost against the cost-map coefficients.
+
+    With F(T; a, b) = a T^(1+p)/(1+p) + 2b T^(2+p)/(2+p) held at N / (K R m^-p)
+    and C = a T + b T^2 (README, "Why EVs narrow the peak"):
+    dT/da = -T/((1+p)(a+2bT)), dT/db = -2T^2/((2+p)(a+2bT)),
+    dC/da = pT/(1+p) and dC/db = pT^2/(2+p).
+    """
+
+    @pytest.mark.parametrize("cls", [VehicleClass.GV, VehicleClass.EV])
+    def test_derivatives_match_finite_differences(self, cls):
+        sc = basic_scenario()
+        cmap = congestion_cost_map(sc.energy_model(cls), sc)
+        p = 1.0 / sc.nu
+
+        def root(a, b):
+            delay = equilibrium.conservation_root(sc, CostMap(a, b), N_TOTAL, 1e-14)
+            return delay, a * delay + b * delay * delay
+
+        a, b = cmap.a, cmap.b
+        delay, _ = root(a, b)
+        slope = a + 2.0 * b * delay
+        exact = {
+            "a": (-delay / ((1.0 + p) * slope), p * delay / (1.0 + p)),
+            "b": (-2.0 * delay**2 / ((2.0 + p) * slope), p * delay**2 / (2.0 + p)),
+        }
+        for name, (d_delay, d_cost) in exact.items():
+            h = 1e-4 * (a if name == "a" else b)
+            up = root(a + h, b) if name == "a" else root(a, b + h)
+            down = root(a - h, b) if name == "a" else root(a, b - h)
+            assert (up[0] - down[0]) / (2.0 * h) == pytest.approx(d_delay, rel=1e-6), name
+            assert (up[1] - down[1]) / (2.0 * h) == pytest.approx(d_cost, rel=1e-6), name
+            # lowering either coefficient raises the peak delay and narrows the window
+            assert d_delay < 0.0 < d_cost
 
 
 class TestSampleProfiles:

@@ -1,5 +1,6 @@
 """Scenario file parsing, validation messages, round trips, env overrides."""
 
+import inspect
 from collections.abc import Mapping
 
 import pytest
@@ -13,6 +14,7 @@ from commuteq import (
     emit_config,
     load_config,
     load_scenario,
+    run_until_converged,
 )
 from commuteq.scenario_io import parse_config_text
 
@@ -60,6 +62,13 @@ class TestBundledScenario:
         assert sc.t_star == 8.0
         assert (sc.gv_energy.c1, sc.gv_energy.c2) == (4.0, 16.8)
         assert (sc.ev_energy.c1, sc.ev_energy.c2) == (0.5, 3.0)
+
+    def test_gap_tol_default_is_the_shipped_one(self):
+        # the oracle's stop threshold is shipped in three places; they agree
+        bundled = load_config(bundled_scenario_path(), env={}).numerics.gap_tol
+        assert Numerics().gap_tol == bundled
+        default = inspect.signature(run_until_converged).parameters["gap_tol"].default
+        assert default == bundled
 
     def test_load_scenario_shortcut(self):
         sc = load_scenario(bundled_scenario_path(), env={})
@@ -138,7 +147,7 @@ class TestNumerics:
         numerics = load_config(path, env={}).numerics
         assert numerics.eta == 0.1
         assert numerics.max_days == 500
-        assert numerics.gap_tol == 1e-3
+        assert numerics.gap_tol == 3e-5
 
     def test_invalid_eta(self):
         with pytest.raises(ScenarioError, match="eta"):
