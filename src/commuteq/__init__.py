@@ -33,14 +33,12 @@ from .metrics import (
     total_cost_breakdown,
 )
 from .model import (
-    CostComponents,
     EnergyModel,
     Scenario,
     VehicleClass,
     average_speed,
     congestion_cost,
     congestion_cost_slope,
-    cost_components,
     delay_from_flow,
     energy_cost,
     flow_from_delay,
@@ -74,7 +72,6 @@ __all__ = [
     "ClassSegment",
     "CommuteqError",
     "CostBreakdown",
-    "CostComponents",
     "EnergyModel",
     "EquilibriumSolution",
     "GapReport",
@@ -94,7 +91,6 @@ __all__ = [
     "compute_toll",
     "congestion_cost",
     "congestion_cost_slope",
-    "cost_components",
     "day_step",
     "delay_from_flow",
     "emit_config",

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -229,7 +230,7 @@ def cmd_toll(config: ScenarioConfig, out_dir: Path, dt: float, incentive: bool, 
             ("tolled_equilibrium_residual", residual),
             ("window_start_hours", so.window[0]),
             ("window_end_hours", so.window[1]),
-            ("duration_hours", so.window[1] - so.window[0]),
+            ("duration_hours", so.duration),
             ("max_delay_hours", so.max_delay),
             ("max_toll", float(np.max(schedule.toll)) if schedule.toll.size else 0.0),
             ("toll_revenue", so.toll_revenue),
@@ -332,20 +333,26 @@ def cmd_oracle(config: ScenarioConfig, out_dir: Path, dt: float, quiet: bool) ->
 
 def _parse_mpr_list(spec: str) -> list[float]:
     spec = spec.strip()
-    if ":" in spec:
-        parts = spec.split(":")
-        if len(parts) != 3:
-            raise ScenarioError(f"--mpr range must be start:step:stop, got {spec!r}")
-        start, step, stop = (float(p) for p in parts)
-        if step <= 0.0:
-            raise ScenarioError("--mpr range step must be positive")
+    is_range = ":" in spec
+    parts = spec.split(":") if is_range else [p for p in spec.split(",") if p.strip()]
+    if is_range and len(parts) != 3:
+        raise ScenarioError(f"--mpr range must be start:step:stop, got {spec!r}")
+    try:
+        numbers = [float(p) for p in parts]
+    except ValueError:
+        raise ScenarioError(f"could not parse --mpr {spec!r}") from None
+    if is_range:
+        start, step, stop = numbers
+        # NaN fails every comparison, so these also reject non-finite parts
+        if not 0.0 < step < math.inf:
+            raise ScenarioError(f"--mpr range step must be positive and finite, got {spec!r}")
+        for v in (start, stop):
+            if not 0.0 <= v <= 1.0:
+                raise ScenarioError(f"--mpr range endpoint {v} outside [0,1]")
         count = int(round((stop - start) / step))
         values = [start + i * step for i in range(count + 1) if start + i * step <= stop + 1e-12]
     else:
-        try:
-            values = [float(p) for p in spec.split(",") if p.strip()]
-        except ValueError:
-            raise ScenarioError(f"could not parse --mpr list {spec!r}") from None
+        values = numbers
     values = [round(v, 12) for v in values]
     for v in values:
         if not 0.0 <= v <= 1.0:
@@ -409,8 +416,8 @@ def main(argv: list[str] | None = None) -> int:
         scenario_path = args.scenario if args.scenario is not None else bundled_scenario_path()
         config = load_config(scenario_path)
         dt = (args.dt / 60.0) if args.dt is not None else config.numerics.dt
-        if dt <= 0.0:
-            raise ScenarioError("--dt must be positive")
+        if not 0.0 < dt < math.inf:  # NaN fails both comparisons
+            raise ScenarioError(f"--dt must be positive and finite, got {args.dt}")
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         if args.command == "solve":

@@ -17,12 +17,19 @@ delay, so substituting the delay for the residual makes that integral a
 closed form in the delay (see :func:`window_mass`): the masses are exact,
 with no quadrature and no inversion, and each conservation root is solved
 for the delay, whose cost then follows from the map.
+
+Every solved pattern is an :class:`EquilibriumSolution`.  The system optimum
+(:class:`toll.SystemOptimum`) is one too: the single-class solve with Psi in
+place of Phi, selected by the class attribute ``optimum``.  One per-segment
+inversion (:func:`_segment_delay`) gives the delay for the solver's profile,
+for :func:`sample_profiles` and for :func:`solution_delay`, on either map.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -88,8 +95,13 @@ class TimeProfile:
 
 @dataclass(frozen=True)
 class EquilibriumSolution:
-    """A solved departure pattern: window, segments, costs, counts, curves."""
+    """A solved departure pattern: window, segments, costs, counts, curves.
 
+    ``optimum`` picks the cost map the segments' delays invert: Phi for a
+    user equilibrium, Psi for a system optimum (:class:`toll.SystemOptimum`).
+    """
+
+    optimum: ClassVar[bool] = False
     scenario: Scenario
     window: tuple[float, float]
     segments: tuple[ClassSegment, ...]
@@ -214,40 +226,34 @@ def _solve_segment(
     dt: float,
     root_rtol: float,
     mixed_rtol: float,
-    optimum: bool = False,
-) -> tuple[ClassSegment, float, TimeProfile]:
-    """The whole fleet as one segment of ``model``'s class: segment, count, profile.
+    kind: type[EquilibriumSolution],
+) -> EquilibriumSolution:
+    """The whole fleet as one segment of ``model``'s class, built as a ``kind``.
 
-    Phi gives the single-class user equilibrium, Psi (``optimum``) the system
-    optimum.  The peak delay is the conservation root for ``n_total``, the
+    ``kind.optimum`` picks the map: Phi gives the single-class user
+    equilibrium, Psi the system optimum.  An empty fleet has no segment.
+    The peak delay is the conservation root for ``n_total``, the
     cost C is the map at that delay, the window [t* - C/beta, t* + C/gamma]
     has zero delay at both edges, and the exact count must match the fleet to
     ``mixed_rtol * n_total``.  ``model`` must be
     the scenario's own, as the sampler looks models up by class.
     """
+    if scenario.n_total == 0.0:
+        window = (scenario.t_star, scenario.t_star)
+        return kind(scenario, window, (), {}, {}, _sample(scenario, window, (), dt))
     if model != scenario.energy_model(model.vehicle_class):
         raise ValueError("model must be the scenario's energy model of its class")
-    cmap = (marginal_social_cost_map if optimum else congestion_cost_map)(model, scenario)
-    what = "system optimum" if optimum else "single-class equilibrium"
+    cmap = (marginal_social_cost_map if kind.optimum else congestion_cost_map)(model, scenario)
+    what = "system optimum" if kind.optimum else "single-class equilibrium"
     peak_delay = conservation_root(scenario, cmap, scenario.n_total, root_rtol)
     cost = cmap(peak_delay)
     count = window_mass(scenario, cmap, peak_delay)
     _check_conservation(scenario, what, (cost,), (count,), (scenario.n_total,), mixed_rtol)
     window = (scenario.t_star - cost / scenario.beta, scenario.t_star + cost / scenario.gamma)
-    segment = ClassSegment(model.vehicle_class, *window, cost)
-    return segment, count, _sample(scenario, window, (segment,), dt, optimum)
-
-
-def _empty_solution(scenario: Scenario, dt: float) -> EquilibriumSolution:
-    window = (scenario.t_star, scenario.t_star)
-    return EquilibriumSolution(
-        scenario=scenario,
-        window=window,
-        segments=(),
-        class_costs={},
-        class_counts={},
-        profile=_sample(scenario, window, (), dt),
-    )
+    cls = model.vehicle_class
+    segments = (ClassSegment(cls, *window, cost),)
+    profile = _sample(scenario, window, segments, dt, kind.optimum)
+    return kind(scenario, window, segments, {cls: cost}, {cls: count}, profile)
 
 
 def solve_single_class(
@@ -265,18 +271,7 @@ def solve_single_class(
     conservation map T -> absorbed commuters, whose count must match the
     fleet to ``mixed_rtol * n_total``.
     """
-    if scenario.n_total == 0.0:
-        return _empty_solution(scenario, dt)
-
-    segment, count, profile = _solve_segment(scenario, model, dt, root_rtol, mixed_rtol)
-    return EquilibriumSolution(
-        scenario=scenario,
-        window=profile.window,
-        segments=(segment,),
-        class_costs={model.vehicle_class: segment.equilibrium_cost},
-        class_counts={model.vehicle_class: count},
-        profile=profile,
-    )
+    return _solve_segment(scenario, model, dt, root_rtol, mixed_rtol, EquilibriumSolution)
 
 
 def solve_mixed(
@@ -299,9 +294,7 @@ def solve_mixed(
     against profitable deviations, and each class's absorbed count must match
     its population to ``mixed_rtol * n_total``.
     """
-    if scenario.n_total == 0.0:
-        return _empty_solution(scenario, dt)
-    if scenario.mpr == 0.0:
+    if scenario.mpr == 0.0 or scenario.n_total == 0.0:  # an empty fleet has no segment
         return solve_single_class(scenario, scenario.gv_energy, dt, root_rtol, mixed_rtol)
     if scenario.mpr == 1.0:
         return solve_single_class(scenario, scenario.ev_energy, dt, root_rtol, mixed_rtol)
@@ -385,6 +378,20 @@ def _validate_no_deviation(
             )
 
 
+def _segment_delay(
+    scenario: Scenario, seg: ClassSegment, sd: np.ndarray, optimum: bool
+) -> np.ndarray:
+    """Delay on ``seg`` at arrivals whose schedule penalty is ``sd``.
+
+    On the segment's isocost curve the delay is the class's cost map (Psi
+    with ``optimum``, else Phi) inverted at ``C - sd``, clipped at zero
+    where the penalty alone exceeds the cost.
+    """
+    model = scenario.energy_model(seg.vehicle_class)
+    cmap = (marginal_social_cost_map if optimum else congestion_cost_map)(model, scenario)
+    return cmap.invert(np.maximum(seg.equilibrium_cost - sd, 0.0))
+
+
 def _sample(
     scenario: Scenario,
     window: tuple[float, float],
@@ -412,7 +419,6 @@ def _sample(
     cost_sd = np.zeros_like(times)
     toll = np.zeros_like(times)
     active = np.full(times.shape, -1, dtype=np.int8)
-    cost_map = marginal_social_cost_map if optimum else congestion_cost_map
 
     tiny = 1e-12 * max(1.0, abs(t1))
     claimed = np.zeros(times.shape, dtype=bool)
@@ -423,8 +429,7 @@ def _sample(
         claimed |= mask
         model = scenario.energy_model(seg.vehicle_class)
         sd = schedule_delay(times[mask], scenario)
-        residual = np.maximum(seg.equilibrium_cost - sd, 0.0)
-        seg_delay = cost_map(model, scenario).invert(residual)
+        seg_delay = _segment_delay(scenario, seg, sd, optimum)
         seg_flow = flow_from_delay(seg_delay, scenario)
         delay[mask] = seg_delay
         if seg.vehicle_class is VehicleClass.GV:
@@ -457,22 +462,21 @@ def _sample(
 
 
 def sample_profiles(solution: EquilibriumSolution, dt: float) -> TimeProfile:
-    """Resample a solved pattern onto a uniform grid with spacing ``dt`` hours."""
+    """Resample a solved pattern (equilibrium or optimum) onto a uniform grid
+    with spacing ``dt`` hours; at the solve's own ``dt`` it is the solution's
+    profile."""
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    return _sample(solution.scenario, solution.window, solution.segments, dt)
+    return _sample(solution.scenario, solution.window, solution.segments, dt, solution.optimum)
 
 
 def solution_delay(solution: EquilibriumSolution, times: np.ndarray) -> np.ndarray:
-    """Exact equilibrium delay at arbitrary arrival times (0 outside the window)."""
+    """Exact delay of a solved pattern at arbitrary arrival times (0 outside the window)."""
     times = np.asarray(times, dtype=float)
     delay = np.zeros_like(times)
-    scenario = solution.scenario
     for seg in solution.segments:
         mask = (times >= seg.t_lo) & (times <= seg.t_hi)
-        if not np.any(mask):
-            continue
-        model = scenario.energy_model(seg.vehicle_class)
-        residual = np.maximum(seg.equilibrium_cost - schedule_delay(times[mask], scenario), 0.0)
-        delay[mask] = invert_congestion_cost(model, scenario, residual)
+        if np.any(mask):
+            sd = schedule_delay(times[mask], solution.scenario)
+            delay[mask] = _segment_delay(solution.scenario, seg, sd, solution.optimum)
     return delay

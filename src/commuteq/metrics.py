@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .equilibrium import TimeProfile
-from .toll import TollSchedule
 
 
 @dataclass(frozen=True)
@@ -89,34 +88,24 @@ def extra_congestion_delay(
     return grid, own - base
 
 
-def total_cost_breakdown(
-    profile: TimeProfile, toll: TollSchedule | None = None
-) -> CostBreakdown:
+def total_cost_breakdown(profile: TimeProfile) -> CostBreakdown:
     """Trapezoidal integrals of flow-weighted cost components over the grid.
 
-    Toll revenue comes from the profile's own toll column unless an explicit
-    schedule is supplied (it is then resampled onto the profile grid).
+    Toll revenue comes from the profile's own toll column.
     """
     t = profile.times
     f = profile.flow_total
     if t.size < 2 or not np.any(f > 0.0):
         return CostBreakdown(0.0, 0.0, 0.0, 0.0)
-    toll_curve = profile.toll
-    if toll is not None:
-        toll_curve = np.interp(t, toll.times, toll.toll, left=0.0, right=0.0)
     return CostBreakdown(
         travel_time=float(np.trapezoid(f * profile.cost_travel_time, t)),
         energy=float(np.trapezoid(f * profile.cost_energy, t)),
         schedule_delay=float(np.trapezoid(f * profile.cost_schedule, t)),
-        toll_revenue=float(np.trapezoid(f * toll_curve, t)),
+        toll_revenue=float(np.trapezoid(f * profile.toll, t)),
     )
 
 
-def summarize(
-    profile: TimeProfile,
-    baseline: TimeProfile | None = None,
-    toll: TollSchedule | None = None,
-) -> MetricsReport:
+def summarize(profile: TimeProfile, baseline: TimeProfile | None = None) -> MetricsReport:
     """Assemble the indicator report; ECP and ECD need a baseline profile."""
     max_delay = float(np.max(profile.delay)) if profile.delay.size else 0.0
     peak_flow = float(np.max(profile.flow_total)) if profile.flow_total.size else 0.0
@@ -132,7 +121,7 @@ def summarize(
         duration=profile.window[1] - profile.window[0],
         peak_flow=peak_flow,
         ecp=extra_congested_period(profile, baseline_max),
-        costs=total_cost_breakdown(profile, toll),
+        costs=total_cost_breakdown(profile),
         ecd_times=ecd_times,
         ecd_delta=ecd_delta,
     )

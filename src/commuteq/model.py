@@ -15,7 +15,7 @@ from __future__ import annotations
 import enum
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -144,22 +144,6 @@ class Scenario:
         return self.trip_km / self.s_max
 
 
-@dataclass(frozen=True)
-class CostComponents:
-    """One commuter's trip-cost breakdown ($); total is the exact float sum."""
-
-    travel_time: float
-    energy: float
-    schedule_delay: float
-    toll: float = 0.0
-    total: float = field(init=False)
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "total", self.travel_time + self.energy + self.schedule_delay + self.toll
-        )
-
-
 def _check_nonnegative(x: ArrayLike, what: str) -> None:
     if (np.asarray(x) < 0.0).any():
         raise ValueError(f"{what} must be nonnegative")
@@ -266,19 +250,3 @@ def flow_from_delay(delay: ArrayLike, scenario: Scenario) -> ArrayLike:
 def average_speed(delay: ArrayLike, scenario: Scenario) -> ArrayLike:
     """Average trip speed m / (m/s_max + T) in km/h."""
     return scenario.trip_km / (scenario.free_flow_hours + delay)
-
-
-def cost_components(
-    model: EnergyModel,
-    scenario: Scenario,
-    t: float,
-    delay: float,
-    toll: float = 0.0,
-) -> CostComponents:
-    """Trip-cost breakdown for an arrival at clock time ``t`` with delay ``delay``."""
-    return CostComponents(
-        travel_time=scenario.alpha * delay,
-        energy=float(energy_cost(model, delay)),
-        schedule_delay=float(schedule_delay(t, scenario)),
-        toll=toll,
-    )

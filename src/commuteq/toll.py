@@ -11,7 +11,11 @@ is the marginal social cost of the flow sustaining delay T.  Psi is strictly
 increasing, so the optimal delay profile is its inverse applied to
 ``lambda - SD(t)``: the system optimum is the single-class user equilibrium
 with Psi in place of Phi, solved and sampled by the same code, and the
-multiplier ``lambda`` is its conservation root.  Charging the externality
+multiplier ``lambda`` is the map at its conservation root.
+:class:`SystemOptimum` is that :class:`EquilibriumSolution`; its class
+attribute ``optimum`` selects Psi wherever the solution is sampled or its
+delay evaluated, and it adds only read-only views (the multiplier, the toll
+revenue and the total cost), no stored field.  Charging the externality
 part ``tau = nu * T * Phi'(T)`` at the optimal flows makes the pattern
 cost-constant for individuals, i.e. a user equilibrium of the tolled system;
 :func:`verify_tolled_equilibrium` certifies that identity.  The toll revenue
@@ -25,12 +29,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .dynamics import CLASS_ORDER, crowded_edges, extend_grid, init_assignment
-from .equilibrium import (
-    DEFAULT_DT,
-    TimeProfile,
-    _sample,
-    _solve_segment,
-)
+from .equilibrium import DEFAULT_DT, EquilibriumSolution, _solve_segment
 from .model import (
     EnergyModel,
     Scenario,
@@ -46,30 +45,32 @@ from .model import (
 from .numerics import project_to_simplex
 
 
-@dataclass(frozen=True)
-class SystemOptimum:
+class SystemOptimum(EquilibriumSolution):
     """Total-cost-minimizing pattern for one vehicle class.
 
-    ``multiplier`` is the shadow cost of one additional commuter ($); the
+    An :class:`EquilibriumSolution` on Psi: its one segment's cost is the
+    multiplier, the shadow cost of one additional commuter ($).  The
     profile's toll column already carries the externality charge, so its
     ``cost_total`` is constant at the multiplier across the window.
     """
 
-    scenario: Scenario
-    model: EnergyModel
-    multiplier: float
-    window: tuple[float, float]
-    profile: TimeProfile
-    total_cost: float
-    toll_revenue: float
+    optimum = True
 
     @property
-    def is_empty(self) -> bool:
-        return self.multiplier == 0.0
+    def multiplier(self) -> float:
+        return next(iter(self.class_costs.values()), 0.0)
 
     @property
-    def max_delay(self) -> float:
-        return float(np.max(self.profile.delay)) if self.profile.delay.size else 0.0
+    def toll_revenue(self) -> float:
+        if self.is_empty:
+            return 0.0
+        model = self.scenario.energy_model(self.segments[0].vehicle_class)
+        return _so_toll_revenue(self.scenario, model, self.multiplier)
+
+    @property
+    def total_cost(self) -> float:
+        """Social cost `lambda * N - revenue`: the toll is a transfer."""
+        return self.multiplier * self.scenario.n_total - self.toll_revenue
 
 
 @dataclass(frozen=True)
@@ -108,30 +109,7 @@ def solve_system_optimum(
     multiplier, whose profile carries the toll column.  The optimal pattern
     must absorb the fleet to ``mixed_rtol * n_total``.
     """
-    if scenario.n_total == 0.0:
-        window = (scenario.t_star, scenario.t_star)
-        return SystemOptimum(
-            scenario=scenario,
-            model=model,
-            multiplier=0.0,
-            window=window,
-            profile=_sample(scenario, window, (), dt),
-            total_cost=0.0,
-            toll_revenue=0.0,
-        )
-
-    segment, _, profile = _solve_segment(scenario, model, dt, root_rtol, mixed_rtol, optimum=True)
-    lam = segment.equilibrium_cost
-    revenue = _so_toll_revenue(scenario, model, lam)
-    return SystemOptimum(
-        scenario=scenario,
-        model=model,
-        multiplier=lam,
-        window=profile.window,
-        profile=profile,
-        total_cost=lam * scenario.n_total - revenue,
-        toll_revenue=revenue,
-    )
+    return _solve_segment(scenario, model, dt, root_rtol, mixed_rtol, SystemOptimum)
 
 
 def _so_toll_revenue(scenario: Scenario, model: EnergyModel, lam: float) -> float:
@@ -156,7 +134,10 @@ def _so_toll_revenue(scenario: Scenario, model: EnergyModel, lam: float) -> floa
 
 
 def compute_toll(so: SystemOptimum, model: EnergyModel, scenario: Scenario) -> TollSchedule:
-    """Toll schedule tau(t) = nu * T_so(t) * Phi'(T_so(t)): the optimum's toll column."""
+    """Toll schedule tau(t) = nu * T_so(t) * Phi'(T_so(t)): the optimum's toll column.
+
+    ``model`` and ``scenario`` are ignored; the optimum carries its own.
+    """
     return TollSchedule(times=so.profile.times.copy(), toll=so.profile.toll.copy(), optimum=so)
 
 
@@ -167,11 +148,14 @@ def verify_tolled_equilibrium(
 
     A valid schedule leaves every commuter of the optimal pattern paying
     exactly the multiplier, certifying that the system optimum is a user
-    equilibrium of the tolled system.
+    equilibrium of the tolled system.  ``scenario`` and ``model`` are
+    ignored; the optimum's own scenario and class model are used.
     """
     so = toll.optimum
     if so.is_empty:
         return 0.0
+    scenario = so.scenario
+    model = scenario.energy_model(so.segments[0].vehicle_class)
     inside = so.profile.active >= 0
     delay = so.profile.delay[inside]
     sd = schedule_delay(so.profile.times[inside], scenario)

@@ -230,6 +230,29 @@ class TestExitCodes:
         code = main(["solve", "--out", str(tmp_path / "o"), "--dt", "0", "--quiet"])
         assert code == EXIT_INPUT
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", "--dt", "nan"],
+            ["solve", "--dt", "inf"],
+            ["toll", "--dt", "inf"],
+            ["sweep", "--mpr", "0:0.1:inf"],
+            ["sweep", "--mpr", "0:nan:1"],
+            ["sweep", "--mpr", "nan:0.1:1"],
+            ["sweep", "--mpr", "0:inf:1"],
+            ["sweep", "--mpr", "0:0.1:1e300"],
+            ["sweep", "--mpr", "0:x:1"],
+            ["sweep", "--mpr", "nan,0.5"],
+        ],
+        ids=" ".join,
+    )
+    def test_non_finite_numbers_are_input_errors(self, tmp_path, capsys, argv):
+        out = tmp_path / "o"
+        assert main([*argv, "--out", str(out), "--quiet"]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("commuteq: input error: ") and err.count("\n") == 1
+        assert not (out / "summary.txt").exists()
+
     def test_oracle_underflow_is_flushed_under_a_raising_error_state(self, tmp_path, monkeypatch):
         # near-empty bins underflow in b*T*T; at mpr 0 that raised out of main
         monkeypatch.setenv("CEQ_DEMAND_MPR", "0")

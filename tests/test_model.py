@@ -14,7 +14,6 @@ from commuteq import (
     average_speed,
     congestion_cost,
     congestion_cost_slope,
-    cost_components,
     delay_from_flow,
     energy_cost,
     flow_from_delay,
@@ -260,16 +259,3 @@ class TestScenarioValidation:
         sc = basic_scenario(mpr=0.3)
         assert_allclose(sc.population(VehicleClass.GV), 2100.0)
         assert_allclose(sc.population(VehicleClass.EV), 900.0)
-
-
-class TestCostComponents:
-    def test_total_is_exact_sum(self, sc):
-        parts = cost_components(sc.gv_energy, sc, t=7.5, delay=0.25, toll=1.25)
-        assert parts.total == parts.travel_time + parts.energy + parts.schedule_delay + parts.toll
-
-    def test_component_values(self, sc):
-        parts = cost_components(sc.ev_energy, sc, t=8.0, delay=1.0)
-        assert_allclose(parts.travel_time, 8.4, rtol=1e-15)
-        assert_allclose(parts.energy, 3.5, rtol=1e-15)
-        assert parts.schedule_delay == 0.0
-        assert parts.toll == 0.0

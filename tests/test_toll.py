@@ -1,6 +1,6 @@
 """System-optimum and toll tests: optimality conditions and decentralization."""
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -8,6 +8,7 @@ from numpy.testing import assert_allclose
 
 from commuteq import (
     EnergyModel,
+    EquilibriumSolution,
     SolverError,
     TollSchedule,
     VehicleClass,
@@ -16,6 +17,8 @@ from commuteq import (
     invert_marginal_social_cost,
     marginal_social_cost,
     minimize_binned_total_cost,
+    sample_profiles,
+    solution_delay,
     solve_system_optimum,
     toll_at_delay,
     verify_tolled_equilibrium,
@@ -117,6 +120,37 @@ class TestSystemOptimum:
         # the profile is sampled with the scenario's model of the class
         with pytest.raises(ValueError, match="energy model"):
             solve_system_optimum(sc, EnergyModel(VehicleClass.EV, 1.0, 2.0))
+
+
+def _single_class_optimum(mpr):
+    sc = basic_scenario(mpr=mpr)
+    return solve_system_optimum(sc, sc.energy_model(VehicleClass.EV if mpr else VehicleClass.GV))
+
+
+class TestOneSolutionType:
+    def test_optimum_is_an_equilibrium_solution(self, so):
+        assert isinstance(so, EquilibriumSolution)
+        assert so.optimum and not EquilibriumSolution.optimum
+
+    @pytest.mark.parametrize("mpr", [0.0, 1.0])
+    def test_resampling_at_the_solve_dt_reproduces_the_profile(self, mpr):
+        optimum = _single_class_optimum(mpr)
+        resampled = sample_profiles(optimum, optimum.profile.dt)
+        for field in fields(resampled):
+            name = field.name
+            assert np.array_equal(getattr(resampled, name), getattr(optimum.profile, name)), name
+
+    @pytest.mark.parametrize("mpr", [0.0, 1.0])
+    def test_solution_delay_inverts_psi(self, mpr):
+        optimum = _single_class_optimum(mpr)
+        delay = solution_delay(optimum, optimum.profile.times)
+        assert np.array_equal(delay, optimum.profile.delay)
+
+    def test_verification_uses_the_optimums_own_scenario(self, sc, so, schedule):
+        shifted = replace(sc, t_star=sc.t_star + 1.0)
+        assert verify_tolled_equilibrium(schedule, shifted, sc.ev_energy) == (
+            verify_tolled_equilibrium(schedule, sc, sc.ev_energy)
+        )
 
 
 def _trapezoid_revenue(sc, model, lam, rtol=1e-12):
