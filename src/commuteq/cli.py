@@ -33,6 +33,9 @@ EXIT_INPUT = 2
 EXIT_SOLVER = 3
 EXIT_IO = 4
 
+#: Most rows a ``sweep --mpr start:step:stop`` range may expand to (a step of 1e-4 on [0, 1]).
+MAX_MPR_ROWS = 10_001
+
 PROFILE_COLUMNS = (
     "t_hours",
     "delay_hours",
@@ -349,7 +352,20 @@ def _parse_mpr_list(spec: str) -> list[float]:
         for v in (start, stop):
             if not 0.0 <= v <= 1.0:
                 raise ScenarioError(f"--mpr range endpoint {v} outside [0,1]")
-        count = int(round((stop - start) / step))
+        # checked before any list is built; a subnormal step overflows the
+        # ratio to inf, which fails the check too, and the message then
+        # takes the row count from logarithms
+        ratio = (stop - start) / step
+        if not ratio < MAX_MPR_ROWS - 0.5:
+            rows = (
+                f"{ratio + 1.0:.6g}"
+                if math.isfinite(ratio)
+                else f"about 1e{math.log10(stop - start) - math.log10(step):+.0f}"
+            )
+            raise ScenarioError(
+                f"--mpr range {spec!r} expands to {rows} rows, more than {MAX_MPR_ROWS}"
+            )
+        count = int(round(ratio))
         values = [start + i * step for i in range(count + 1) if start + i * step <= stop + 1e-12]
     else:
         values = numbers

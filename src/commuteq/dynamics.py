@@ -8,17 +8,27 @@ on the analytic solvers: the two share only the core cost formulas.  A run
 stops once every class's mass-weighted relative gap is small
 (:func:`run_until_converged`).
 
-The update is a deterministic proportional swap.  Each day, every bin whose
-cost exceeds its class minimum sends a fraction of its mass toward cheaper
-bins: the sending fraction is ``eta`` scaled down by the bin's own cost
-excess relative to the current minimum cost, and the sent mass is split over
-all cheaper bins in proportion to the pairwise cost advantage.  Far from
-equilibrium this moves the full ``eta`` share; near it the flux vanishes
-proportionally to the remaining gap, which makes the equal-cost fixed points
-attracting.  (A swap that always dumps the full ``eta`` share into the
-single cheapest bin overshoots: the receiving bin's cost jumps by roughly
-``eta * N * dc/dm``, orders of magnitude above any useful gap tolerance, and
-the system limit-cycles instead of converging.)
+The update is a deterministic proportional swap with a Newton-scaled
+sending fraction.  Each day, every bin whose cost exceeds its class minimum
+sends a fraction of its class mass toward cheaper bins, and the sent mass is
+split over all cheaper bins in proportion to the pairwise cost advantage
+(Smith, "The stability of a dynamic model of traffic assignment", Transp.
+Sci. 1984).  The fraction is ``eta * min(1, e/s)``: ``e`` is the bin's cost
+excess over the class minimum and ``s`` the relief, the cost drop that
+removing the class's whole mass from the bin would bring, linearized in the
+delay.  So a bin takes ``eta`` of the Newton step that would bring its cost
+down to the minimum, measured against how fast its own cost responds, as in
+path-based assignment (Jayakrishnan et al., "A faster path-based algorithm
+for traffic assignment", TRR 1443, 1994).  The fraction is 0 exactly when
+the excess is, so the equal-cost fixed points are the same as for any
+proportional swap.  On the bundled corridor a run takes 45 / 489 / 46
+days (mpr 0 / 0.5 / 1) at the shipped ``eta`` of 0.25.  Mixed fleets bound
+``eta``: from about 0.55 up, mixed runs oscillate instead of converging (a
+class's relief leaves out the other class moving through the same bins),
+while single-class runs converge up to ``eta = 1``.  (A swap that always
+dumps the full ``eta`` share into the single cheapest bin overshoots too:
+the receiving bin's cost jumps by roughly ``eta * N * dc/dm``, orders of
+magnitude above any useful gap tolerance, and the system limit-cycles.)
 
 The pairwise split never forms the n x n advantage matrix.  With the bins
 sorted once by cost excess, a bin's total advantage over cheaper bins and
@@ -30,8 +40,8 @@ so the day loop keeps the call count down: the schedule penalty of the bin
 centers is computed once per grid (again only after the grid grows), the
 flow is checked for negative values once per day, and each class's day
 step runs in sorted coordinates with one gather and one scatter.  On the
-bundled corridor (237 bins) a day costs about 80 us for one class and
-120 us for two, best of 7 on a quiet shared 2-vCPU host.
+bundled corridor (135 bins) a day costs about 110 us for one class and
+230 us for two, best of 7 on a shared 2-vCPU host.
 """
 
 from __future__ import annotations
@@ -45,11 +55,13 @@ import numpy as np
 from .model import (
     Scenario,
     VehicleClass,
-    congestion_cost,
     congestion_cost_map,
+    congestion_cost_slope,
     delay_from_flow,
+    flow_from_delay,
     schedule_delay,
 )
+from .numerics import solve_bracketed
 
 CLASS_ORDER = (VehicleClass.GV, VehicleClass.EV)
 
@@ -144,16 +156,31 @@ def bin_costs(
 def init_assignment(scenario: Scenario, bin_width: float) -> BinAssignment:
     """Uniform starting spread, centered on the preferred arrival time.
 
-    The spread width doubles a generous rush-duration heuristic: the window
-    a single class would need at the congestion cost of pushing the whole
-    population through within one hour.  Any strictly positive spread works;
-    convergence, not the start, carries the correctness burden.
+    The spread is twice the rush window ``W`` of a GV fleet arriving at the
+    uniform flow ``N/W``: ``W = (1/beta + 1/gamma) * Phi_gv(T(N/W))``, so each
+    side of the preferred time gets ``W``.  The root is solved for the delay
+    of that uniform flow, where ``K * Phi_gv(T) * f(T) - N`` rises from
+    ``-N`` at ``T = 0`` and is convex, since ``Phi_gv(T) * f(T)`` is a sum of
+    powers of ``T`` above 1.  Any strictly positive spread works;
+    convergence, not the start, carries the correctness burden, and the
+    run grows a grid whose edges the support reaches.
     """
     if bin_width <= 0.0:
         raise ValueError("bin_width must be positive")
-    heuristic_delay = delay_from_flow(scenario.n_total, scenario)
-    heuristic_cost = congestion_cost(scenario.gv_energy, scenario, heuristic_delay)
-    half_width = (1.0 / scenario.beta + 1.0 / scenario.gamma) * float(heuristic_cost)
+    k = 1.0 / scenario.beta + 1.0 / scenario.gamma
+    cost = congestion_cost_map(scenario.gv_energy, scenario)
+    n = scenario.n_total
+    p = 1.0 / scenario.nu
+
+    def shortfall(delay: float) -> tuple[float, float]:
+        flow = float(flow_from_delay(delay, scenario))
+        value = k * cost(delay) * flow - n
+        # d/dT [Phi f] = f * (Phi' + Phi / (nu T)), with Phi / T = a + b T
+        return value, k * flow * (cost.a + 2.0 * cost.b * delay + p * (cost.a + cost.b * delay))
+
+    # Phi(T) >= a T bounds the root: K a T f(T) = N at this delay
+    ceiling = (n * scenario.trip_km**p / (k * cost.a * scenario.capacity_r)) ** (1.0 / (1.0 + p))
+    half_width = k * cost(solve_bracketed(shortfall, 0.0, ceiling, rtol=1e-6))
     half_bins = max(int(math.ceil(half_width / bin_width)), 2)
     centers = scenario.t_star + bin_width * np.arange(-half_bins, half_bins + 1, dtype=float)
     masses = np.zeros((2, centers.size))
@@ -170,11 +197,18 @@ def day_step(
 ) -> BinAssignment:
     """Advance one day: per class, swap mass from costly bins toward cheaper ones.
 
-    Bin ``i`` sends ``o_i = eta * m_i * min(1, (c_i - c_min) / c_min)``,
-    split over cheaper bins proportionally to the pairwise cost difference.
-    All moves use the costs observed at the start of the day (``costs``, the
-    :func:`bin_costs` of ``assignment``, computed here when omitted), and
-    each class's total mass is conserved exactly.
+    Bin ``i`` sends ``o_i = eta * m_i * min(1, e_i / s_i)`` of its class
+    mass ``m_i``, split over cheaper bins proportionally to the pairwise cost
+    difference.  ``e_i = c_i - c_min`` is the bin's cost excess and
+    ``s_i = Phi'(T_i) * nu * T_i * m_i / M_i`` its relief: the delay
+    ``T = m (f/R)**nu`` of the bin's total mass ``M_i`` rises at
+    ``dT/dM = nu * T / M``, so ``s_i`` is the class cost the bin would shed,
+    linearized, if its ``m_i`` left.  The fraction is a damped Newton step
+    toward the class minimum; it is 0 exactly when ``e_i`` is, and a bin
+    holding none of the class (``s_i = 0``) sends nothing.  The delays come
+    from the masses; all moves use the costs observed at the start of the
+    day (``costs``, the :func:`bin_costs` of ``assignment``, computed here
+    when omitted), and each class's total mass is conserved exactly.
 
     The split is evaluated in the cost excess ``e = c - c_min``, sorted once
     per class.  With ``d_t`` the gap between sorted positions ``t-1`` and
@@ -196,19 +230,26 @@ def day_step(
     n = masses.shape[1]
     new_masses = masses.copy()
     steps = np.arange(1, n, dtype=float)
-    for row in range(len(CLASS_ORDER)):
+    bin_mass = masses.sum(axis=0)
+    delay = delay_from_flow(bin_mass / assignment.bin_width, scenario)
+    # dT/dM = nu*T/M, the delay's rise per unit of bin mass; 0 at an empty bin
+    delay_rise = np.divide(scenario.nu * delay, bin_mass, out=np.zeros(n), where=bin_mass > 0.0)
+    for row, cls in enumerate(CLASS_ORDER):
         m = masses[row]
         total = float(m.sum())
         if total <= 0.0:
             continue
         c = costs[row]
-        c_min = float(c.min())
-        excess = c - c_min
+        excess = c - c.min()
+        # the cost the bin would shed if its whole class mass left, linearized
+        relief = congestion_cost_slope(scenario.energy_model(cls), scenario, delay) * delay_rise * m
         order = excess.argsort(kind="stable")
         # from here to the scatter, every array is in sorted position order
         excess = excess[order]
+        relief = relief[order]
         sorted_m = m[order]
-        outflow = eta * sorted_m * np.minimum(1.0, excess / max(c_min, 1e-12))
+        fraction = np.divide(excess, relief, out=np.ones(n), where=relief > excess)
+        outflow = eta * sorted_m * fraction
         rise = excess[1:] - excess[:-1]
         weight_sum = np.empty(n)
         weight_sum[0] = 0.0
@@ -283,7 +324,7 @@ def gap_measure(
 def run_until_converged(
     scenario: Scenario,
     bin_width: float = 1.0 / 60.0,
-    eta: float = 0.05,
+    eta: float = 0.25,
     gap_tol: float = 3e-5,
     max_days: int = 10000,
     used_mass_fraction: float = USED_MASS_FRACTION,
@@ -295,10 +336,9 @@ def run_until_converged(
     class over its cheapest bin, relative to that cost.  A bin's weight is its
     mass, so a nearly drained edge bin no longer holds the run open; the
     used-bin ``relative_gap`` rides along as a diagnostic.  The weighted gap
-    is a much smaller number than the used-bin gap at the same state: on the
-    bundled corridor the default 3e-5 stops at mpr 0 with a used-bin gap near
-    5.5e-3, while a ``gap_tol`` of 1e-3 stops that run after 393 days, 1.33%
-    of the peak delay away from the analytic profile.
+    is the smaller number at the same state: on the bundled corridor the
+    default 3e-5 stops at mpr 0 after 45 days with a used-bin gap of 4.2e-5,
+    and at mpr 0.5 after 489 days with one of 1.6e-3.
 
     Each day calls :func:`bin_costs`, :func:`gap_measure` and :func:`day_step`
     once; the schedule penalty of the bin centers is computed once per grid

@@ -9,6 +9,7 @@ from __future__ import annotations
 import time
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from commuteq import (
@@ -63,6 +64,25 @@ def ev_solution(scenario):
 @pytest.fixture(scope="session")
 def mixed_solution(scenario):
     return solve_mixed(replace(scenario, mpr=0.5))
+
+
+def gv_ev_gv_pattern(assignment, t_star: float, used_mass: float) -> tuple[bool, bool, bool]:
+    """Criterion 3's shape check of a converged mixed oracle run.
+
+    Over the bins holding more than ``used_mass`` of a class: whether the EV
+    bins are contiguous, whether they straddle ``t_star``, and whether GV bins
+    flank them on both sides with none inside the EV block.
+    """
+    used_ev = np.nonzero(assignment.class_mass(VehicleClass.EV) > used_mass)[0]
+    used_gv = np.nonzero(assignment.class_mass(VehicleClass.GV) > used_mass)[0]
+    contiguous = bool(np.all(np.diff(used_ev) == 1))
+    centers = assignment.centers
+    contains_center = bool(centers[used_ev[0]] < t_star < centers[used_ev[-1]])
+    interior_gv = used_gv[(used_gv > used_ev[0]) & (used_gv < used_ev[-1])]
+    flanked = bool(
+        interior_gv.size == 0 and used_gv.min() < used_ev[0] and used_gv.max() > used_ev[-1]
+    )
+    return contiguous, contains_center, flanked
 
 
 def timed_oracle(scenario_run: Scenario):

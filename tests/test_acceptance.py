@@ -45,7 +45,7 @@ from commuteq import (
     verify_tolled_equilibrium,
 )
 from commuteq.cli import main as cli_main
-from conftest import N_TOTAL
+from conftest import N_TOTAL, gv_ev_gv_pattern
 
 USED_MASS = 1e-3 * N_TOTAL
 
@@ -109,12 +109,7 @@ def test_criterion_2_oracle_equivalence_single_class(
 def test_criterion_3_oracle_equivalence_mixed(scenario, oracle_mixed, mixed_solution):
     assignment, report, elapsed = oracle_mixed
     sc = replace(scenario, mpr=0.5)
-    used_ev = np.nonzero(assignment.class_mass(VehicleClass.EV) > USED_MASS)[0]
-    used_gv = np.nonzero(assignment.class_mass(VehicleClass.GV) > USED_MASS)[0]
-    contiguous = bool(np.all(np.diff(used_ev) == 1))
-    contains_center = assignment.centers[used_ev[0]] < 8.0 < assignment.centers[used_ev[-1]]
-    interior_gv = used_gv[(used_gv > used_ev[0]) & (used_gv < used_ev[-1])]
-    flanked = interior_gv.size == 0 and used_gv.min() < used_ev[0] and used_gv.max() > used_ev[-1]
+    contiguous, contains_center, flanked = gv_ev_gv_pattern(assignment, sc.t_star, USED_MASS)
     peak_rel, point_rel = _oracle_deviation(assignment, sc, mixed_solution)
     conservation = max(
         abs(mixed_solution.class_counts[VehicleClass.GV] - 1500.0) / N_TOTAL,

@@ -7,8 +7,17 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from commuteq import SolverError, bundled_scenario_path, cli, load_config
-from commuteq.cli import EXIT_INPUT, EXIT_IO, EXIT_OK, EXIT_SOLVER, PROFILE_COLUMNS, main
+from commuteq import ScenarioError, SolverError, bundled_scenario_path, cli, load_config
+from commuteq.cli import (
+    EXIT_INPUT,
+    EXIT_IO,
+    EXIT_OK,
+    EXIT_SOLVER,
+    MAX_MPR_ROWS,
+    PROFILE_COLUMNS,
+    _parse_mpr_list,
+    main,
+)
 
 GOLDEN_MAX_DELAY_EV = 0.3983845685044753  # bundled scenario has mpr = 1
 GOLDEN_MAX_DELAY_GV = 0.2614128645575636
@@ -252,6 +261,25 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("commuteq: input error: ") and err.count("\n") == 1
         assert not (out / "summary.txt").exists()
+
+    @pytest.mark.parametrize("spec, rows", [("0:1e-320:1", "about 1e+320"), ("0:1e-9:1", "1e+09")])
+    def test_mpr_range_past_the_row_cap_is_an_input_error(self, tmp_path, capsys, spec, rows):
+        # a list of 1e9 values is never built: the range is measured first
+        out = tmp_path / "o"
+        assert main(["sweep", "--mpr", spec, "--out", str(out), "--quiet"]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err == (
+            f"commuteq: input error: --mpr range {spec!r} expands to {rows} rows, "
+            f"more than {MAX_MPR_ROWS}\n"
+        )
+        assert not (out / "sweep.csv").exists()
+
+    def test_mpr_range_at_the_row_cap_expands(self):
+        values = _parse_mpr_list("0:1e-4:1")
+        assert len(values) == MAX_MPR_ROWS
+        assert values[0] == 0.0 and values[-1] == 1.0
+        with pytest.raises(ScenarioError, match="expands to 10002 rows"):
+            _parse_mpr_list("0:9.999e-5:1")
 
     def test_oracle_underflow_is_flushed_under_a_raising_error_state(self, tmp_path, monkeypatch):
         # near-empty bins underflow in b*T*T; at mpr 0 that raised out of main
