@@ -21,13 +21,19 @@ down to the minimum, measured against how fast its own cost responds, as in
 path-based assignment (Jayakrishnan et al., "A faster path-based algorithm
 for traffic assignment", TRR 1443, 1994).  The fraction is 0 exactly when
 the excess is, so the equal-cost fixed points are the same as for any
-proportional swap.  On the bundled corridor a run takes 45 / 489 / 46
-days (mpr 0 / 0.5 / 1) at the shipped ``eta`` of 0.25.  Mixed fleets bound
-``eta``: from about 0.55 up, mixed runs oscillate instead of converging (a
-class's relief leaves out the other class moving through the same bins),
-while single-class runs converge up to ``eta = 1``.  (A swap that always
-dumps the full ``eta`` share into the single cheapest bin overshoots too:
-the receiving bin's cost jumps by roughly ``eta * N * dc/dm``, orders of
+proportional swap.
+
+The classes move in turn, a Gauss-Seidel sweep: the GV row first, then the
+EV row on the delay and costs of the masses the GV move left.  Moved on
+the day's starting costs, each class's Newton step would ignore the other
+class moving through the same bins, and mixed runs oscillate from ``eta``
+about 0.55.  Swept in turn, every draw of ``tools/oracle_eta_scan.py``
+converges at each scanned ``eta`` up to 1; the shipped 0.5 is half that.
+On the bundled corridor a run takes 24 / 110 / 24 days (mpr 0 / 0.5 / 1),
+against 45 / 489 / 46 for the simultaneous update at the 0.25 its own
+scan allowed.  (A swap that always
+dumps the full ``eta`` share into the single cheapest bin overshoots: the
+receiving bin's cost jumps by roughly ``eta * N * dc/dm``, orders of
 magnitude above any useful gap tolerance, and the system limit-cycles.)
 
 The pairwise split never forms the n x n advantage matrix.  With the bins
@@ -38,10 +44,12 @@ order, so a day costs O(n log n) time and O(n) memory per class.
 At a few hundred bins a day's time is numpy call overhead, not arithmetic,
 so the day loop keeps the call count down: the schedule penalty of the bin
 centers is computed once per grid (again only after the grid grows), the
-flow is checked for negative values once per day, and each class's day
-step runs in sorted coordinates with one gather and one scatter.  On the
-bundled corridor (135 bins) a day costs about 110 us for one class and
-230 us for two, best of 7 on a shared 2-vCPU host.
+day's delays once per day, and each class's step runs in sorted
+coordinates with one gather and one scatter.  A mixed day adds the delay
+and the EV cost row of the masses the GV move left.  On the bundled
+corridor (135 bins) a whole day, costs and gaps included, takes about 95 us
+for one class and 175 us for two (best of 7 runs on a shared 2-vCPU host;
+the simultaneous update read about 95 and 140 us in the same session).
 """
 
 from __future__ import annotations
@@ -53,6 +61,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .model import (
+    EnergyModel,
     Scenario,
     VehicleClass,
     congestion_cost_map,
@@ -133,18 +142,21 @@ def bin_costs(
     assignment: BinAssignment,
     scenario: Scenario,
     schedule: np.ndarray | None = None,
+    delay: np.ndarray | None = None,
 ) -> np.ndarray:
     """Per-class per-bin trip cost, shape (2, n_bins).
 
     Congestion is shared: the delay comes from the total bin flow; the
     classes differ through their energy models.  ``schedule`` is the
     :func:`schedule_delay` of the bin centers, which depends on the grid
-    alone; it is computed here when omitted.
+    alone, and ``delay`` is :meth:`BinAssignment.delays`; each is computed
+    here when omitted.
     """
     # the flow is checked for negative values once, in delay_from_flow; the
     # delay of a nonnegative flow is nonnegative, so each class's cost skips
     # the check congestion_cost would repeat
-    delay = assignment.delays(scenario)
+    if delay is None:
+        delay = assignment.delays(scenario)
     if schedule is None:
         schedule = schedule_delay(assignment.centers, scenario)
     costs = np.empty_like(assignment.masses)
@@ -194,8 +206,10 @@ def day_step(
     scenario: Scenario,
     eta: float,
     costs: np.ndarray | None = None,
+    schedule: np.ndarray | None = None,
+    delay: np.ndarray | None = None,
 ) -> BinAssignment:
-    """Advance one day: per class, swap mass from costly bins toward cheaper ones.
+    """Advance one day: the GV row swaps mass toward cheaper bins, then the EV row.
 
     Bin ``i`` sends ``o_i = eta * m_i * min(1, e_i / s_i)`` of its class
     mass ``m_i``, split over cheaper bins proportionally to the pairwise cost
@@ -205,10 +219,17 @@ def day_step(
     ``dT/dM = nu * T / M``, so ``s_i`` is the class cost the bin would shed,
     linearized, if its ``m_i`` left.  The fraction is a damped Newton step
     toward the class minimum; it is 0 exactly when ``e_i`` is, and a bin
-    holding none of the class (``s_i = 0``) sends nothing.  The delays come
-    from the masses; all moves use the costs observed at the start of the
-    day (``costs``, the :func:`bin_costs` of ``assignment``, computed here
-    when omitted), and each class's total mass is conserved exactly.
+    holding none of the class (``s_i = 0``) sends nothing.  Each class's
+    total mass is conserved exactly.
+
+    The classes move in turn, a Gauss-Seidel sweep.  The GV row moves on
+    ``costs``, the :func:`bin_costs` of ``assignment``, and on ``delay``, its
+    :meth:`BinAssignment.delays`.  When it has moved and EVs are present, the
+    delay and the EV cost row are recomputed from the masses it left (with
+    ``schedule``, the :func:`schedule_delay` of the bin centers), and the EV
+    row moves on those, so its Newton step sees the GV move.  A single-class
+    fleet takes one pass on the starting costs.  ``costs``, ``schedule`` and
+    ``delay`` are computed here when omitted.
 
     The split is evaluated in the cost excess ``e = c - c_min``, sorted once
     per class.  With ``d_t`` the gap between sorted positions ``t-1`` and
@@ -224,59 +245,80 @@ def day_step(
     """
     if not 0.0 < eta <= 1.0:
         raise ValueError("eta must lie in (0, 1]")
+    if delay is None:
+        delay = assignment.delays(scenario)
     if costs is None:
-        costs = bin_costs(assignment, scenario)
-    masses = assignment.masses
-    n = masses.shape[1]
-    new_masses = masses.copy()
-    steps = np.arange(1, n, dtype=float)
-    bin_mass = masses.sum(axis=0)
-    delay = delay_from_flow(bin_mass / assignment.bin_width, scenario)
-    # dT/dM = nu*T/M, the delay's rise per unit of bin mass; 0 at an empty bin
-    delay_rise = np.divide(scenario.nu * delay, bin_mass, out=np.zeros(n), where=bin_mass > 0.0)
-    for row, cls in enumerate(CLASS_ORDER):
-        m = masses[row]
-        total = float(m.sum())
-        if total <= 0.0:
-            continue
-        c = costs[row]
-        excess = c - c.min()
-        # the cost the bin would shed if its whole class mass left, linearized
-        relief = congestion_cost_slope(scenario.energy_model(cls), scenario, delay) * delay_rise * m
-        order = excess.argsort(kind="stable")
-        # from here to the scatter, every array is in sorted position order
-        excess = excess[order]
-        relief = relief[order]
-        sorted_m = m[order]
-        fraction = np.divide(excess, relief, out=np.ones(n), where=relief > excess)
-        outflow = eta * sorted_m * fraction
-        rise = excess[1:] - excess[:-1]
-        weight_sum = np.empty(n)
-        weight_sum[0] = 0.0
-        (steps * rise).cumsum(out=weight_sum[1:])
-        senders = (weight_sum > 0.0) & (outflow > 0.0)
-        if not senders.any():
-            continue
-        # a bin that sends nothing already has zero outflow (zero total
-        # advantage means zero excess), so only the rate needs the mask
-        rate = np.divide(outflow, weight_sum, out=np.zeros(n), where=senders)
-        rate_above = rate[::-1].cumsum(out=rate[::-1])[::-1]
-        inflow = np.empty(n)
-        inflow[-1] = 0.0
-        np.multiply(rate_above[1:], rise, out=rise)[::-1].cumsum(out=inflow[-2::-1])
-        updated = new_masses[row]
-        updated[order] = sorted_m - outflow + inflow
-        np.maximum(updated, 0.0, out=updated)
-        # the rescale sums in bin order, as the masses are stored
-        new_total = float(updated.sum())
-        if new_total > 0.0:
-            updated *= total / new_total
+        costs = bin_costs(assignment, scenario, schedule, delay)
+    new_masses = assignment.masses.copy()
+    gv, ev = new_masses
+    bin_mass = assignment.masses.sum(axis=0)
+    ev_costs = costs[1]
+    if _swap(gv, costs[0], scenario.gv_energy, delay, bin_mass, scenario, eta) and ev.any():
+        bin_mass = new_masses.sum(axis=0)
+        delay = delay_from_flow(bin_mass / assignment.bin_width, scenario)
+        if schedule is None:
+            schedule = schedule_delay(assignment.centers, scenario)
+        ev_costs = congestion_cost_map(scenario.ev_energy, scenario)(delay) + schedule
+    _swap(ev, ev_costs, scenario.ev_energy, delay, bin_mass, scenario, eta)
     return BinAssignment(
         bin_width=assignment.bin_width,
         centers=assignment.centers,
         masses=new_masses,
         day=assignment.day + 1,
     )
+
+
+def _swap(
+    m: np.ndarray,
+    c: np.ndarray,
+    model: EnergyModel,
+    delay: np.ndarray,
+    bin_mass: np.ndarray,
+    scenario: Scenario,
+    eta: float,
+) -> bool:
+    """One class's swap of :func:`day_step`, on the row ``m`` in place; whether any bin sent.
+
+    ``c`` is the class's bin cost at the bin delays ``delay`` and total bin
+    masses ``bin_mass``.
+    """
+    total = float(m.sum())
+    if total <= 0.0:
+        return False
+    n = m.size
+    excess = c - c.min()
+    # dT/dM = nu*T/M, the delay's rise per unit of bin mass; 0 at an empty bin
+    delay_rise = np.divide(scenario.nu * delay, bin_mass, out=np.zeros(n), where=bin_mass > 0.0)
+    # the cost the bin would shed if its whole class mass left, linearized
+    relief = congestion_cost_slope(model, scenario, delay) * delay_rise * m
+    order = excess.argsort(kind="stable")
+    # from here to the scatter, every array is in sorted position order
+    excess = excess[order]
+    relief = relief[order]
+    sorted_m = m[order]
+    fraction = np.divide(excess, relief, out=np.ones(n), where=relief > excess)
+    outflow = eta * sorted_m * fraction
+    rise = excess[1:] - excess[:-1]
+    weight_sum = np.empty(n)
+    weight_sum[0] = 0.0
+    (np.arange(1, n, dtype=float) * rise).cumsum(out=weight_sum[1:])
+    senders = (weight_sum > 0.0) & (outflow > 0.0)
+    if not senders.any():
+        return False
+    # a bin that sends nothing already has zero outflow (zero total
+    # advantage means zero excess), so only the rate needs the mask
+    rate = np.divide(outflow, weight_sum, out=np.zeros(n), where=senders)
+    rate_above = rate[::-1].cumsum(out=rate[::-1])[::-1]
+    inflow = np.empty(n)
+    inflow[-1] = 0.0
+    np.multiply(rate_above[1:], rise, out=rise)[::-1].cumsum(out=inflow[-2::-1])
+    m[order] = sorted_m - outflow + inflow
+    np.maximum(m, 0.0, out=m)
+    # the rescale sums in bin order, as the masses are stored
+    new_total = float(m.sum())
+    if new_total > 0.0:
+        m *= total / new_total
+    return True
 
 
 def gap_measure(
@@ -324,7 +366,7 @@ def gap_measure(
 def run_until_converged(
     scenario: Scenario,
     bin_width: float = 1.0 / 60.0,
-    eta: float = 0.25,
+    eta: float = 0.5,
     gap_tol: float = 3e-5,
     max_days: int = 10000,
     used_mass_fraction: float = USED_MASS_FRACTION,
@@ -337,12 +379,13 @@ def run_until_converged(
     mass, so a nearly drained edge bin no longer holds the run open; the
     used-bin ``relative_gap`` rides along as a diagnostic.  The weighted gap
     is the smaller number at the same state: on the bundled corridor the
-    default 3e-5 stops at mpr 0 after 45 days with a used-bin gap of 4.2e-5,
-    and at mpr 0.5 after 489 days with one of 1.6e-3.
+    default 3e-5 stops at mpr 0 after 24 days with a used-bin gap of 2.1e-5,
+    and at mpr 0.5 after 110 days with one of 8.0e-4.
 
     Each day calls :func:`bin_costs`, :func:`gap_measure` and :func:`day_step`
-    once; the schedule penalty of the bin centers is computed once per grid
-    and passed to :func:`bin_costs`.  Non-convergence within ``max_days`` is
+    once.  The schedule penalty of the bin centers is computed once per grid,
+    and the bin delays once per day; both go to :func:`bin_costs` and, with
+    the costs, to :func:`day_step`.  Non-convergence within ``max_days`` is
     reported, not raised; the caller decides what an unconverged oracle
     means.  ``eta`` outside (0, 1] and a nonpositive ``gap_tol`` raise
     ``ValueError`` before any day runs, also for an empty fleet.  Underflow in
@@ -378,10 +421,11 @@ def run_until_converged(
     # a near-empty bin's b*T*T underflows, and zero is the right value; one
     # errstate for the whole run, since entering one costs about 3% of a day
     with np.errstate(under="ignore"):
-        # each day's costs are computed once: they score the day's state and
-        # then drive the next day's moves
+        # each day's delays and costs are computed once: they score the day's
+        # state and then drive the next day's first move
         schedule = schedule_delay(assignment.centers, scenario)
-        costs = bin_costs(assignment, scenario, schedule)
+        delay = assignment.delays(scenario)
+        costs = bin_costs(assignment, scenario, schedule, delay)
         report = gap_measure(assignment, scenario, used_mass_fraction, costs=costs)
         record(report)
         days = 0
@@ -394,13 +438,15 @@ def run_until_converged(
                 if grow_lo or grow_hi:
                     assignment = extend_grid(assignment, grow_lo, grow_hi)
                     schedule = schedule_delay(assignment.centers, scenario)
-                    costs = bin_costs(assignment, scenario, schedule)
+                    delay = assignment.delays(scenario)
+                    costs = bin_costs(assignment, scenario, schedule, delay)
                     report = gap_measure(assignment, scenario, used_mass_fraction, costs=costs)
                 elif report.worst_weighted_gap < gap_tol:
                     break
-            assignment = day_step(assignment, scenario, eta, costs=costs)
+            assignment = day_step(assignment, scenario, eta, costs, schedule, delay)
             days += 1
-            costs = bin_costs(assignment, scenario, schedule)
+            delay = assignment.delays(scenario)
+            costs = bin_costs(assignment, scenario, schedule, delay)
             report = gap_measure(assignment, scenario, used_mass_fraction, costs=costs)
             record(report)
     grow_lo, grow_hi = crowded_edges(assignment, scenario, used_mass_fraction)

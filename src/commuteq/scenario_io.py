@@ -72,7 +72,7 @@ class Numerics:
 
     dt_minutes: float = 1.0
     bin_minutes: float = 1.0
-    eta: float = 0.25
+    eta: float = 0.5
     gap_tol: float = 3e-5
     max_days: int = 10000
     root_rtol: float = 1e-10

@@ -309,6 +309,17 @@ class TestOracle:
         assert float(rows[0][4]) > gap_tol
         assert f"weighted_gap={float(summary['weighted_gap']):.3e}" in capsys.readouterr().out
 
+    def test_mixed_oracle_converges_at_a_large_eta(self, tmp_path, monkeypatch):
+        # with both classes moving on the day's starting costs, mpr 0.5
+        # oscillated from eta about 0.55, and 0.7 exited 3 at max_days
+        monkeypatch.setenv("CEQ_DEMAND_MPR", "0.5")
+        monkeypatch.setenv("CEQ_NUMERICS_ETA", "0.9")
+        out = tmp_path / "o"
+        assert main(["oracle", "--out", str(out), "--quiet"]) == EXIT_OK
+        summary = _read_summary(out / "summary.txt")
+        assert summary["converged"] == "true"
+        assert float(summary["max_delay_deviation_vs_analytic"]) <= 0.02
+
     def test_unconverged_oracle_diagnostics_carry_both_gaps(self, tmp_path):
         config = load_config(bundled_scenario_path(), env={})
         config = replace(config, numerics=replace(config.numerics, max_days=5))

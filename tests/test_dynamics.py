@@ -96,27 +96,51 @@ def _equal_cost_assignment(sc, level: float) -> BinAssignment:
     )
 
 
+def _class_sequential(
+    assignment: BinAssignment, costs: np.ndarray, sc: Scenario, swap
+) -> np.ndarray:
+    """The GV row moves on ``costs``; if it moved and EVs are present, the EV
+    row moves on the delay and EV costs of the masses the GV move left.
+
+    ``swap(m, c, model, delay, bin_mass)`` returns one class's updated row, or
+    None when no bin sends.
+    """
+    masses = assignment.masses
+    new_masses = masses.copy()
+    bin_mass = masses.sum(axis=0)
+    delay = delay_from_flow(bin_mass / assignment.bin_width, sc)
+    ev_costs = costs[1]
+    gv = swap(masses[0], costs[0], sc.gv_energy, delay, bin_mass)
+    if gv is not None:
+        new_masses[0] = gv
+        if masses[1].sum() > 0.0:
+            bin_mass = new_masses.sum(axis=0)
+            delay = delay_from_flow(bin_mass / assignment.bin_width, sc)
+            ev_costs = congestion_cost(sc.ev_energy, sc, delay) + schedule_delay(
+                assignment.centers, sc
+            )
+    ev = swap(masses[1], ev_costs, sc.ev_energy, delay, bin_mass)
+    if ev is not None:
+        new_masses[1] = ev
+    return new_masses
+
+
 def _pairwise_day_step(
-    masses: np.ndarray, costs: np.ndarray, eta: float, sc: Scenario
+    assignment: BinAssignment, costs: np.ndarray, eta: float, sc: Scenario
 ) -> np.ndarray:
     """Reference swap that forms the full n x n pairwise-advantage matrix.
 
     Bin ``i`` sends ``eta * m_i * min(1, e_i / s_i)`` with the relief
     ``s_i = (alpha + c1 + 2*c2*T_i) * nu * T_i * m_i / M_i``, the delays taken
-    from the masses.
+    from the masses; the classes move in turn (:func:`_class_sequential`).
     """
-    new_masses = masses.copy()
-    bin_mass = masses.sum(axis=0)
-    delay = delay_from_flow(bin_mass / BIN_WIDTH, sc)
-    occupied = bin_mass > 0.0
-    for row, cls in enumerate(CLASS_ORDER):
-        m = masses[row]
+
+    def swap(m, c, model, delay, bin_mass):
         total = float(m.sum())
         if total <= 0.0:
-            continue
-        c = costs[row]
+            return None
+        occupied = bin_mass > 0.0
         excess = c - np.min(c)
-        model = sc.energy_model(cls)
         relief = np.zeros_like(m)
         relief[occupied] = (
             (sc.alpha + model.c1 + 2.0 * model.c2 * delay[occupied])
@@ -130,7 +154,7 @@ def _pairwise_day_step(
         weight_sum = advantage.sum(axis=1)
         senders = (weight_sum > 0.0) & (outflow > 0.0)
         if not np.any(senders):
-            continue
+            return None
         outflow[~senders] = 0.0
         share = np.zeros_like(advantage)
         share[senders] = advantage[senders] / weight_sum[senders, None]
@@ -140,29 +164,26 @@ def _pairwise_day_step(
         new_total = float(updated.sum())
         if new_total > 0.0:
             updated *= total / new_total
-        new_masses[row] = updated
-    return new_masses
+        return updated
+
+    return _class_sequential(assignment, costs, sc, swap)
 
 
 def _unsorted_day_step(
-    masses: np.ndarray, costs: np.ndarray, eta: float, sc: Scenario
+    assignment: BinAssignment, costs: np.ndarray, eta: float, sc: Scenario
 ) -> np.ndarray:
     """The sort-and-running-sums swap written in bin order, with boolean gathers
     and scatters; the day step must reproduce it bit for bit."""
-    new_masses = masses.copy()
-    bin_mass = masses.sum(axis=0)
-    delay = delay_from_flow(bin_mass / BIN_WIDTH, sc)
-    occupied = bin_mass > 0.0
-    delay_rise = np.zeros_like(delay)
-    delay_rise[occupied] = sc.nu * delay[occupied] / bin_mass[occupied]
-    for row, cls in enumerate(CLASS_ORDER):
-        m = masses[row]
+
+    def swap(m, c, model, delay, bin_mass):
         total = float(m.sum())
         if total <= 0.0:
-            continue
-        c = costs[row]
+            return None
+        occupied = bin_mass > 0.0
+        delay_rise = np.zeros_like(delay)
+        delay_rise[occupied] = sc.nu * delay[occupied] / bin_mass[occupied]
         excess = c - np.min(c)
-        relief = congestion_cost_slope(sc.energy_model(cls), sc, delay) * delay_rise * m
+        relief = congestion_cost_slope(model, sc, delay) * delay_rise * m
         fraction = np.ones_like(m)
         slow = relief > excess
         fraction[slow] = excess[slow] / relief[slow]
@@ -173,7 +194,7 @@ def _unsorted_day_step(
         weight_sum[order] = np.concatenate(([0.0], np.cumsum(np.arange(1, m.size) * rise)))
         senders = (weight_sum > 0.0) & (outflow > 0.0)
         if not np.any(senders):
-            continue
+            return None
         outflow[~senders] = 0.0
         rate = np.zeros_like(outflow)
         rate[senders] = outflow[senders] / weight_sum[senders]
@@ -185,8 +206,9 @@ def _unsorted_day_step(
         new_total = float(updated.sum())
         if new_total > 0.0:
             updated *= total / new_total
-        new_masses[row] = updated
-    return new_masses
+        return updated
+
+    return _class_sequential(assignment, costs, sc, swap)
 
 
 def _reference_costs(assignment: BinAssignment, sc: Scenario) -> np.ndarray:
@@ -233,7 +255,7 @@ class TestDayStepMatchesPairwiseForm:
         rng = np.random.default_rng(20200922)
         for case in range(300):
             assignment, costs, eta = _random_state(rng, case)
-            expected = _pairwise_day_step(assignment.masses, costs, eta, sc)
+            expected = _pairwise_day_step(assignment, costs, eta, sc)
             stepped = day_step(assignment, sc, eta, costs=costs)
             scale = max(assignment.total_mass, 1.0)
             assert np.max(np.abs(stepped.masses - expected)) <= 1e-12 * scale, case
@@ -245,7 +267,7 @@ class TestDayStepMatchesPairwiseForm:
         rng = np.random.default_rng(20201018)
         for case in range(300):
             assignment, costs, eta = _random_state(rng, case)
-            expected = _unsorted_day_step(assignment.masses, costs, eta, sc)
+            expected = _unsorted_day_step(assignment, costs, eta, sc)
             with np.errstate(all="raise"):
                 stepped = day_step(assignment, sc, eta, costs=costs)
             assert np.array_equal(stepped.masses, expected), case
@@ -256,17 +278,21 @@ class TestDayStepMatchesPairwiseForm:
         sc = basic_scenario(mpr=0.4)
         assignment = init_assignment(sc, BIN_WIDTH)
         for _ in range(20):
-            expected = _pairwise_day_step(assignment.masses, bin_costs(assignment, sc), 0.25, sc)
-            assignment = day_step(assignment, sc, eta=0.25)
+            expected = _pairwise_day_step(assignment, bin_costs(assignment, sc), 0.5, sc)
+            assignment = day_step(assignment, sc, eta=0.5)
             assert np.max(np.abs(assignment.masses - expected)) <= 1e-12 * N_TOTAL
 
     def test_given_costs_match_computed_ones(self):
         sc = basic_scenario(mpr=0.4)
         assignment = day_step(init_assignment(sc, BIN_WIDTH), sc, eta=0.05)
-        costs = bin_costs(assignment, sc)
+        schedule = schedule_delay(assignment.centers, sc)
+        delay = assignment.delays(sc)
+        costs = bin_costs(assignment, sc, schedule, delay)
+        assert np.array_equal(costs, bin_costs(assignment, sc))
+        computed = day_step(assignment, sc, 0.05).masses
+        assert np.array_equal(day_step(assignment, sc, 0.05, costs=costs).masses, computed)
         assert np.array_equal(
-            day_step(assignment, sc, 0.05, costs=costs).masses,
-            day_step(assignment, sc, 0.05).masses,
+            day_step(assignment, sc, 0.05, costs, schedule, delay).masses, computed
         )
         assert gap_measure(assignment, sc, costs=costs) == gap_measure(assignment, sc)
 
@@ -325,6 +351,35 @@ class TestDayStep:
         stepped = day_step(assignment, sc, eta=0.05)
         assert stepped.masses[0, loaded] < N_TOTAL
         assert_allclose(stepped.masses[0].sum(), N_TOTAL, rtol=1e-13)
+
+    def test_ev_row_moves_on_the_costs_the_gv_move_left(self):
+        # GVs crowd the earliest of 7 bins, EVs spread over the other 6
+        sc = basic_scenario(mpr=0.5)
+        centers = 8.0 + BIN_WIDTH * np.arange(-3, 4, dtype=float)
+        masses = np.zeros((2, 7))
+        masses[0, 0] = 25.0
+        masses[1, 1:] = 25.0 / 6.0
+        assignment = BinAssignment(bin_width=BIN_WIDTH, centers=centers, masses=masses)
+        costs = bin_costs(assignment, sc)
+        stepped = day_step(assignment, sc, 0.5, costs=costs)
+        gv_move = stepped.masses[0] - masses[0]
+        assert gv_move[0] < 0.0 and np.all(gv_move[1:5] > 0.0)
+
+        # a GV cost row with no excess holds the GVs still, so only the EV row moves
+        still = np.ones(7)
+        after_gv = BinAssignment(
+            bin_width=BIN_WIDTH, centers=centers, masses=np.array([stepped.masses[0], masses[1]])
+        )
+        fresh = np.array([still, bin_costs(after_gv, sc)[1]])
+        sequential = day_step(after_gv, sc, 0.5, costs=fresh)
+        assert np.array_equal(stepped.masses, sequential.masses)
+
+        # the simultaneous update moves the EV row on the day's starting costs;
+        # the EVs then miss that the GVs left bin 0 and filled bins 1 to 4
+        simultaneous = day_step(assignment, sc, 0.5, costs=np.array([still, costs[1]]))
+        ev_gain = stepped.masses[1] - simultaneous.masses[1]
+        assert ev_gain[0] > 0.1
+        assert np.all(ev_gain[1:5] < -0.02)
 
     def test_eta_out_of_range(self):
         sc = basic_scenario()
@@ -432,7 +487,7 @@ class TestConvergedRuns:
         assert report.stop_reason == "gap_tol"
         assert report.worst_weighted_gap < BUNDLED_NUMERICS.gap_tol
         assert report.weighted_trace[-1].max() == report.worst_weighted_gap
-        # the used-bin gap is a diagnostic: about 4.2e-5 at this stop
+        # the used-bin gap is a diagnostic: about 2.1e-5 at this stop
         print(f"used-bin relative gap at the stop: {report.worst_relative_gap:.3e}")
 
     def test_single_class_matches_analytic_profile(self, scenario, oracle_mpr0, gv_solution):
@@ -446,8 +501,13 @@ class TestConvergedRuns:
     def test_single_class_day_counts(self, oracle_mpr0, oracle_mpr1):
         # the bundled corridor; any change to the update rule or the stop
         # measure moves these
-        assert oracle_mpr0[1].days == 45
-        assert oracle_mpr1[1].days == 46
+        assert oracle_mpr0[1].days == 24
+        assert oracle_mpr1[1].days == 24
+
+    def test_mixed_day_count(self, oracle_mixed):
+        # the bundled corridor at mpr 0.5: 489 days when both classes moved
+        # on the day's starting costs, at eta 0.25
+        assert oracle_mixed[1].days == 110
 
     @pytest.mark.parametrize("scale", [0.99, 1.01])
     def test_day_count_is_steady_under_a_small_demand_change(self, oracle_mpr1, scale):
@@ -460,7 +520,7 @@ class TestConvergedRuns:
         assert abs(report.days - bundled_days) <= 0.25 * bundled_days
 
     def test_gap_trend_over_five_day_windows(self, oracle_mpr0):
-        # a single-class run of about 45 days; the lag leaves at least 20 windows
+        # a single-class run of 24 days; the lag leaves exactly 20 windows
         # (mixed-fleet gaps are not monotone and are not checked here)
         _, report, _ = oracle_mpr0
         trace = report.trace.max(axis=1)
