@@ -306,13 +306,19 @@ def cmd_oracle(config: ScenarioConfig, out_dir: Path, dt: float, quiet: bool) ->
         ("weighted_gap", report.worst_weighted_gap),
         ("relative_gap", report.worst_relative_gap),
     ]
+    reference_error = None
     if scenario.n_total > 0.0:
-        analytic = _solve_with_numerics(scenario, numerics, dt)
-        reference = solution_delay(analytic, assignment.centers)
-        peak = max(float(np.max(reference)), 1e-300)
-        used = assignment.masses.sum(axis=0) > dynamics.USED_MASS_FRACTION * scenario.n_total
-        deviation = float(np.max(np.abs(delays - reference)[used]) / peak) if used.any() else 0.0
-        items.append(("max_delay_deviation_vs_analytic", deviation))
+        try:
+            analytic = _solve_with_numerics(scenario, numerics, dt)
+        except SolverError as exc:  # the oracle's own result is still reported
+            reference_error = exc
+            items.append(("reference_error", str(exc)))
+        else:
+            reference = solution_delay(analytic, assignment.centers)
+            peak = max(float(np.max(reference)), 1e-300)
+            used = assignment.masses.sum(axis=0) > dynamics.USED_MASS_FRACTION * scenario.n_total
+            deviation = float(np.max(np.abs(delays - reference)[used], initial=0.0) / peak)
+            items.append(("max_delay_deviation_vs_analytic", deviation))
         for row, cls in enumerate(dynamics.CLASS_ORDER):
             if scenario.population(cls) > 0.0:
                 items.append((f"mass_{cls.value}", float(assignment.masses[row].sum())))
@@ -322,6 +328,8 @@ def cmd_oracle(config: ScenarioConfig, out_dir: Path, dt: float, quiet: bool) ->
             f"oracle: days={report.days} converged={report.converged} "
             f"weighted_gap={report.worst_weighted_gap:.3e} -> {out_dir}"
         )
+    if reference_error is not None:
+        raise reference_error
     if not report.converged:
         raise SolverError(
             "day-to-day oracle did not converge within max_days",

@@ -2,12 +2,15 @@
 
 A user equilibrium is pinned down by two conditions: every commuter of a
 class bears the same total trip cost over that class's active interval, and
-each class's arrival flow integrates to its population.  For a single class
-this reduces to a scalar root-find on the equilibrium cost.  With two classes
-sharing the road the gasoline vehicles occupy the window flanks and the
-electric vehicles the high-delay center; delay continuity at the class
-boundary decouples the pair of class costs into two such scalar roots, one
-per class (see :func:`solve_mixed`), all through :func:`conservation_root`.
+each class's arrival flow integrates to its population.  Every solve here is
+one band walk (:func:`_solve_bands`): the classes are stacked in bands of
+delay from the window edge inward, each band ending at the scalar
+conservation root (:func:`conservation_root`) of its population, started
+where the band outside it ended; the class costs then follow from the
+roots, inward to outward.  A single class is one band (K = 1).  Two classes
+are two bands (K = 2, :func:`solve_mixed`): the gasoline vehicles hold the
+window flanks and the electric vehicles the high-delay centre, with the
+delay continuous at the class boundary.
 
 Along the early flank the schedule penalty falls linearly at rate beta, so
 arrival time and residual cost are affine in each other and the two window
@@ -19,7 +22,7 @@ with no quadrature and no inversion, and each conservation root is solved
 for the delay, whose cost then follows from the map.
 
 Every solved pattern is an :class:`EquilibriumSolution`.  The system optimum
-(:class:`toll.SystemOptimum`) is one too: the single-class solve with Psi in
+(:class:`toll.SystemOptimum`) is one too: the one-band walk with Psi in
 place of Phi, selected by the class attribute ``optimum``.  One per-segment
 inversion (:func:`_segment_delay`) gives the delay for the solver's profile,
 for :func:`sample_profiles` and for :func:`solution_delay`, on either map.
@@ -39,10 +42,8 @@ from .model import (
     EnergyModel,
     Scenario,
     VehicleClass,
-    congestion_cost,
     congestion_cost_map,
     flow_from_delay,
-    invert_congestion_cost,
     marginal_social_cost_map,
     schedule_delay,
     toll_at_delay,
@@ -197,63 +198,79 @@ def conservation_root(
     return solve_bracketed(conservation, t_lo, hi * (1.0 + 1e-9), rtol=root_rtol)
 
 
-def _check_conservation(
+def _solve_bands(
     scenario: Scenario,
-    what: str,
-    costs: tuple[float, ...],
-    counts: tuple[float, ...],
-    populations: tuple[float, ...],
+    bands: tuple[tuple[EnergyModel, float], ...],
+    dt: float,
+    root_rtol: float,
     mixed_rtol: float,
-) -> None:
-    """Raise unless every class's count is within ``mixed_rtol * n_total`` of its population."""
+    kind: type[EquilibriumSolution],
+) -> EquilibriumSolution:
+    """The fleet as bands of delay ``((model, population), ...)``, listed from
+    the window edge inward, built as a ``kind`` on Psi if ``kind.optimum``, else Phi.
+
+    Roots run outward to inward: band k holds the delays from ``T_{k-1}``
+    (``T_{-1} = 0``) up to its conservation root ``T_k``.  Costs run inward to
+    outward from ``s_K = 0`` at t*: ``C_k = map_k(T_k) + s_{k+1}``, and the
+    schedule penalty at band k's outer edge is ``s_k = C_k - map_k(T_{k-1})``,
+    so the window edge is at ``s_0 = C_0``.  The innermost band is one centre
+    segment and every other band two flanks, 2K - 1 segments.  Each adjacent
+    pair is checked for profitable deviations, and each band's exact count
+    must match its population to ``mixed_rtol * n_total``.  An empty fleet has
+    no segment.  Every model must be the scenario's own, as the sampler looks
+    models up by class.
+    """
+    if scenario.n_total == 0.0:
+        window = (scenario.t_star, scenario.t_star)
+        return kind(scenario, window, (), {}, {}, _sample(scenario, window, (), dt))
+    if any(model != scenario.energy_model(model.vehicle_class) for model, _ in bands):
+        raise ValueError("model must be the scenario's energy model of its class")
+    pick = marginal_social_cost_map if kind.optimum else congestion_cost_map
+    classes = [model.vehicle_class for model, _ in bands]
+    maps = [pick(model, scenario) for model, _ in bands]
+    populations = tuple(population for _, population in bands)
+    roots = [0.0]  # the delay at each band's outer edge, then the peak
+    for cmap, population in zip(maps, populations):
+        roots.append(conservation_root(scenario, cmap, population, root_rtol, t_lo=roots[-1]))
+    costs = [0.0] * len(bands)
+    levels = [0.0] * (len(bands) + 1)  # the schedule penalty at each band's outer edge, then t*
+    for k in reversed(range(len(bands))):
+        costs[k] = maps[k](roots[k + 1]) + levels[k + 1]
+        levels[k] = costs[k] - maps[k](roots[k])
+    for k in range(len(bands) - 1):
+        _validate_no_deviation(
+            (classes[k], maps[k], costs[k], (levels[k + 1], levels[k])),
+            (classes[k + 1], maps[k + 1], costs[k + 1], (levels[k + 2], levels[k + 1])),
+        )
+    counts = tuple(
+        window_mass(scenario, cmap, t_hi, t_lo) for cmap, t_lo, t_hi in zip(maps, roots, roots[1:])
+    )
     miss = max(abs(count - pop) for count, pop in zip(counts, populations))
     if miss > mixed_rtol * scenario.n_total:
+        what = ("mixed" if len(bands) > 1 else "single-class") + " equilibrium"
         raise SolverError(
-            f"{what} misses per-class conservation",
+            f"{'system optimum' if kind.optimum else what} misses per-class conservation",
             diagnostics={
                 "mpr": scenario.mpr,
-                "costs": costs,
+                "costs": tuple(costs),
                 "counts": counts,
                 "populations": populations,
                 "mixed_rtol": mixed_rtol,
             },
         )
 
-
-def _solve_segment(
-    scenario: Scenario,
-    model: EnergyModel,
-    dt: float,
-    root_rtol: float,
-    mixed_rtol: float,
-    kind: type[EquilibriumSolution],
-) -> EquilibriumSolution:
-    """The whole fleet as one segment of ``model``'s class, built as a ``kind``.
-
-    ``kind.optimum`` picks the map: Phi gives the single-class user
-    equilibrium, Psi the system optimum.  An empty fleet has no segment.
-    The peak delay is the conservation root for ``n_total``, the
-    cost C is the map at that delay, the window [t* - C/beta, t* + C/gamma]
-    has zero delay at both edges, and the exact count must match the fleet to
-    ``mixed_rtol * n_total``.  ``model`` must be
-    the scenario's own, as the sampler looks models up by class.
-    """
-    if scenario.n_total == 0.0:
-        window = (scenario.t_star, scenario.t_star)
-        return kind(scenario, window, (), {}, {}, _sample(scenario, window, (), dt))
-    if model != scenario.energy_model(model.vehicle_class):
-        raise ValueError("model must be the scenario's energy model of its class")
-    cmap = (marginal_social_cost_map if kind.optimum else congestion_cost_map)(model, scenario)
-    what = "system optimum" if kind.optimum else "single-class equilibrium"
-    peak_delay = conservation_root(scenario, cmap, scenario.n_total, root_rtol)
-    cost = cmap(peak_delay)
-    count = window_mass(scenario, cmap, peak_delay)
-    _check_conservation(scenario, what, (cost,), (count,), (scenario.n_total,), mixed_rtol)
-    window = (scenario.t_star - cost / scenario.beta, scenario.t_star + cost / scenario.gamma)
-    cls = model.vehicle_class
-    segments = (ClassSegment(cls, *window, cost),)
+    edges = [scenario.t_star - s / scenario.beta for s in levels[:-1]]
+    edges += [scenario.t_star + s / scenario.gamma for s in reversed(levels[:-1])]
+    order = [*range(len(bands)), *reversed(range(len(bands) - 1))]  # each segment's band
+    segments = tuple(
+        ClassSegment(classes[k], t_lo, t_hi, costs[k])
+        for k, t_lo, t_hi in zip(order, edges, edges[1:])
+    )
+    window = (edges[0], edges[-1])
     profile = _sample(scenario, window, segments, dt, kind.optimum)
-    return kind(scenario, window, segments, {cls: cost}, {cls: count}, profile)
+    return kind(
+        scenario, window, segments, dict(zip(classes, costs)), dict(zip(classes, counts)), profile
+    )
 
 
 def solve_single_class(
@@ -265,13 +282,12 @@ def solve_single_class(
 ) -> EquilibriumSolution:
     """Equilibrium when the whole fleet is one vehicle class.
 
-    One segment on the congestion cost map Phi (see :func:`_solve_segment`):
-    the delay follows the isocost curve ``T(t) = Phi^{-1}(C - schedule_delay(t))``
-    and C = Phi(T_peak), with the peak delay the root of the monotone
-    conservation map T -> absorbed commuters, whose count must match the
-    fleet to ``mixed_rtol * n_total``.
+    One band on the congestion cost map Phi (see :func:`_solve_bands`): the
+    delay follows the isocost curve ``T(t) = Phi^{-1}(C - schedule_delay(t))``
+    and C = Phi(T_peak), with the peak delay the fleet's conservation root.
     """
-    return _solve_segment(scenario, model, dt, root_rtol, mixed_rtol, EquilibriumSolution)
+    bands = ((model, scenario.n_total),)
+    return _solve_bands(scenario, bands, dt, root_rtol, mixed_rtol, EquilibriumSolution)
 
 
 def solve_mixed(
@@ -282,98 +298,49 @@ def solve_mixed(
 ) -> EquilibriumSolution:
     """Two-class equilibrium at the scenario's EV market penetration.
 
-    Degenerates to :func:`solve_single_class` at mpr 0 or 1.  Otherwise the
-    GVs hold the window flanks and the EVs the center, joined at the
-    schedule penalty ``s*``, and the solve decouples into two scalar
-    conservation roots in the delay.  The GV flanks hold the delays up to the
-    boundary delay ``T_x``, so ``T_x`` is the single-class GV peak delay of
-    the GV population.  Delay is continuous at the class boundary, so the EV
-    center holds the delays from ``T_x`` up to the EV root ``T_ev``.  With
-    ``y = Phi_EV(T_x)``, ``s* = Phi_EV(T_ev) - y``, ``C_EV = Phi_EV(T_ev)``
-    and ``C_GV = Phi_GV(T_x) + s*``.  The segmentation is validated
-    against profitable deviations, and each class's absorbed count must match
-    its population to ``mixed_rtol * n_total``.
+    Two bands on Phi (see :func:`_solve_bands`), or at mpr 0 or 1 the one
+    band of the single-class equilibrium.  The GV flanks hold the delays up
+    to ``T_x``, the GV root of the GV population; delay is continuous at the
+    class boundary, so the EV centre holds the delays from ``T_x`` up to the
+    EV root ``T_ev``.  Then ``C_EV = Phi_EV(T_ev)``, the boundary schedule
+    penalty is ``s* = C_EV - Phi_EV(T_x)`` and ``C_GV = Phi_GV(T_x) + s*``.
     """
-    if scenario.mpr == 0.0 or scenario.n_total == 0.0:  # an empty fleet has no segment
-        return solve_single_class(scenario, scenario.gv_energy, dt, root_rtol, mixed_rtol)
-    if scenario.mpr == 1.0:
-        return solve_single_class(scenario, scenario.ev_energy, dt, root_rtol, mixed_rtol)
-
-    gv, ev = scenario.gv_energy, scenario.ev_energy
-    pop_gv = scenario.population(VehicleClass.GV)
-    pop_ev = scenario.population(VehicleClass.EV)
-    map_gv = congestion_cost_map(gv, scenario)
-    map_ev = congestion_cost_map(ev, scenario)
-
-    t_x = conservation_root(scenario, map_gv, pop_gv, root_rtol)
-    t_ev = conservation_root(scenario, map_ev, pop_ev, root_rtol, t_lo=t_x)
-    cost_ev = map_ev(t_ev)
-    s_star = cost_ev - map_ev(t_x)
-    cost_gv = map_gv(t_x) + s_star
-    _validate_no_deviation(scenario, cost_gv, cost_ev, s_star)
-
-    mass_gv = window_mass(scenario, map_gv, t_x)
-    mass_ev = window_mass(scenario, map_ev, t_ev, t_lo=t_x)
-    _check_conservation(
-        scenario,
-        "mixed equilibrium",
-        (cost_gv, cost_ev),
-        (mass_gv, mass_ev),
-        (pop_gv, pop_ev),
-        mixed_rtol,
+    bands = tuple(
+        (scenario.energy_model(cls), scenario.population(cls))
+        for cls, share in ((VehicleClass.GV, 1.0 - scenario.mpr), (VehicleClass.EV, scenario.mpr))
+        if share > 0.0
     )
-
-    t0 = scenario.t_star - cost_gv / scenario.beta
-    t1 = scenario.t_star + cost_gv / scenario.gamma
-    a = scenario.t_star - s_star / scenario.beta
-    b = scenario.t_star + s_star / scenario.gamma
-    segments = (
-        ClassSegment(VehicleClass.GV, t0, a, cost_gv),
-        ClassSegment(VehicleClass.EV, a, b, cost_ev),
-        ClassSegment(VehicleClass.GV, b, t1, cost_gv),
-    )
-    profile = _sample(scenario, (t0, t1), segments, dt)
-    return EquilibriumSolution(
-        scenario=scenario,
-        window=(t0, t1),
-        segments=segments,
-        class_costs={VehicleClass.GV: cost_gv, VehicleClass.EV: cost_ev},
-        class_counts={VehicleClass.GV: mass_gv, VehicleClass.EV: mass_ev},
-        profile=profile,
-    )
+    return _solve_bands(scenario, bands, dt, root_rtol, mixed_rtol, EquilibriumSolution)
 
 
 def _validate_no_deviation(
-    scenario: Scenario,
-    cost_gv: float,
-    cost_ev: float,
-    s_star: float,
+    outer: tuple[VehicleClass, CostMap, float, tuple[float, float]],
+    inner: tuple[VehicleClass, CostMap, float, tuple[float, float]],
     n_check: int = 257,
 ) -> None:
-    """Assert neither class can undercut its cost inside the other's segments.
+    """Assert neither of two adjacent bands' classes can undercut its cost in the other's band.
 
-    The GV-EV-GV topology is an assumption of the construction; this check
-    turns it into a verified property and fails loudly if violated.  Both
-    flanks run over the same schedule-penalty levels, so the check sweeps
-    levels rather than clock times: ``[0, s*]`` in the EV center and
-    ``[s*, C_GV]`` in the GV flanks.
+    A band is ``(vehicle_class, cmap, cost, (s_in, s_out))``, with the schedule
+    penalty at its inner and outer edge.  The band order is an assumption of
+    the construction; this check turns it into a verified property.  Both
+    flanks of a band run over the same penalty levels, so the check sweeps
+    levels, not clock times.  The band reaching t* (``s_in = 0``) is the one
+    centre segment.
     """
-    gv, ev = scenario.gv_energy, scenario.ev_energy
-    for inside, own_cost, intruder, intruder_cost, levels, message in (
-        (ev, cost_ev, gv, cost_gv, (0.0, s_star),
-         "a GV commuter could profit inside the EV segment"),
-        (gv, cost_gv, ev, cost_ev, (s_star, cost_gv),
-         "an EV commuter could profit inside a GV segment"),
+    for (cls, cmap, cost, levels), (intruder, intruder_map, intruder_cost, _) in (
+        (inner, outer),
+        (outer, inner),
     ):
         sd = np.linspace(*levels, n_check)
-        delay = invert_congestion_cost(inside, scenario, np.maximum(own_cost - sd, 0.0))
-        tempted = congestion_cost(intruder, scenario, delay) + sd
+        tempted = intruder_map(cmap.invert(np.maximum(cost - sd, 0.0))) + sd
         if np.any(tempted < intruder_cost - 1e-9 * intruder_cost):
+            who = ("an " if intruder is VehicleClass.EV else "a ") + intruder.name
+            where = ("the " if levels[0] == 0.0 else "a ") + cls.name
             raise SolverError(
-                f"mixed topology invalid: {message}",
+                f"mixed topology invalid: {who} commuter could profit inside {where} segment",
                 diagnostics={
                     "min_cost": float(np.min(tempted)),
-                    f"cost_{intruder.vehicle_class.value}": intruder_cost,
+                    f"cost_{intruder.value}": intruder_cost,
                 },
             )
 

@@ -35,7 +35,7 @@ from __future__ import annotations
 import math
 import os
 from collections.abc import Mapping
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from importlib import resources
 from pathlib import Path
 
@@ -302,9 +302,3 @@ def bundled_scenario_path() -> Path:
     """Path of the packaged default scenario file."""
     return Path(resources.files("commuteq").joinpath("scenarios/basic.toml"))
 
-
-def scenario_with(config: ScenarioConfig, **changes) -> ScenarioConfig:
-    """Copy of ``config`` with scenario fields replaced (e.g. mpr=0.5)."""
-    return ScenarioConfig(
-        scenario=replace(config.scenario, **changes), numerics=config.numerics
-    )

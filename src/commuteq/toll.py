@@ -29,7 +29,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .dynamics import CLASS_ORDER, crowded_edges, extend_grid, init_assignment
-from .equilibrium import DEFAULT_DT, EquilibriumSolution, _solve_segment
+from .equilibrium import DEFAULT_DT, EquilibriumSolution, _solve_bands
 from .model import (
     EnergyModel,
     Scenario,
@@ -109,7 +109,8 @@ def solve_system_optimum(
     multiplier, whose profile carries the toll column.  The optimal pattern
     must absorb the fleet to ``mixed_rtol * n_total``.
     """
-    return _solve_segment(scenario, model, dt, root_rtol, mixed_rtol, SystemOptimum)
+    bands = ((model, scenario.n_total),)
+    return _solve_bands(scenario, bands, dt, root_rtol, mixed_rtol, SystemOptimum)
 
 
 def _so_toll_revenue(scenario: Scenario, model: EnergyModel, lam: float) -> float:

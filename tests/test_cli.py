@@ -320,6 +320,28 @@ class TestOracle:
         assert summary["converged"] == "true"
         assert float(summary["max_delay_deviation_vs_analytic"]) <= 0.02
 
+    def test_failed_reference_keeps_the_converged_summary(self, tmp_path, monkeypatch, capsys):
+        # an EV model steeper than the GV one breaks the analytic GV-EV-GV
+        # reference, not the oracle, which converges and says so
+        monkeypatch.setenv("CEQ_DEMAND_MPR", "0.5")
+        monkeypatch.setenv("CEQ_ENERGY_EV_C1", "8")
+        monkeypatch.setenv("CEQ_ENERGY_EV_C2", "1")
+        out = tmp_path / "o"
+        with pytest.warns(UserWarning, match="EV energy coefficients"):
+            code = main(["oracle", "--out", str(out), "--quiet"])
+        assert code == EXIT_SOLVER
+        message = "mixed topology invalid: an EV commuter could profit inside a GV segment"
+        assert message in capsys.readouterr().err
+        assert sorted(path.name for path in out.iterdir()) == [
+            "gap_trace.csv", "oracle_profile.csv", "summary.txt"
+        ]
+        summary = _read_summary(out / "summary.txt")
+        assert summary["converged"] == "true"
+        assert summary["reference_error"] == message
+        assert "max_delay_deviation_vs_analytic" not in summary
+        assert float(summary["mass_gv"]) == pytest.approx(1500.0)
+        assert float(summary["mass_ev"]) == pytest.approx(1500.0)
+
     def test_unconverged_oracle_diagnostics_carry_both_gaps(self, tmp_path):
         config = load_config(bundled_scenario_path(), env={})
         config = replace(config, numerics=replace(config.numerics, max_days=5))

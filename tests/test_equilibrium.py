@@ -335,16 +335,40 @@ class TestMixedEdgeCases:
     )
     def test_profitable_deviation_is_a_solver_error(self, mixed_solution, bumped, message, key):
         # a class cost above its equilibrium value lets that class undercut it
-        # inside the other class's segment at the boundary level s*
+        # inside the other class's band at the boundary level s*
+        sc = mixed_solution.scenario
         costs = dict(mixed_solution.class_costs)
-        s_star = float(schedule_delay(mixed_solution.segments[1].t_lo, mixed_solution.scenario))
-        validate = partial(equilibrium._validate_no_deviation, mixed_solution.scenario)
-        validate(costs[VehicleClass.GV], costs[VehicleClass.EV], s_star)
+        s_star = float(schedule_delay(mixed_solution.segments[1].t_lo, sc))
+        gv_map, ev_map = (congestion_cost_map(m, sc) for m in (sc.gv_energy, sc.ev_energy))
+
+        def validate():
+            cost_gv, cost_ev = costs[VehicleClass.GV], costs[VehicleClass.EV]
+            outer = (VehicleClass.GV, gv_map, cost_gv, (s_star, cost_gv))
+            inner = (VehicleClass.EV, ev_map, cost_ev, (0.0, s_star))
+            equilibrium._validate_no_deviation(outer, inner)
+
+        validate()
         costs[bumped] *= 1.0 + 1e-6
         with pytest.raises(SolverError, match=message) as err:
-            validate(costs[VehicleClass.GV], costs[VehicleClass.EV], s_star)
+            validate()
         assert err.value.diagnostics[key] == costs[bumped]
         assert err.value.diagnostics["min_cost"] < costs[bumped]
+
+    @pytest.mark.parametrize("vanishing", [VehicleClass.EV, VehicleClass.GV])
+    def test_vanishing_band_leaves_the_other_single_class_solution(self, vanishing):
+        # a band whose population shrinks to nothing leaves the other class
+        # alone on the road at its single-class cost, in segments of no width
+        remaining = VehicleClass.GV if vanishing is VehicleClass.EV else VehicleClass.EV
+        mpr = 1e-12 if vanishing is VehicleClass.EV else 1.0 - 1e-12
+        expected = solve_mixed(basic_scenario(float(remaining is VehicleClass.EV))).class_costs
+        solution = solve_mixed(basic_scenario(mpr))
+        assert abs(solution.class_costs[remaining] - expected[remaining]) <= 1e-9
+        if vanishing is VehicleClass.GV:
+            # the empty GV flanks sit at the window edge, where the level is the EV cost
+            assert abs(solution.class_costs[vanishing] - expected[remaining]) <= 1e-9
+        widths = [s.t_hi - s.t_lo for s in solution.segments if s.vehicle_class is vanishing]
+        assert len(widths) == (1 if vanishing is VehicleClass.EV else 2)
+        assert max(widths) < 1e-9
 
     def test_missed_conservation_is_a_solver_error(self):
         # a root stopped at a 1% Newton step leaves the counts far outside 1e-8 * N

@@ -2,6 +2,7 @@
 
 import inspect
 from collections.abc import Mapping
+from dataclasses import replace
 
 import pytest
 
@@ -240,9 +241,8 @@ class TestRoundTrip:
 
     def test_round_trip_preserves_awkward_floats(self, tmp_path):
         base = load_config(_write(tmp_path, MINIMAL), env={})
-        from commuteq.scenario_io import scenario_with
-
-        awkward = scenario_with(base, mpr=0.1 + 0.2)  # 0.30000000000000004
+        scenario = replace(base.scenario, mpr=0.1 + 0.2)  # 0.30000000000000004
+        awkward = replace(base, scenario=scenario)
         path = _write(tmp_path, emit_config(awkward), name="awkward.toml")
         assert load_config(path, env={}) == awkward
 
