@@ -17,6 +17,7 @@ import argparse
 import functools
 import math
 import sys
+from collections.abc import Iterable
 from dataclasses import replace
 from pathlib import Path
 
@@ -36,31 +37,33 @@ EXIT_IO = 4
 #: Most rows a ``sweep --mpr start:step:stop`` range may expand to (a step of 1e-4 on [0, 1]).
 MAX_MPR_ROWS = 10_001
 
-PROFILE_COLUMNS = (
-    "t_hours",
-    "delay_hours",
-    "flow_total",
-    "flow_gv",
-    "flow_ev",
-    "cost_traveltime",
-    "cost_energy",
-    "cost_schedule",
-    "toll",
-    "cost_total",
-)
+#: ``profile.csv`` and ``so_profile.csv``: each header and the ``TimeProfile`` field under it.
+PROFILE_COLUMNS = {
+    "t_hours": "times",
+    "delay_hours": "delay",
+    "flow_total": "flow_total",
+    "flow_gv": "flow_gv",
+    "flow_ev": "flow_ev",
+    "cost_traveltime": "cost_travel_time",
+    "cost_energy": "cost_energy",
+    "cost_schedule": "cost_schedule",
+    "toll": "toll",
+    "cost_total": "cost_total",
+}
 
 
 def _fmt(x: float) -> str:
     return format(float(x), ".10g")
 
 
-def _write_csv(path: Path, header: tuple[str, ...], rows, template: str | None = None) -> None:
-    """Write each row tuple through one ``%`` template, by default ``%.10g`` per
-    cell (on floats byte-identical to :func:`_fmt`, and one call per row)."""
-    line = (template or ",".join(["%.10g"] * len(header))) + "\n"
+def _write_csv(path: Path, columns: dict[str, Iterable], template: str | None = None) -> None:
+    """Write ``{header: column}`` as a CSV, each row through one ``%`` template,
+    by default ``%.10g`` per cell (on floats byte-identical to :func:`_fmt`,
+    and one call per row)."""
+    line = (template or ",".join(["%.10g"] * len(columns))) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        fh.writelines(line % row for row in rows)
+        fh.write(",".join(columns) + "\n")
+        fh.writelines(line % row for row in zip(*columns.values()))
 
 
 def _write_summary(path: Path, items: list[tuple[str, object]]) -> None:
@@ -72,19 +75,7 @@ def _write_summary(path: Path, items: list[tuple[str, object]]) -> None:
 
 
 def write_profile_csv(path: Path, profile: TimeProfile) -> None:
-    rows = zip(
-        profile.times,
-        profile.delay,
-        profile.flow_total,
-        profile.flow_gv,
-        profile.flow_ev,
-        profile.cost_travel_time,
-        profile.cost_energy,
-        profile.cost_schedule,
-        profile.toll,
-        profile.cost_total,
-    )
-    _write_csv(path, PROFILE_COLUMNS, rows)
+    _write_csv(path, {header: getattr(profile, name) for header, name in PROFILE_COLUMNS.items()})
 
 
 def _cost_cell(solution: EquilibriumSolution, cls: VehicleClass) -> str:
@@ -150,7 +141,7 @@ def cmd_sweep(config: ScenarioConfig, out_dir: Path, dt: float, mprs: list[float
     mprs = sorted(set(mprs))
     # the solve is deterministic, so the mpr-0 row reuses the baseline's solution
     baseline = _baseline(config.scenario, numerics, dt)
-    rows = []
+    columns: dict[str, list] = {}
     for mpr in mprs:
         solution = (
             baseline
@@ -158,35 +149,22 @@ def cmd_sweep(config: ScenarioConfig, out_dir: Path, dt: float, mprs: list[float
             else _solve_with_numerics(replace(config.scenario, mpr=mpr), numerics, dt)
         )
         report = metrics.summarize(solution.profile, baseline.profile)
-        rows.append(
-            (
-                mpr,
-                _cost_cell(solution, VehicleClass.GV),
-                _cost_cell(solution, VehicleClass.EV),
-                report.max_delay,
-                solution.duration,
-                report.ecp,
-                report.peak_flow,
-                report.costs.social,
-            )
-        )
+        row = {
+            "mpr": mpr,
+            "cost_gv": _cost_cell(solution, VehicleClass.GV),
+            "cost_ev": _cost_cell(solution, VehicleClass.EV),
+            "max_delay_hours": report.max_delay,
+            "duration_hours": solution.duration,
+            "ecp_hours": report.ecp,
+            "peak_flow_vph": report.peak_flow,
+            "social_cost": report.costs.social,
+        }
+        for header, cell in row.items():
+            columns.setdefault(header, []).append(cell)
         if not quiet:
             print(f"sweep: mpr={mpr:g} max_delay={_fmt(report.max_delay)} ecp={_fmt(report.ecp)}")
-    _write_csv(
-        out_dir / "sweep.csv",
-        (
-            "mpr",
-            "cost_gv",
-            "cost_ev",
-            "max_delay_hours",
-            "duration_hours",
-            "ecp_hours",
-            "peak_flow_vph",
-            "social_cost",
-        ),
-        rows,
-        template="%.10g,%s,%s,%.10g,%.10g,%.10g,%.10g,%.10g",
-    )
+    # the cost cells come formatted, and empty for a class with no commuters
+    _write_csv(out_dir / "sweep.csv", columns, "%.10g,%s,%s,%.10g,%.10g,%.10g,%.10g,%.10g")
     return EXIT_OK
 
 
@@ -215,14 +193,10 @@ def cmd_toll(config: ScenarioConfig, out_dir: Path, dt: float, incentive: bool, 
         ue.class_costs[c] * ue.class_counts[c] for c in ue.class_costs
     )
 
+    columns = {"t_hours": schedule.times, "toll": schedule.toll}
     if incentive:
-        rebased = schedule.as_incentive()
-        rows = zip(schedule.times, schedule.toll, rebased)
-        header = ("t_hours", "toll", "incentive")
-    else:
-        rows = zip(schedule.times, schedule.toll)
-        header = ("t_hours", "toll")
-    _write_csv(out_dir / "toll.csv", header, rows)
+        columns["incentive"] = schedule.as_incentive()
+    _write_csv(out_dir / "toll.csv", columns)
     write_profile_csv(out_dir / "so_profile.csv", so.profile)
     _write_summary(
         out_dir / "summary.txt",
@@ -262,40 +236,29 @@ def cmd_oracle(config: ScenarioConfig, out_dir: Path, dt: float, quiet: bool) ->
         costs = dynamics.bin_costs(assignment, scenario)
         delays = assignment.delays(scenario)
     flows = assignment.masses / assignment.bin_width
-    rows = zip(
-        assignment.centers,
-        delays,
-        flows[0] + flows[1],
-        flows[0],
-        flows[1],
-        assignment.masses[0],
-        assignment.masses[1],
-        costs[0],
-        costs[1],
-    )
     _write_csv(
         out_dir / "oracle_profile.csv",
-        (
-            "t_hours",
-            "delay_hours",
-            "flow_total",
-            "flow_gv",
-            "flow_ev",
-            "mass_gv",
-            "mass_ev",
-            "cost_gv",
-            "cost_ev",
-        ),
-        rows,
-    )
-    trace_rows = (
-        (day, rel[0], rel[1], weighted[0], weighted[1])
-        for day, (rel, weighted) in enumerate(zip(report.trace, report.weighted_trace))
+        {
+            "t_hours": assignment.centers,
+            "delay_hours": delays,
+            "flow_total": flows[0] + flows[1],
+            "flow_gv": flows[0],
+            "flow_ev": flows[1],
+            "mass_gv": assignment.masses[0],
+            "mass_ev": assignment.masses[1],
+            "cost_gv": costs[0],
+            "cost_ev": costs[1],
+        },
     )
     _write_csv(
         out_dir / "gap_trace.csv",
-        ("day", "rel_gap_gv", "rel_gap_ev", "weighted_gap_gv", "weighted_gap_ev"),
-        trace_rows,
+        {
+            "day": range(len(report.trace)),
+            "rel_gap_gv": report.trace[:, 0],
+            "rel_gap_ev": report.trace[:, 1],
+            "weighted_gap_gv": report.weighted_trace[:, 0],
+            "weighted_gap_ev": report.weighted_trace[:, 1],
+        },
     )
 
     items: list[tuple[str, object]] = [

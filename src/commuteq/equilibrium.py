@@ -23,9 +23,10 @@ for the delay, whose cost then follows from the map.
 
 Every solved pattern is an :class:`EquilibriumSolution`.  The system optimum
 (:class:`toll.SystemOptimum`) is one too: the one-band walk with Psi in
-place of Phi, selected by the class attribute ``optimum``.  One per-segment
-inversion (:func:`_segment_delay`) gives the delay for the solver's profile,
-for :func:`sample_profiles` and for :func:`solution_delay`, on either map.
+place of Phi, selected by the class attribute ``optimum``.  One rule
+(:func:`_segment_delays`) picks the segment that owns each arrival time and
+inverts its map there, for the solver's profile, for :func:`sample_profiles`
+and for :func:`solution_delay`, on either map.
 """
 
 from __future__ import annotations
@@ -345,18 +346,31 @@ def _validate_no_deviation(
             )
 
 
-def _segment_delay(
-    scenario: Scenario, seg: ClassSegment, sd: np.ndarray, optimum: bool
-) -> np.ndarray:
-    """Delay on ``seg`` at arrivals whose schedule penalty is ``sd``.
+def _segment_delays(
+    scenario: Scenario, segments: tuple[ClassSegment, ...], times: np.ndarray, optimum: bool
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Owning segment, schedule penalty and delay at each arrival time.
 
-    On the segment's isocost curve the delay is the class's cost map (Psi
-    with ``optimum``, else Phi) inverted at ``C - sd``, clipped at zero
+    The segments are contiguous and in time order.  A time belongs to the
+    first segment that holds it to within ``1e-12 * max(1, |t1|)``, with
+    ``t1`` the window end, so a shared edge belongs to the earlier segment; a
+    time no segment holds has owner -1 and delay 0.  On a segment's isocost curve the delay is its class's cost map
+    (Psi with ``optimum``, else Phi) inverted at ``C - sd``, clipped at zero
     where the penalty alone exceeds the cost.
     """
-    model = scenario.energy_model(seg.vehicle_class)
-    cmap = (marginal_social_cost_map if optimum else congestion_cost_map)(model, scenario)
-    return cmap.invert(np.maximum(seg.equilibrium_cost - sd, 0.0))
+    sd = schedule_delay(times, scenario)
+    delay = np.zeros_like(times)
+    if not segments:
+        return np.full(times.shape, -1), sd, delay
+    tiny = 1e-12 * max(1.0, abs(segments[-1].t_hi))
+    owner = np.searchsorted([seg.t_hi + tiny for seg in segments], times)
+    owner = np.where((owner == len(segments)) | (times < segments[0].t_lo - tiny), -1, owner)
+    pick = marginal_social_cost_map if optimum else congestion_cost_map
+    for k, seg in enumerate(segments):
+        mask = owner == k
+        cmap = pick(scenario.energy_model(seg.vehicle_class), scenario)
+        delay[mask] = cmap.invert(np.maximum(seg.equilibrium_cost - sd[mask], 0.0))
+    return owner, sd, delay
 
 
 def _sample(
@@ -375,40 +389,27 @@ def _sample(
     the segments are system-optimum ones: the delay inverts the marginal social
     cost Psi, not Phi, and the toll column carries the charge ``tau = Psi - Phi``.
     """
-    t0, t1 = window
+    if not 0.0 < dt < math.inf:  # NaN fails both comparisons
+        raise ValueError(f"dt must be positive and finite, got {dt}")
     times = _window_grid(scenario.t_star, window, dt)
-
-    delay = np.zeros_like(times)
+    owner, sd, delay = _segment_delays(scenario, segments, times, optimum)
     flow_gv = np.zeros_like(times)
     flow_ev = np.zeros_like(times)
-    cost_tt = np.zeros_like(times)
     cost_en = np.zeros_like(times)
-    cost_sd = np.zeros_like(times)
     toll = np.zeros_like(times)
     active = np.full(times.shape, -1, dtype=np.int8)
-
-    tiny = 1e-12 * max(1.0, abs(t1))
-    claimed = np.zeros(times.shape, dtype=bool)
-    for seg in segments:
-        mask = (times >= seg.t_lo - tiny) & (times <= seg.t_hi + tiny) & ~claimed
-        if not np.any(mask):
-            continue
-        claimed |= mask
+    for k, seg in enumerate(segments):
+        mask = owner == k
         model = scenario.energy_model(seg.vehicle_class)
-        sd = schedule_delay(times[mask], scenario)
-        seg_delay = _segment_delay(scenario, seg, sd, optimum)
-        seg_flow = flow_from_delay(seg_delay, scenario)
-        delay[mask] = seg_delay
-        if seg.vehicle_class is VehicleClass.GV:
-            flow_gv[mask] = seg_flow
-        else:
-            flow_ev[mask] = seg_flow
-        cost_tt[mask] = scenario.alpha * seg_delay
+        seg_delay = delay[mask]
+        flow = flow_gv if seg.vehicle_class is VehicleClass.GV else flow_ev
+        flow[mask] = flow_from_delay(seg_delay, scenario)
         cost_en[mask] = model.c1 * seg_delay + model.c2 * seg_delay**2
-        cost_sd[mask] = sd
         if optimum:
             toll[mask] = toll_at_delay(model, scenario, seg_delay)
         active[mask] = _class_index(seg.vehicle_class)
+    cost_tt = scenario.alpha * delay
+    cost_sd = np.where(owner >= 0, sd, 0.0)
 
     total = cost_tt + cost_en + cost_sd + toll
     return TimeProfile(
@@ -431,19 +432,12 @@ def _sample(
 def sample_profiles(solution: EquilibriumSolution, dt: float) -> TimeProfile:
     """Resample a solved pattern (equilibrium or optimum) onto a uniform grid
     with spacing ``dt`` hours; at the solve's own ``dt`` it is the solution's
-    profile."""
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
+    profile.  A ``dt`` that is not positive and finite raises ValueError, here
+    and in every solve."""
     return _sample(solution.scenario, solution.window, solution.segments, dt, solution.optimum)
 
 
 def solution_delay(solution: EquilibriumSolution, times: np.ndarray) -> np.ndarray:
     """Exact delay of a solved pattern at arbitrary arrival times (0 outside the window)."""
     times = np.asarray(times, dtype=float)
-    delay = np.zeros_like(times)
-    for seg in solution.segments:
-        mask = (times >= seg.t_lo) & (times <= seg.t_hi)
-        if np.any(mask):
-            sd = schedule_delay(times[mask], solution.scenario)
-            delay[mask] = _segment_delay(solution.scenario, seg, sd, solution.optimum)
-    return delay
+    return _segment_delays(solution.scenario, solution.segments, times, solution.optimum)[2]

@@ -2,14 +2,10 @@
 
 The on-disk format is a sectioned key-value text file (a TOML subset kept
 deliberately small: ``[section]`` headers, ``key = number`` lines, ``#``
-comments).  Every solver input lives in one of five sections::
-
-    [corridor]   trip_km, capacity_r, nu, s_max
-    [demand]     n_total, t_star, alpha, beta, gamma, mpr
-    [energy.gv]  c1, c2
-    [energy.ev]  c1, c2
-    [numerics]   dt_minutes, bin_minutes, eta, gap_tol, max_days,
-                 root_rtol, mixed_rtol
+comments).  Every solver input lives in one of five sections, ``[corridor]``,
+``[demand]``, ``[energy.gv]``, ``[energy.ev]`` and ``[numerics]``; ``_KEYS``
+is the one list of their keys, in file order, and each key is named after
+the ``Scenario``, ``EnergyModel`` or ``Numerics`` field it sets.
 
 ``[numerics]`` keys all have defaults.  ``gap_tol`` (3e-5) stops the
 day-to-day oracle once every class's mass-weighted relative gap
@@ -44,26 +40,17 @@ from .model import EnergyModel, Scenario, VehicleClass
 
 ENV_PREFIX = "CEQ_"
 
-_REQUIRED = {
-    "corridor": ("trip_km", "capacity_r", "nu"),
+#: Each section's keys in file order, each the name of the field it sets.
+#: ``s_max`` and the ``[numerics]`` keys are optional; ``quad_rtol`` is retired.
+_KEYS = {
+    "corridor": ("trip_km", "capacity_r", "nu", "s_max"),
     "demand": ("n_total", "t_star", "alpha", "beta", "gamma", "mpr"),
     "energy.gv": ("c1", "c2"),
     "energy.ev": ("c1", "c2"),
+    "numerics": ("dt_minutes", "bin_minutes", "eta", "gap_tol", "max_days", "quad_rtol",
+                 "root_rtol", "mixed_rtol"),
 }
-_OPTIONAL = {
-    "corridor": ("s_max",),
-    "numerics": (
-        "dt_minutes",
-        "bin_minutes",
-        "eta",
-        "gap_tol",
-        "max_days",
-        "quad_rtol",  # retired: loads and is ignored
-        "root_rtol",
-        "mixed_rtol",
-    ),
-}
-_SECTIONS = tuple(sorted(set(_REQUIRED) | set(_OPTIONAL)))
+_SECTIONS = tuple(sorted(_KEYS))
 
 
 @dataclass(frozen=True)
@@ -155,7 +142,7 @@ def parse_config_text(text: str, source: str = "<string>") -> dict[str, dict[str
             raise ScenarioError(f"{where}: key outside of any [section]")
         key, _, value = stripped.partition("=")
         key = key.strip()
-        allowed = _REQUIRED.get(current, ()) + _OPTIONAL.get(current, ())
+        allowed = _KEYS[current]
         if key not in allowed:
             raise ScenarioError(
                 f"{where}: unknown key {key!r} in [{current}]; expected one of "
@@ -183,8 +170,7 @@ def _apply_env_overrides(
             prefix = section.replace(".", "_") + "_"
             if tail.startswith(prefix):
                 key = tail[len(prefix) :]
-                allowed = _REQUIRED.get(section, ()) + _OPTIONAL.get(section, ())
-                if key not in allowed:
+                if key not in _KEYS[section]:
                     raise ScenarioError(f"{var}: unknown key {key!r} for [{section}]")
                 sections.setdefault(section, {})[key] = _parse_number(raw, var)
                 break
@@ -194,31 +180,22 @@ def _apply_env_overrides(
 
 
 def _build_config(sections: dict[str, dict[str, float]], source: str) -> ScenarioConfig:
+    # every missing section is reported before any missing key
     for name in ("corridor", "demand", "energy.gv"):
         if name not in sections:
             raise ScenarioError(f"{source}: missing required section [{name}]")
-    for name, keys in _REQUIRED.items():
-        if name == "energy.ev":
-            continue
-        for key in keys:
-            if key not in sections.get(name, {}):
+    for name in ("corridor", "demand", "energy.gv", "energy.ev"):
+        for key in _KEYS[name]:
+            if name in sections and key not in sections[name] and key != "s_max":
                 raise ScenarioError(f"{source}: missing required key {key!r} in [{name}]")
 
-    demand = sections["demand"]
-    corridor = sections["corridor"]
-    gv_raw = sections["energy.gv"]
-    mpr = demand["mpr"]
-    if "energy.ev" in sections:
-        for key in _REQUIRED["energy.ev"]:
-            if key not in sections["energy.ev"]:
-                raise ScenarioError(f"{source}: missing required key {key!r} in [energy.ev]")
-        ev_raw = sections["energy.ev"]
-    elif mpr == 0.0:
-        ev_raw = dict(gv_raw)  # no EVs on the road: coefficients are inert
-    else:
-        raise ScenarioError(
-            f"{source}: [energy.ev] is required when mpr > 0 (mpr={mpr})"
-        )
+    mpr = sections["demand"]["mpr"]
+    gv = sections["energy.gv"]
+    ev = sections.get("energy.ev")
+    if ev is None:
+        if mpr != 0.0:
+            raise ScenarioError(f"{source}: [energy.ev] is required when mpr > 0 (mpr={mpr})")
+        ev = gv  # no EVs on the road: coefficients are inert
 
     numerics_raw = dict(sections.get("numerics", {}))
     numerics_raw.pop("quad_rtol", None)
@@ -230,18 +207,10 @@ def _build_config(sections: dict[str, dict[str, float]], source: str) -> Scenari
     numerics = Numerics(**numerics_raw)
 
     scenario = Scenario(
-        alpha=demand["alpha"],
-        beta=demand["beta"],
-        gamma=demand["gamma"],
-        t_star=demand["t_star"],
-        nu=corridor["nu"],
-        n_total=demand["n_total"],
-        capacity_r=corridor["capacity_r"],
-        trip_km=corridor["trip_km"],
-        s_max=corridor.get("s_max", 60.0),
-        mpr=mpr,
-        gv_energy=EnergyModel(VehicleClass.GV, gv_raw["c1"], gv_raw["c2"]),
-        ev_energy=EnergyModel(VehicleClass.EV, ev_raw["c1"], ev_raw["c2"]),
+        **sections["corridor"],
+        **sections["demand"],
+        gv_energy=EnergyModel(VehicleClass.GV, **gv),
+        ev_energy=EnergyModel(VehicleClass.EV, **ev),
     )
     return ScenarioConfig(scenario=scenario, numerics=numerics)
 
@@ -271,31 +240,13 @@ def load_scenario(path: str | Path, env: Mapping[str, str] | None = None) -> Sce
 def emit_config(config: ScenarioConfig) -> str:
     """Render a config back to file text; load(emit(c)) reproduces c exactly."""
     sc = config.scenario
-    nm = config.numerics
-    lines = ["[corridor]"]
-    for key, value in (
-        ("trip_km", sc.trip_km),
-        ("capacity_r", sc.capacity_r),
-        ("nu", sc.nu),
-        ("s_max", sc.s_max),
-    ):
-        lines.append(f"{key} = {value!r}")
-    lines += ["", "[demand]"]
-    for key, value in (
-        ("n_total", sc.n_total),
-        ("t_star", sc.t_star),
-        ("alpha", sc.alpha),
-        ("beta", sc.beta),
-        ("gamma", sc.gamma),
-        ("mpr", sc.mpr),
-    ):
-        lines.append(f"{key} = {value!r}")
-    lines += ["", "[energy.gv]", f"c1 = {sc.gv_energy.c1!r}", f"c2 = {sc.gv_energy.c2!r}"]
-    lines += ["", "[energy.ev]", f"c1 = {sc.ev_energy.c1!r}", f"c2 = {sc.ev_energy.c2!r}"]
-    lines += ["", "[numerics]"]
-    for fld in fields(Numerics):
-        lines.append(f"{fld.name} = {getattr(nm, fld.name)!r}")
-    return "\n".join(lines) + "\n"
+    records = {"energy.gv": sc.gv_energy, "energy.ev": sc.ev_energy, "numerics": config.numerics}
+    lines = []
+    for section, keys in _KEYS.items():
+        record = records.get(section, sc)  # corridor and demand keys are Scenario fields
+        lines += ["", f"[{section}]"]
+        lines += [f"{key} = {getattr(record, key)!r}" for key in keys if key != "quad_rtol"]
+    return "\n".join(lines[1:]) + "\n"
 
 
 def bundled_scenario_path() -> Path:

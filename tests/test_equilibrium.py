@@ -4,6 +4,7 @@ Golden numbers were frozen after the day-to-day oracle reproduced the same
 profiles within tolerance (see test_acceptance.py); they guard regressions.
 """
 
+import math
 from dataclasses import replace
 from functools import partial
 
@@ -29,7 +30,11 @@ from commuteq.equilibrium import window_mass
 from commuteq.model import CostMap, congestion_cost_map, delay_from_flow
 from commuteq.numerics import trapezoid_refine
 from commuteq.scenario_io import Numerics, ScenarioConfig, emit_config
-from commuteq.toll import invert_marginal_social_cost, marginal_social_cost_map
+from commuteq.toll import (
+    invert_marginal_social_cost,
+    marginal_social_cost_map,
+    solve_system_optimum,
+)
 from conftest import N_TOTAL, basic_scenario
 
 GOLDEN_COST_GV = 4.389575841217798
@@ -531,6 +536,38 @@ class TestSampleProfiles:
         assert np.all(profile.flow_total == 0.0)
         assert np.all(profile.active == -1)
 
-    def test_invalid_dt(self, gv_solution):
-        with pytest.raises(ValueError):
-            sample_profiles(gv_solution, 0.0)
+    @pytest.mark.parametrize(
+        "dt", [0.0, -1.0 / 60.0, math.inf, math.nan], ids=["zero", "negative", "inf", "nan"]
+    )
+    def test_invalid_dt(self, gv_solution, dt):
+        sc = gv_solution.scenario
+        for call in (
+            partial(sample_profiles, gv_solution),
+            partial(solve_mixed, basic_scenario(mpr=0.5)),
+            partial(solve_system_optimum, sc, sc.gv_energy),
+        ):
+            with pytest.raises(ValueError, match="dt must be positive and finite"):
+                call(dt)
+
+
+class TestSolutionDelay:
+    @pytest.mark.parametrize("mpr", [0.1, 0.5, 0.9])
+    def test_a_shared_edge_belongs_to_the_earlier_segment(self, mpr):
+        # the sampled profile gives a shared edge to the earlier segment; so must this
+        solution = solve_mixed(basic_scenario(mpr=mpr))
+        sc = solution.scenario
+        for seg in solution.segments[:-1]:
+            edge = np.array([seg.t_hi])
+            cmap = congestion_cost_map(sc.energy_model(seg.vehicle_class), sc)
+            expected = cmap.invert(seg.equilibrium_cost - schedule_delay(edge, sc))
+            assert np.array_equal(solution_delay(solution, edge), expected)
+
+    @pytest.mark.parametrize("mpr", [0.0, 0.1, 0.5, 0.9, 1.0])
+    def test_matches_the_profile_on_its_grid(self, mpr):
+        solution = solve_mixed(basic_scenario(mpr=mpr))
+        delay = solution_delay(solution, solution.profile.times)
+        assert np.array_equal(delay, solution.profile.delay)
+
+    def test_a_scalar_time(self, mixed_solution):
+        for t in (7.0, 8.0, 8.1, 12.0):
+            assert solution_delay(mixed_solution, t) == solution_delay(mixed_solution, [t])[0]

@@ -2,7 +2,7 @@
 
 import inspect
 from collections.abc import Mapping
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
@@ -10,6 +10,8 @@ from commuteq import (
     Numerics,
     ScenarioConfig,
     ScenarioError,
+    EnergyModel,
+    Scenario,
     VehicleClass,
     bundled_scenario_path,
     emit_config,
@@ -17,7 +19,7 @@ from commuteq import (
     load_scenario,
     run_until_converged,
 )
-from commuteq.scenario_io import parse_config_text
+from commuteq.scenario_io import _KEYS, parse_config_text
 
 MINIMAL = """
 [corridor]
@@ -40,6 +42,20 @@ c2 = 16.8
 [energy.ev]
 c1 = 0.5
 c2 = 3.0
+"""
+
+
+#: Every key set, several to floats that print with 17 digits.
+FULL = MINIMAL.replace("nu = 4.1", "nu = 4.1\ns_max = 0.1") + """
+[numerics]
+dt_minutes = 0.3333333333333333
+bin_minutes = 1.0
+eta = 0.7
+gap_tol = 1.2345678901234567e-05
+max_days = 777
+quad_rtol = 1e-9
+root_rtol = 1e-10
+mixed_rtol = 1e-08
 """
 
 
@@ -239,9 +255,19 @@ class TestRoundTrip:
         loaded = load_config(path, env={})
         assert loaded == original
 
-    def test_round_trip_preserves_awkward_floats(self, tmp_path):
-        base = load_config(_write(tmp_path, MINIMAL), env={})
-        scenario = replace(base.scenario, mpr=0.1 + 0.2)  # 0.30000000000000004
+    @pytest.mark.parametrize(
+        "text",
+        [
+            FULL,
+            FULL.replace("s_max = 0.1\n", ""),
+            FULL.split("[numerics]")[0],
+            MINIMAL.split("[energy.ev]")[0].replace("mpr = 0.5", "mpr = 0.0"),
+        ],
+        ids=["full", "no_s_max", "no_numerics", "no_ev_at_mpr0"],
+    )
+    def test_round_trip_preserves_awkward_floats(self, tmp_path, text):
+        base = load_config(_write(tmp_path, text), env={})
+        scenario = replace(base.scenario, n_total=0.1 + 0.2)  # 0.30000000000000004
         awkward = replace(base, scenario=scenario)
         path = _write(tmp_path, emit_config(awkward), name="awkward.toml")
         assert load_config(path, env={}) == awkward
@@ -258,3 +284,15 @@ def test_scenario_config_is_plain_data():
     config = load_config(bundled_scenario_path(), env={})
     assert isinstance(config, ScenarioConfig)
     assert config.scenario.energy_model(VehicleClass.EV).vehicle_class is VehicleClass.EV
+
+
+def test_keys_are_the_fields_they_set():
+    def names(record, kind="float"):
+        return sorted(fld.name for fld in fields(record) if fld.type == kind)
+
+    assert sorted(_KEYS["corridor"] + _KEYS["demand"]) == names(Scenario)
+    assert list(_KEYS["energy.gv"]) == list(_KEYS["energy.ev"]) == names(EnergyModel)
+    assert sorted(_KEYS["numerics"]) == sorted(
+        [fld.name for fld in fields(Numerics)] + ["quad_rtol"]
+    )
+    assert sorted(_KEYS) == ["corridor", "demand", "energy.ev", "energy.gv", "numerics"]

@@ -8,10 +8,15 @@ Each case (``solve``, ``sweep``, ``toll``, ``toll --incentive``,
 ``toll --dt 0.01`` and ``oracle``, each at mpr 0, 0.5 and 1 through
 ``CEQ_DEMAND_MPR``) runs as ``python -m commuteq.cli`` on the checkout's
 ``src``, in a fresh working directory per side and with the same relative
-``--out`` path, so both sides print the same paths.  Other ``CEQ_*``
-variables are dropped from the environment.  Every file under ``--out``,
-stdout, stderr and the exit code are compared byte for byte.  One line is
-printed per difference; the exit status is 1 if there is any, else 0.
+``--out`` path, so both sides print the same paths.  Then ``solve`` runs on
+scenario files the tool writes (as ``scenario.toml`` in the working
+directory): a minimal mpr-0 file with no ``s_max``, ``[numerics]`` or
+``[energy.ev]``, which must solve, and broken files and a bad ``CEQ_*``
+override, which must exit 2.  Other ``CEQ_*`` variables are dropped from the
+environment.  Every file under ``--out``, stdout, stderr and the exit code
+are compared byte for byte, and an exit code other than a scenario case's
+expected one is a difference too.  One line is printed per difference; the
+exit status is 1 if there is any, else 0.
 """
 
 from __future__ import annotations
@@ -32,11 +37,48 @@ COMMANDS = (
 )
 MPRS = ("0", "0.5", "1")
 
+MINIMAL = """\
+[corridor]
+trip_km = 20.0
+capacity_r = 8000.0
+nu = 4.1
 
-def run_case(checkout: Path, workdir: Path, command: tuple[str, ...], mpr: str) -> dict:
-    """Run one case in ``workdir``; its exit code, stdout, stderr and output files."""
+[demand]
+n_total = 3000.0
+t_star = 8.0
+alpha = 8.4
+beta = 4.2
+gamma = 16.8
+mpr = 0.0
+
+[energy.gv]
+c1 = 4.0
+c2 = 16.8
+"""
+
+# label, scenario file text, CEQ_* variables, the exit code ``solve`` must give
+SCENARIO_CASES = (
+    ("minimal mpr-0 file", MINIMAL, {}, 0),
+    ("missing section", MINIMAL.split("[energy.gv]")[0], {}, 2),
+    ("missing key", MINIMAL.replace("gamma = 16.8\n", ""), {}, 2),
+    ("missing section and key",
+     MINIMAL.split("[energy.gv]")[0].replace("trip_km = 20.0\n", ""), {}, 2),
+    ("partial [energy.ev]", MINIMAL + "\n[energy.ev]\nc1 = 0.5\n", {}, 2),
+    ("no [energy.ev] at mpr 0.5", MINIMAL.replace("mpr = 0.0", "mpr = 0.5"), {}, 2),
+    ("non-integer max_days", MINIMAL + "\n[numerics]\nmax_days = 10.5\n", {}, 2),
+    ("bad CEQ_* override", MINIMAL, {"CEQ_DEMAND_WIBBLE": "1", "CEQ_CORRIDOR_NU": "fast"}, 2),
+)
+
+
+def run_case(checkout: Path, workdir: Path, command: tuple[str, ...], variables: dict,
+             scenario: str | None = None) -> dict:
+    """Run one case in ``workdir``, on ``scenario`` text if given, else the bundled file;
+    its exit code, stdout, stderr and output files."""
     env = {k: v for k, v in os.environ.items() if not k.startswith("CEQ_")}
-    env.update(PYTHONPATH=str(checkout / "src"), CEQ_DEMAND_MPR=mpr)
+    env.update(PYTHONPATH=str(checkout / "src"), **variables)
+    if scenario is not None:
+        (workdir / "scenario.toml").write_text(scenario, encoding="utf-8")
+        command += ("--scenario", "scenario.toml")
     out = Path("out")
     done = subprocess.run(
         [sys.executable, "-m", "commuteq.cli", *command, "--out", str(out)],
@@ -83,23 +125,28 @@ def main(argv: list[str]) -> int:
         print("usage: compare_outputs.py PARENT_DIR CHANGE_DIR", file=sys.stderr)
         return 2
     checkouts = [Path(arg).resolve() for arg in argv]
-    n_cases = n_files = n_bad = 0
-    for command in COMMANDS:
-        for mpr in MPRS:
-            with tempfile.TemporaryDirectory() as parent_dir, \
-                    tempfile.TemporaryDirectory() as change_dir:
-                parent, change = (
-                    run_case(checkout, Path(workdir), command, mpr)
-                    for checkout, workdir in zip(checkouts, (parent_dir, change_dir))
-                )
-            found = differences(parent, change)
-            n_cases += 1
-            n_files += len(parent["files"])
-            n_bad += bool(found)
-            label = f"{' '.join(command)} @ mpr {mpr} (exit {parent['exit code']})"
-            for line in found:
-                print(f"DIFF {label}: {line}")
-    print(f"{n_cases} cases, {n_files} parent output files: "
+    cases = [(f"{' '.join(command)} @ mpr {mpr}", command, {"CEQ_DEMAND_MPR": mpr}, None, None)
+             for command in COMMANDS for mpr in MPRS]
+    cases += [(f"scenario file: {label}", ("solve",), variables, text, expected)
+              for label, text, variables, expected in SCENARIO_CASES]
+    n_files = n_bad = 0
+    for label, command, variables, text, expected in cases:
+        with tempfile.TemporaryDirectory() as parent_dir, \
+                tempfile.TemporaryDirectory() as change_dir:
+            parent, change = (
+                run_case(checkout, Path(workdir), command, variables, text)
+                for checkout, workdir in zip(checkouts, (parent_dir, change_dir))
+            )
+        found = differences(parent, change)
+        if expected is not None:
+            found += [f"{side} exit code {run['exit code']}, expected {expected}"
+                      for side, run in (("parent", parent), ("change", change))
+                      if run["exit code"] != expected]
+        n_files += len(parent["files"])
+        n_bad += bool(found)
+        for line in found:
+            print(f"DIFF {label} (exit {parent['exit code']}): {line}")
+    print(f"{len(cases)} cases, {n_files} parent output files: "
           + (f"{n_bad} cases differ" if n_bad else "all identical, stdout, stderr and exit codes included"))
     return 1 if n_bad else 0
 
