@@ -2,8 +2,11 @@
 
 All numeric output is formatted to 10 significant digits and produced by
 deterministic computations, so repeated runs on the same inputs yield
-byte-identical files.  Exit codes: 0 success, 2 input or validation error,
-3 solver non-convergence, 4 I/O failure.
+byte-identical files.  A command writes all of its CSVs in one
+:func:`_write_csvs` call, block of rows by block of rows, and formats a
+column that repeats in a block, in one file or another, only once.  Exit
+codes: 0 success, 2 input or validation error, 3 solver non-convergence,
+4 I/O failure.
 
 The argument parser is built once per process, on the first :func:`main`
 call, and reused: parsing leaves it unchanged.  The scenario file and the
@@ -52,18 +55,52 @@ PROFILE_COLUMNS = {
 }
 
 
+#: Rows per block of :func:`_write_csvs`; larger blocks raise a long CSV's peak memory.
+CSV_BLOCK_ROWS = 256
+
+
 def _fmt(x: float) -> str:
     return format(float(x), ".10g")
 
 
-def _write_csv(path: Path, columns: dict[str, Iterable], template: str | None = None) -> None:
-    """Write ``{header: column}`` as a CSV, each row through one ``%`` template,
-    by default ``%.10g`` per cell (on floats byte-identical to :func:`_fmt`,
-    and one call per row)."""
-    line = (template or ",".join(["%.10g"] * len(columns))) + "\n"
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(columns) + "\n")
-        fh.writelines(line % row for row in zip(*columns.values()))
+def _write_csvs(files: dict[Path, dict[str, Iterable]]) -> None:
+    """Write each ``{path: {header: column}}`` file, all together, one block of
+    :data:`CSV_BLOCK_ROWS` rows at a time.  In a block, each float column's
+    bytes (so 0.0 and -0.0 differ) are formatted once, in whichever file they
+    come first: a bit-constant column as one :func:`_fmt` string, any other
+    ``%.10g`` per cell.  Columns of ``str`` cells pass through as they are.
+    """
+    handles, tables = [], []
+    try:
+        for path, columns in files.items():
+            handles.append(open(path, "w", encoding="utf-8", newline="\n"))
+            handles[-1].write(",".join(columns) + "\n")
+            tables.append([
+                col if isinstance(col, list) and col and isinstance(col[0], str)
+                else np.asarray(col, dtype=float)
+                for col in columns.values()
+            ])
+        for start in range(0, max(len(cols[0]) for cols in tables), CSV_BLOCK_ROWS):
+            seen: dict[bytes, list[str]] = {}
+            for fh, cols in zip(handles, tables):
+                if start >= len(cols[0]):
+                    continue
+                cells = []
+                for col in cols:
+                    part = col[start:start + CSV_BLOCK_ROWS]
+                    if not isinstance(part, list):
+                        key, n = part.tobytes(), len(part)
+                        if key not in seen:
+                            seen[key] = (
+                                [_fmt(part[0])] * n if key == key[:8] * n
+                                else ("%.10g\n" * n % tuple(part.tolist())).split("\n")[:-1]
+                            )
+                        part = seen[key]
+                    cells.append(part)
+                fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
+    finally:
+        for fh in handles:
+            fh.close()
 
 
 def _write_summary(path: Path, items: list[tuple[str, object]]) -> None:
@@ -74,8 +111,8 @@ def _write_summary(path: Path, items: list[tuple[str, object]]) -> None:
             fh.write(f"{key} = {value}\n")
 
 
-def write_profile_csv(path: Path, profile: TimeProfile) -> None:
-    _write_csv(path, {header: getattr(profile, name) for header, name in PROFILE_COLUMNS.items()})
+def _profile_columns(profile: TimeProfile) -> dict[str, np.ndarray]:
+    return {header: getattr(profile, name) for header, name in PROFILE_COLUMNS.items()}
 
 
 def _cost_cell(solution: EquilibriumSolution, cls: VehicleClass) -> str:
@@ -128,7 +165,7 @@ def cmd_solve(config: ScenarioConfig, out_dir: Path, dt: float, quiet: bool) -> 
         else _baseline(scenario, config.numerics, dt).profile
     )
     report = metrics.summarize(solution.profile, baseline)
-    write_profile_csv(out_dir / "profile.csv", solution.profile)
+    _write_csvs({out_dir / "profile.csv": _profile_columns(solution.profile)})
     _write_summary(out_dir / "summary.txt", [("command", "solve")] + _solution_summary(solution, report))
     if not quiet:
         print(f"solve: mpr={scenario.mpr:g} max_delay={_fmt(report.max_delay)} h "
@@ -164,7 +201,7 @@ def cmd_sweep(config: ScenarioConfig, out_dir: Path, dt: float, mprs: list[float
         if not quiet:
             print(f"sweep: mpr={mpr:g} max_delay={_fmt(report.max_delay)} ecp={_fmt(report.ecp)}")
     # the cost cells come formatted, and empty for a class with no commuters
-    _write_csv(out_dir / "sweep.csv", columns, "%.10g,%s,%s,%.10g,%.10g,%.10g,%.10g,%.10g")
+    _write_csvs({out_dir / "sweep.csv": columns})
     return EXIT_OK
 
 
@@ -196,8 +233,10 @@ def cmd_toll(config: ScenarioConfig, out_dir: Path, dt: float, incentive: bool, 
     columns = {"t_hours": schedule.times, "toll": schedule.toll}
     if incentive:
         columns["incentive"] = schedule.as_incentive()
-    _write_csv(out_dir / "toll.csv", columns)
-    write_profile_csv(out_dir / "so_profile.csv", so.profile)
+    _write_csvs({
+        out_dir / "toll.csv": columns,
+        out_dir / "so_profile.csv": _profile_columns(so.profile),
+    })
     _write_summary(
         out_dir / "summary.txt",
         [
@@ -236,9 +275,8 @@ def cmd_oracle(config: ScenarioConfig, out_dir: Path, dt: float, quiet: bool) ->
         costs = dynamics.bin_costs(assignment, scenario)
         delays = assignment.delays(scenario)
     flows = assignment.masses / assignment.bin_width
-    _write_csv(
-        out_dir / "oracle_profile.csv",
-        {
+    _write_csvs({
+        out_dir / "oracle_profile.csv": {
             "t_hours": assignment.centers,
             "delay_hours": delays,
             "flow_total": flows[0] + flows[1],
@@ -249,17 +287,14 @@ def cmd_oracle(config: ScenarioConfig, out_dir: Path, dt: float, quiet: bool) ->
             "cost_gv": costs[0],
             "cost_ev": costs[1],
         },
-    )
-    _write_csv(
-        out_dir / "gap_trace.csv",
-        {
+        out_dir / "gap_trace.csv": {
             "day": range(len(report.trace)),
             "rel_gap_gv": report.trace[:, 0],
             "rel_gap_ev": report.trace[:, 1],
             "weighted_gap_gv": report.weighted_trace[:, 0],
             "weighted_gap_ev": report.weighted_trace[:, 1],
         },
-    )
+    })
 
     items: list[tuple[str, object]] = [
         ("command", "oracle"),

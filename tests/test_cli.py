@@ -7,8 +7,17 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from commuteq import ScenarioError, SolverError, bundled_scenario_path, cli, load_config
+from commuteq import (
+    ScenarioError,
+    SolverError,
+    VehicleClass,
+    bundled_scenario_path,
+    cli,
+    load_config,
+    solve_system_optimum,
+)
 from commuteq.cli import (
+    CSV_BLOCK_ROWS,
     EXIT_INPUT,
     EXIT_IO,
     EXIT_OK,
@@ -16,6 +25,7 @@ from commuteq.cli import (
     MAX_MPR_ROWS,
     PROFILE_COLUMNS,
     _parse_mpr_list,
+    _write_csvs,
     main,
 )
 
@@ -31,6 +41,11 @@ def _read_csv(path):
 
 def _files(out):
     return {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+
+
+def _cells(columns):
+    """Rows of cells, each float through its own ``%.10g``, each ``str`` as it is."""
+    return [[c if isinstance(c, str) else "%.10g" % c for c in row] for row in zip(*columns)]
 
 
 def _read_summary(path):
@@ -144,6 +159,30 @@ class TestToll:
         assert header == ["t_hours", "toll", "incentive"]
         assert all(float(r[2]) <= 1e-12 for r in rows)
 
+    @pytest.mark.parametrize("mpr", ["0", "1"])
+    def test_fine_grid_cells_are_the_system_optimum_profile(self, tmp_path, monkeypatch, mpr):
+        # both files are written together, so a column of one may reuse the other's strings
+        monkeypatch.setenv("CEQ_DEMAND_MPR", mpr)
+        out = tmp_path / "run"
+        assert main(["toll", "--out", str(out), "--incentive", "--dt", "0.01", "--quiet"]) == EXIT_OK
+        config = load_config(bundled_scenario_path())
+        scenario = config.scenario
+        cls = VehicleClass.EV if mpr == "1" else VehicleClass.GV
+        profile = solve_system_optimum(
+            scenario,
+            scenario.energy_model(cls),
+            dt=0.01 / 60.0,
+            root_rtol=config.numerics.root_rtol,
+            mixed_rtol=config.numerics.mixed_rtol,
+        ).profile
+        assert len(profile.times) > 20 * CSV_BLOCK_ROWS
+        header, rows = _read_csv(out / "so_profile.csv")
+        assert header == list(PROFILE_COLUMNS)
+        assert rows == _cells(getattr(profile, name) for name in PROFILE_COLUMNS.values())
+        header, rows = _read_csv(out / "toll.csv")
+        assert header == ["t_hours", "toll", "incentive"]
+        assert rows == _cells([profile.times, profile.toll, profile.toll - np.max(profile.toll)])
+
     def test_mixed_fleet_is_an_input_error(self, tmp_path, monkeypatch, capsys):
         # the mixed-fleet system optimum is not built; no all-EV answer instead
         monkeypatch.setenv("CEQ_DEMAND_MPR", "0.5")
@@ -151,6 +190,42 @@ class TestToll:
         assert main(["toll", "--out", str(out), "--quiet"]) == EXIT_INPUT
         assert "mpr=0.5" in capsys.readouterr().err
         assert not (out / "toll.csv").exists()
+
+
+class TestWriteCsvs:
+    """``_write_csvs`` against the header and ``%.10g`` per cell, across row blocks and files."""
+
+    @pytest.mark.parametrize("rows", [0, 1, 600])
+    def test_matches_the_per_cell_reference(self, tmp_path, rows):
+        rng = np.random.default_rng(rows)
+        random = rng.normal(size=rows) * 10.0 ** rng.integers(-12, 13, size=rows)
+        tweaked = random.copy()
+        tweaked[50::100] += 1.0  # equal to ``random`` but inside each block
+        first = {
+            "random": random,
+            "zeros": np.zeros(rows),
+            "negative_zeros": -np.zeros(rows),
+            "signed_zeros": np.resize([0.0, -0.0], rows),
+            "specials": np.resize([np.nan, np.inf, -np.inf, 1.5], rows),
+            "nans": np.full(rows, np.nan),
+            "constant": np.full(rows, 0.1 + 0.2),
+            "copy": random.copy(),
+            "tweaked": tweaked,
+            "empty": [""] * rows,
+            "day": range(rows),
+        }
+        # longer than the first file, and repeating its columns in the blocks they share
+        longer = rows + 100
+        second = {
+            "random": np.concatenate([random, rng.normal(size=100)]),
+            "negative_zeros": -np.zeros(longer),
+            "list": [0.5 * k for k in range(longer)],
+        }
+        files = {tmp_path / "first.csv": first, tmp_path / "second.csv": second}
+        _write_csvs(files)
+        for path, columns in files.items():
+            expected = "\n".join([",".join(columns)] + list(map(",".join, _cells(columns.values()))))
+            assert path.read_bytes() == (expected + "\n").encode()
 
 
 class TestExitCodes:

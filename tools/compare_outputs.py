@@ -5,8 +5,9 @@ Usage, from anywhere (standard library only):
     python3 tools/compare_outputs.py PARENT_DIR CHANGE_DIR
 
 Each case (``solve``, ``sweep``, ``toll``, ``toll --incentive``,
-``toll --dt 0.01`` and ``oracle``, each at mpr 0, 0.5 and 1 through
-``CEQ_DEMAND_MPR``) runs as ``python -m commuteq.cli`` on the checkout's
+``toll --dt 0.01``, ``toll --incentive --dt 0.01`` and ``oracle``, each at
+mpr 0, 0.5 and 1 through ``CEQ_DEMAND_MPR``, then ``sweep --mpr`` 0, 0.5 and
+1 on the bundled file) runs as ``python -m commuteq.cli`` on the checkout's
 ``src``, in a fresh working directory per side and with the same relative
 ``--out`` path, so both sides print the same paths.  Then ``solve`` runs on
 scenario files the tool writes (as ``scenario.toml`` in the working
@@ -33,9 +34,13 @@ COMMANDS = (
     ("toll",),
     ("toll", "--incentive"),
     ("toll", "--dt", "0.01"),
+    ("toll", "--incentive", "--dt", "0.01"),  # the toll_fine op: ~10k rows, many row blocks
     ("oracle",),
 )
 MPRS = ("0", "0.5", "1")
+
+# one-row sweeps; at mpr 0 and 1 a cost column is all empty cells
+SWEEPS = tuple(("sweep", "--mpr", mpr) for mpr in MPRS)
 
 MINIMAL = """\
 [corridor]
@@ -127,6 +132,7 @@ def main(argv: list[str]) -> int:
     checkouts = [Path(arg).resolve() for arg in argv]
     cases = [(f"{' '.join(command)} @ mpr {mpr}", command, {"CEQ_DEMAND_MPR": mpr}, None, None)
              for command in COMMANDS for mpr in MPRS]
+    cases += [(" ".join(command), command, {}, None, None) for command in SWEEPS]
     cases += [(f"scenario file: {label}", ("solve",), variables, text, expected)
               for label, text, variables, expected in SCENARIO_CASES]
     n_files = n_bad = 0
