@@ -55,9 +55,7 @@ from .scenario_io import (
 )
 from .toll import (
     SystemOptimum,
-    TollSchedule,
     compute_toll,
-    invert_marginal_social_cost,
     marginal_social_cost,
     minimize_binned_total_cost,
     solve_system_optimum,
@@ -83,7 +81,6 @@ __all__ = [
     "SolverError",
     "SystemOptimum",
     "TimeProfile",
-    "TollSchedule",
     "VehicleClass",
     "average_speed",
     "bin_costs",
@@ -101,7 +98,6 @@ __all__ = [
     "gap_measure",
     "init_assignment",
     "invert_congestion_cost",
-    "invert_marginal_social_cost",
     "load_config",
     "load_scenario",
     "marginal_social_cost",

@@ -222,17 +222,17 @@ def cmd_toll(config: ScenarioConfig, out_dir: Path, dt: float, incentive: bool, 
         root_rtol=numerics.root_rtol,
         mixed_rtol=numerics.mixed_rtol,
     )
-    schedule = toll_mod.compute_toll(so, model, scenario)
-    residual = toll_mod.verify_tolled_equilibrium(schedule, scenario, model)
+    toll = toll_mod.compute_toll(so)
+    residual = toll_mod.verify_tolled_equilibrium(so, toll)
     ue = _solve_with_numerics(scenario, numerics, dt)
     # exact basis (cost * population), comparable with the SO total
     ue_social = sum(
         ue.class_costs[c] * ue.class_counts[c] for c in ue.class_costs
     )
 
-    columns = {"t_hours": schedule.times, "toll": schedule.toll}
+    columns = {"t_hours": so.profile.times, "toll": toll}
     if incentive:
-        columns["incentive"] = schedule.as_incentive()
+        columns["incentive"] = toll - np.max(toll)
     _write_csvs({
         out_dir / "toll.csv": columns,
         out_dir / "so_profile.csv": _profile_columns(so.profile),
@@ -248,7 +248,7 @@ def cmd_toll(config: ScenarioConfig, out_dir: Path, dt: float, incentive: bool, 
             ("window_end_hours", so.window[1]),
             ("duration_hours", so.duration),
             ("max_delay_hours", so.max_delay),
-            ("max_toll", float(np.max(schedule.toll)) if schedule.toll.size else 0.0),
+            ("max_toll", float(np.max(toll))),
             ("toll_revenue", so.toll_revenue),
             ("so_social_cost", so.total_cost),
             ("ue_social_cost", ue_social),

@@ -89,7 +89,6 @@ class BinAssignment:
     bin_width: float
     centers: np.ndarray
     masses: np.ndarray
-    day: int = 0
 
     @property
     def total_mass(self) -> float:
@@ -198,7 +197,7 @@ def init_assignment(scenario: Scenario, bin_width: float) -> BinAssignment:
     masses = np.zeros((2, centers.size))
     for row, cls in enumerate(CLASS_ORDER):
         masses[row, :] = scenario.population(cls) / centers.size
-    return BinAssignment(bin_width=bin_width, centers=centers, masses=masses, day=0)
+    return BinAssignment(bin_width=bin_width, centers=centers, masses=masses)
 
 
 def day_step(
@@ -260,12 +259,7 @@ def day_step(
             schedule = schedule_delay(assignment.centers, scenario)
         ev_costs = congestion_cost_map(scenario.ev_energy, scenario)(delay) + schedule
     _swap(ev, ev_costs, scenario.ev_energy, delay, bin_mass, scenario, eta)
-    return BinAssignment(
-        bin_width=assignment.bin_width,
-        centers=assignment.centers,
-        masses=new_masses,
-        day=assignment.day + 1,
-    )
+    return BinAssignment(assignment.bin_width, assignment.centers, new_masses)
 
 
 def _swap(
@@ -322,16 +316,13 @@ def _swap(
 
 
 def gap_measure(
-    assignment: BinAssignment,
-    scenario: Scenario,
-    used_mass_fraction: float = USED_MASS_FRACTION,
-    costs: np.ndarray | None = None,
+    assignment: BinAssignment, scenario: Scenario, costs: np.ndarray | None = None
 ) -> GapReport:
     """Both gaps per class: mass-weighted relative, and over the used bins.
 
     The weighted gap ``sum m (c - c_min) / sum m c_min`` takes one dot
     product per class, ``m . c``; the used-bin gap is the spread between the
-    costliest bin holding more than ``used_mass_fraction`` of the class and
+    costliest bin holding more than :data:`USED_MASS_FRACTION` of the class and
     the cheapest bin anywhere.  ``costs`` is the :func:`bin_costs` of
     ``assignment``, computed here when omitted.  An assignment holding no
     mass has an empty report.
@@ -351,7 +342,7 @@ def gap_measure(
         m = masses[row]
         c = costs[row]
         c_min = float(c.min())
-        used = m > used_mass_fraction * population
+        used = m > USED_MASS_FRACTION * population
         if not used.any():
             used = m > 0.0
         gap = float(c[used].max()) - c_min
@@ -369,7 +360,6 @@ def run_until_converged(
     eta: float = 0.5,
     gap_tol: float = 3e-5,
     max_days: int = 10000,
-    used_mass_fraction: float = USED_MASS_FRACTION,
 ) -> tuple[BinAssignment, GapReport]:
     """Iterate :func:`day_step` until every class's weighted gap drops below ``gap_tol``.
 
@@ -426,7 +416,7 @@ def run_until_converged(
         schedule = schedule_delay(assignment.centers, scenario)
         delay = assignment.delays(scenario)
         costs = bin_costs(assignment, scenario, schedule, delay)
-        report = gap_measure(assignment, scenario, used_mass_fraction, costs=costs)
+        report = gap_measure(assignment, scenario, costs)
         record(report)
         days = 0
         while days < max_days:
@@ -434,22 +424,22 @@ def run_until_converged(
             # grid, so convergence is only accepted (and progress periodically
             # rechecked) with the support sitting clear of the grid edges
             if report.worst_weighted_gap < gap_tol or (days > 0 and days % 500 == 0):
-                grow_lo, grow_hi = crowded_edges(assignment, scenario, used_mass_fraction)
+                grow_lo, grow_hi = crowded_edges(assignment, scenario)
                 if grow_lo or grow_hi:
                     assignment = extend_grid(assignment, grow_lo, grow_hi)
                     schedule = schedule_delay(assignment.centers, scenario)
                     delay = assignment.delays(scenario)
                     costs = bin_costs(assignment, scenario, schedule, delay)
-                    report = gap_measure(assignment, scenario, used_mass_fraction, costs=costs)
+                    report = gap_measure(assignment, scenario, costs)
                 elif report.worst_weighted_gap < gap_tol:
                     break
             assignment = day_step(assignment, scenario, eta, costs, schedule, delay)
             days += 1
             delay = assignment.delays(scenario)
             costs = bin_costs(assignment, scenario, schedule, delay)
-            report = gap_measure(assignment, scenario, used_mass_fraction, costs=costs)
+            report = gap_measure(assignment, scenario, costs)
             record(report)
-    grow_lo, grow_hi = crowded_edges(assignment, scenario, used_mass_fraction)
+    grow_lo, grow_hi = crowded_edges(assignment, scenario)
     converged = report.worst_weighted_gap < gap_tol and not (grow_lo or grow_hi)
     rows = np.array(trace).reshape(-1, 2, len(CLASS_ORDER))
     final = replace(
@@ -463,13 +453,8 @@ def run_until_converged(
     return assignment, final
 
 
-def crowded_edges(
-    assignment: BinAssignment,
-    scenario: Scenario,
-    used_mass_fraction: float = USED_MASS_FRACTION,
-    margin: int = 2,
-) -> tuple[bool, bool]:
-    """Whether meaningful mass sits within ``margin`` bins of either grid edge.
+def crowded_edges(assignment: BinAssignment, scenario: Scenario) -> tuple[bool, bool]:
+    """Whether meaningful mass sits within 2 bins of either grid edge.
 
     A genuinely converged pattern keeps its support strictly inside the grid;
     occupied edge bins mean the initial spread was too narrow for this
@@ -481,11 +466,11 @@ def crowded_edges(
         population = scenario.population(cls)
         if population <= 0.0:
             continue
-        used = np.nonzero(assignment.masses[row] > used_mass_fraction * population)[0]
+        used = np.nonzero(assignment.masses[row] > USED_MASS_FRACTION * population)[0]
         if used.size == 0:
             continue
-        lo = lo or used[0] < margin
-        hi = hi or used[-1] >= n - margin
+        lo = lo or used[0] < 2
+        hi = hi or used[-1] >= n - 2
     return lo, hi
 
 
@@ -509,5 +494,4 @@ def extend_grid(assignment: BinAssignment, grow_lo: bool, grow_hi: bool) -> BinA
         bin_width=h,
         centers=np.concatenate(parts_c),
         masses=np.concatenate(parts_m, axis=1),
-        day=assignment.day,
     )

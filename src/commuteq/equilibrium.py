@@ -44,6 +44,7 @@ from .model import (
     Scenario,
     VehicleClass,
     congestion_cost_map,
+    energy_cost,
     flow_from_delay,
     marginal_social_cost_map,
     schedule_delay,
@@ -404,7 +405,7 @@ def _sample(
         seg_delay = delay[mask]
         flow = flow_gv if seg.vehicle_class is VehicleClass.GV else flow_ev
         flow[mask] = flow_from_delay(seg_delay, scenario)
-        cost_en[mask] = model.c1 * seg_delay + model.c2 * seg_delay**2
+        cost_en[mask] = energy_cost(model, seg_delay)
         if optimum:
             toll[mask] = toll_at_delay(model, scenario, seg_delay)
         active[mask] = _class_index(seg.vehicle_class)

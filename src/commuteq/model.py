@@ -163,7 +163,7 @@ def schedule_delay(t: ArrayLike, scenario: Scenario) -> ArrayLike:
 def energy_cost(model: EnergyModel, delay: ArrayLike) -> ArrayLike:
     """Energy cost E(T) = c1*T + c2*T**2 at congestion delay T >= 0 hours."""
     _check_nonnegative(delay, "congestion delay")
-    return model.c1 * delay + model.c2 * delay * delay
+    return model.c1 * delay + model.c2 * delay**2
 
 
 def congestion_cost(model: EnergyModel, scenario: Scenario, delay: ArrayLike) -> ArrayLike:

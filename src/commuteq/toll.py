@@ -24,12 +24,12 @@ is a closed form, like the conservation masses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
 from .dynamics import CLASS_ORDER, crowded_edges, extend_grid, init_assignment
-from .equilibrium import DEFAULT_DT, EquilibriumSolution, _solve_bands
+from .equilibrium import DEFAULT_DT, EquilibriumSolution, _mass_scale, _solve_bands
 from .model import (
     EnergyModel,
     Scenario,
@@ -73,29 +73,6 @@ class SystemOptimum(EquilibriumSolution):
         return self.multiplier * self.scenario.n_total - self.toll_revenue
 
 
-@dataclass(frozen=True)
-class TollSchedule:
-    """Time-varying congestion charge supporting the system optimum."""
-
-    times: np.ndarray
-    toll: np.ndarray
-    optimum: SystemOptimum
-
-    def as_incentive(self) -> np.ndarray:
-        """Rebased schedule tau - max(tau): a nonpositive reward instead of a
-        charge, leaving the equilibrium pattern unchanged."""
-        if self.toll.size == 0:
-            return self.toll.copy()
-        return self.toll - float(np.max(self.toll))
-
-
-def invert_marginal_social_cost(model: EnergyModel, scenario: Scenario, value) -> np.ndarray:
-    """Unique T >= 0 with Psi(T) = value >= 0."""
-    if np.any(np.asarray(value) < 0.0):
-        raise ValueError("marginal social cost must be nonnegative")
-    return marginal_social_cost_map(model, scenario).invert(value)
-
-
 def solve_system_optimum(
     scenario: Scenario,
     model: EnergyModel,
@@ -130,29 +107,24 @@ def _so_toll_revenue(scenario: Scenario, model: EnergyModel, lam: float) -> floa
         + 2.0 * (phi.a * psi.b + phi.b * psi.a) * delay / (3.0 + p)
         + 4.0 * phi.b * psi.b * delay**2 / (4.0 + p)
     )
-    scale = (1.0 / scenario.beta + 1.0 / scenario.gamma) * scenario.capacity_r
-    return scale * scenario.trip_km**-p * scenario.nu * delay ** (2.0 + p) * poly
+    return _mass_scale(scenario) * scenario.nu * delay ** (2.0 + p) * poly
 
 
-def compute_toll(so: SystemOptimum, model: EnergyModel, scenario: Scenario) -> TollSchedule:
-    """Toll schedule tau(t) = nu * T_so(t) * Phi'(T_so(t)): the optimum's toll column.
-
-    ``model`` and ``scenario`` are ignored; the optimum carries its own.
-    """
-    return TollSchedule(times=so.profile.times.copy(), toll=so.profile.toll.copy(), optimum=so)
+def compute_toll(so: SystemOptimum) -> np.ndarray:
+    """Toll tau(t) = nu * T_so(t) * Phi'(T_so(t)): the optimum's own toll column, not a copy."""
+    return so.profile.toll
 
 
-def verify_tolled_equilibrium(
-    toll: TollSchedule, scenario: Scenario, model: EnergyModel
-) -> float:
+def verify_tolled_equilibrium(so: SystemOptimum, toll: np.ndarray) -> float:
     """Max deviation of the tolled trip cost from constancy over the window ($).
 
-    A valid schedule leaves every commuter of the optimal pattern paying
-    exactly the multiplier, certifying that the system optimum is a user
-    equilibrium of the tolled system.  ``scenario`` and ``model`` are
-    ignored; the optimum's own scenario and class model are used.
+    ``toll`` is a charge on the optimum's grid, ``so.profile.times``.  A
+    valid one leaves every commuter of the optimal pattern paying exactly
+    the multiplier, certifying that the system optimum is a user
+    equilibrium of the tolled system.
     """
-    so = toll.optimum
+    if np.shape(toll) != so.profile.times.shape:
+        raise ValueError(f"toll shape {np.shape(toll)} is not the grid's {so.profile.times.shape}")
     if so.is_empty:
         return 0.0
     scenario = so.scenario
@@ -160,7 +132,7 @@ def verify_tolled_equilibrium(
     inside = so.profile.active >= 0
     delay = so.profile.delay[inside]
     sd = schedule_delay(so.profile.times[inside], scenario)
-    total = congestion_cost(model, scenario, delay) + toll.toll[inside] + sd
+    total = congestion_cost(model, scenario, delay) + toll[inside] + sd
     return float(np.max(np.abs(total - so.multiplier)))
 
 

@@ -34,7 +34,6 @@ from commuteq import (
     extra_congestion_delay,
     flow_from_delay,
     invert_congestion_cost,
-    invert_marginal_social_cost,
     marginal_social_cost,
     minimize_binned_total_cost,
     sample_profiles,
@@ -45,6 +44,7 @@ from commuteq import (
     verify_tolled_equilibrium,
 )
 from commuteq.cli import main as cli_main
+from commuteq.model import marginal_social_cost_map
 from conftest import N_TOTAL, gv_ev_gv_pattern
 
 USED_MASS = 1e-3 * N_TOTAL
@@ -171,8 +171,8 @@ def test_criterion_6abc_toll_validity(scenario, gv_solution, ev_solution):
     start = time.perf_counter()
     sc = replace(scenario, mpr=1.0)
     so = solve_system_optimum(sc, sc.ev_energy)
-    schedule = compute_toll(so, sc.ev_energy, sc)
-    residual = verify_tolled_equilibrium(schedule, sc, sc.ev_energy)
+    toll = compute_toll(so)
+    residual = verify_tolled_equilibrium(so, toll)
     ue_total = ev_solution.class_costs[VehicleClass.EV] * N_TOTAL
     saving = 1.0 - so.total_cost / ue_total
     wider = (so.window[1] - so.window[0]) > ev_solution.duration
@@ -237,7 +237,7 @@ def test_criterion_8_formula_round_trips(scenario, gv_solution, ev_solution):
         back = invert_congestion_cost(model, scenario, congestion_cost(model, scenario, delays))
         worst = max(worst, float(np.max(np.abs(back - delays) / np.maximum(delays, 1e-300))))
         msc = marginal_social_cost(model, scenario, delays)
-        back2 = invert_marginal_social_cost(model, scenario, msc)
+        back2 = marginal_social_cost_map(model, scenario).invert(msc)
         worst = max(worst, float(np.max(np.abs(back2 - delays) / np.maximum(delays, 1e-300))))
     flows = np.linspace(1.0, 2.0 * scenario.capacity_r, 2001)
     back_flow = flow_from_delay(delay_from_flow(flows, scenario), scenario)

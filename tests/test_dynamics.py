@@ -25,7 +25,7 @@ from commuteq import (
     solve_mixed,
     solve_single_class,
 )
-from commuteq.dynamics import CLASS_ORDER, BinAssignment, bin_costs
+from commuteq.dynamics import CLASS_ORDER, USED_MASS_FRACTION, BinAssignment, bin_costs
 from conftest import BUNDLED_NUMERICS, N_TOTAL, basic_scenario, gv_ev_gv_pattern, timed_oracle
 
 BIN_WIDTH = 1.0 / 60.0
@@ -91,9 +91,7 @@ def _equal_cost_assignment(sc, level: float) -> BinAssignment:
     delay = invert_congestion_cost(sc.gv_energy, sc, residual)
     masses = np.zeros_like(assignment.masses)
     masses[0] = BIN_WIDTH * flow_from_delay(delay, sc)
-    return BinAssignment(
-        bin_width=BIN_WIDTH, centers=assignment.centers, masses=masses, day=0
-    )
+    return BinAssignment(bin_width=BIN_WIDTH, centers=assignment.centers, masses=masses)
 
 
 def _class_sequential(
@@ -271,7 +269,6 @@ class TestDayStepMatchesPairwiseForm:
             with np.errstate(all="raise"):
                 stepped = day_step(assignment, sc, eta, costs=costs)
             assert np.array_equal(stepped.masses, expected), case
-            assert stepped.day == assignment.day + 1
             assert stepped.centers is assignment.centers
 
     def test_scenario_costs_by_default(self):
@@ -331,7 +328,6 @@ class TestDayStep:
         assignment = _equal_cost_assignment(sc, level=4.0)
         stepped = day_step(assignment, sc, eta=0.05)
         assert float(np.max(np.abs(stepped.masses - assignment.masses))) <= 1e-9
-        assert stepped.day == 1
 
     def test_unequal_costs_move_mass(self):
         sc = basic_scenario()
@@ -345,9 +341,7 @@ class TestDayStep:
         masses = np.zeros_like(template.masses)
         loaded = int(np.argmin(np.abs(template.centers - 8.0)))
         masses[0, loaded] = N_TOTAL
-        assignment = BinAssignment(
-            bin_width=BIN_WIDTH, centers=template.centers, masses=masses, day=0
-        )
+        assignment = BinAssignment(bin_width=BIN_WIDTH, centers=template.centers, masses=masses)
         stepped = day_step(assignment, sc, eta=0.05)
         assert stepped.masses[0, loaded] < N_TOTAL
         assert_allclose(stepped.masses[0].sum(), N_TOTAL, rtol=1e-13)
@@ -465,9 +459,7 @@ class TestGapMeasure:
         masses = np.zeros_like(template.masses)
         # park everyone far on the early side: an empty bin near t* is cheaper
         masses[0, 0] = N_TOTAL
-        assignment = BinAssignment(
-            bin_width=BIN_WIDTH, centers=template.centers, masses=masses, day=0
-        )
+        assignment = BinAssignment(bin_width=BIN_WIDTH, centers=template.centers, masses=masses)
         report = gap_measure(assignment, sc)
         costs = bin_costs(assignment, sc)[0]
         assert report.gap[VehicleClass.GV] == pytest.approx(costs[0] - costs.min())
@@ -533,8 +525,9 @@ class TestConvergedRuns:
     def test_mixed_classes_segregate(self, oracle_mixed):
         assignment, report, _ = oracle_mixed
         assert report.converged
-        used_ev = np.nonzero(assignment.class_mass(VehicleClass.EV) > 1e-3 * N_TOTAL)[0]
-        used_gv = np.nonzero(assignment.class_mass(VehicleClass.GV) > 1e-3 * N_TOTAL)[0]
+        cut = USED_MASS_FRACTION * N_TOTAL
+        used_ev = np.nonzero(assignment.class_mass(VehicleClass.EV) > cut)[0]
+        used_gv = np.nonzero(assignment.class_mass(VehicleClass.GV) > cut)[0]
         assert np.all(np.diff(used_ev) == 1)  # contiguous center block
         centers = assignment.centers
         assert centers[used_ev[0]] < 8.0 < centers[used_ev[-1]]

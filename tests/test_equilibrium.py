@@ -30,11 +30,7 @@ from commuteq.equilibrium import window_mass
 from commuteq.model import CostMap, congestion_cost_map, delay_from_flow
 from commuteq.numerics import trapezoid_refine
 from commuteq.scenario_io import Numerics, ScenarioConfig, emit_config
-from commuteq.toll import (
-    invert_marginal_social_cost,
-    marginal_social_cost_map,
-    solve_system_optimum,
-)
+from commuteq.toll import marginal_social_cost_map, solve_system_optimum
 from conftest import N_TOTAL, basic_scenario
 
 GOLDEN_COST_GV = 4.389575841217798
@@ -401,7 +397,7 @@ class TestWindowMassClosedForm:
                 invert = partial(invert_congestion_cost, model, sc)
             else:
                 cmap = marginal_social_cost_map(model, sc)
-                invert = partial(invert_marginal_social_cost, model, sc)
+                invert = cmap.invert
             packed = float(delay_from_flow(sc.n_total, sc))
             r_hi = (cmap.a * packed + cmap.b * packed**2) * float(rng.uniform(0.2, 2.0))
             r_lo = 0.0 if i % 8 < 4 else r_hi * float(rng.uniform(0.0, 0.99))

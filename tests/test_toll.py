@@ -10,11 +10,10 @@ from commuteq import (
     EnergyModel,
     EquilibriumSolution,
     SolverError,
-    TollSchedule,
     VehicleClass,
+    cli,
     compute_toll,
     flow_from_delay,
-    invert_marginal_social_cost,
     marginal_social_cost,
     minimize_binned_total_cost,
     sample_profiles,
@@ -23,6 +22,7 @@ from commuteq import (
     toll_at_delay,
     verify_tolled_equilibrium,
 )
+from commuteq.model import marginal_social_cost_map
 from commuteq.numerics import trapezoid_refine
 from conftest import N_TOTAL, basic_scenario
 
@@ -41,8 +41,8 @@ def so(sc):
 
 
 @pytest.fixture(scope="module")
-def schedule(sc, so):
-    return compute_toll(so, sc.ev_energy, sc)
+def toll(so):
+    return compute_toll(so)
 
 
 class TestMarginalSocialCost:
@@ -64,12 +64,8 @@ class TestMarginalSocialCost:
         for model in (sc.gv_energy, sc.ev_energy):
             values = marginal_social_cost(model, sc, ts)
             assert_allclose(
-                invert_marginal_social_cost(model, sc, values), ts, rtol=1e-12, atol=1e-15
+                marginal_social_cost_map(model, sc).invert(values), ts, rtol=1e-12, atol=1e-15
             )
-
-    def test_negative_value_rejected(self, sc):
-        with pytest.raises(ValueError):
-            invert_marginal_social_cost(sc.ev_energy, sc, -0.5)
 
 
 class TestSystemOptimum:
@@ -92,7 +88,7 @@ class TestSystemOptimum:
 
         edges = np.array(so.window)
         residual = np.maximum(so.multiplier - schedule_delay(edges, sc), 0.0)
-        edge_delays = invert_marginal_social_cost(sc.ev_energy, sc, residual)
+        edge_delays = marginal_social_cost_map(sc.ev_energy, sc).invert(residual)
         assert np.all(edge_delays <= 1e-9)
         outside = so.profile.active < 0
         assert np.all(so.profile.delay[outside] == 0.0)
@@ -146,12 +142,6 @@ class TestOneSolutionType:
         delay = solution_delay(optimum, optimum.profile.times)
         assert np.array_equal(delay, optimum.profile.delay)
 
-    def test_verification_uses_the_optimums_own_scenario(self, sc, so, schedule):
-        shifted = replace(sc, t_star=sc.t_star + 1.0)
-        assert verify_tolled_equilibrium(schedule, shifted, sc.ev_energy) == (
-            verify_tolled_equilibrium(schedule, sc, sc.ev_energy)
-        )
-
 
 def _trapezoid_revenue(sc, model, lam, rtol=1e-12):
     """`(1/beta + 1/gamma) * int_0^lam q * tau dr` by trapezoid refinement.
@@ -162,7 +152,7 @@ def _trapezoid_revenue(sc, model, lam, rtol=1e-12):
 
     def integrand(u):
         r = lam * u**3 * (10.0 - 15.0 * u + 6.0 * u * u)
-        delay = invert_marginal_social_cost(model, sc, r)
+        delay = marginal_social_cost_map(model, sc).invert(r)
         q_tau = flow_from_delay(delay, sc) * toll_at_delay(model, sc, delay)
         return q_tau * 30.0 * lam * (u * (1.0 - u)) ** 2
 
@@ -193,27 +183,27 @@ class TestTollSchedule:
         # nu * T * Phi'(T) = 4.1 * 0.3 * (8.4 + 0.5 + 6*0.3)
         assert_allclose(toll_at_delay(sc.ev_energy, sc, 0.3), 13.161, rtol=1e-12)
 
-    def test_nonnegative_everywhere(self, schedule):
-        assert np.all(schedule.toll >= 0.0)
+    def test_nonnegative_everywhere(self, toll):
+        assert np.all(toll >= 0.0)
 
-    def test_zero_at_and_beyond_window_edges(self, so, schedule):
+    def test_zero_at_and_beyond_window_edges(self, so, toll):
         outside = so.profile.active < 0
-        assert np.all(schedule.toll[outside] == 0.0)
+        assert np.all(toll[outside] == 0.0)
 
     @pytest.mark.parametrize("mpr", [0.0, 1.0])
     def test_equals_toll_at_delay_on_the_window(self, mpr):
         sc = basic_scenario(mpr=mpr)
         model = sc.energy_model(VehicleClass.EV if mpr else VehicleClass.GV)
         optimum = solve_system_optimum(sc, model, dt=0.01 / 60.0)
-        tolls = compute_toll(optimum, model, sc).toll
+        tolls = compute_toll(optimum)
         inside = optimum.profile.active >= 0
         expected = toll_at_delay(model, sc, optimum.profile.delay[inside])
         assert np.array_equal(tolls[inside], expected)
         assert np.all(tolls[~inside] == 0.0)
 
-    def test_maximal_at_preferred_arrival(self, schedule):
-        peak_index = int(np.argmax(schedule.toll))
-        assert_allclose(schedule.times[peak_index], 8.0, atol=1e-9)
+    def test_maximal_at_preferred_arrival(self, so, toll):
+        peak_index = int(np.argmax(toll))
+        assert_allclose(so.profile.times[peak_index], 8.0, atol=1e-9)
 
     def test_revenue_accounting(self, so):
         # grid trapezoid of f*tau must agree with the converged integral
@@ -222,29 +212,40 @@ class TestTollSchedule:
         )
         assert_allclose(grid_revenue, so.toll_revenue, rtol=1e-2)
 
-    def test_incentive_rebase(self, schedule):
-        incentive = schedule.as_incentive()
+    def test_incentive_rebase(self, tmp_path, monkeypatch):
+        # the columns `toll --incentive` hands to the CSV writer
+        written = {}
+        monkeypatch.setattr(cli, "_write_csvs", written.update)
+        monkeypatch.setenv("CEQ_DEMAND_MPR", "1")
+        assert cli.main(["toll", "--out", str(tmp_path), "--incentive", "--quiet"]) == cli.EXIT_OK
+        columns = written[tmp_path / "toll.csv"]
+        toll, incentive = columns["toll"], columns["incentive"]
         assert np.all(incentive <= 1e-15)
-        assert_allclose(incentive - schedule.toll, incentive[0] - schedule.toll[0], rtol=0, atol=1e-12)
+        assert_allclose(incentive - toll, incentive[0] - toll[0], rtol=0, atol=1e-12)
 
 
 class TestVerification:
-    def test_valid_toll_passes(self, sc, so, schedule):
-        residual = verify_tolled_equilibrium(schedule, sc, sc.ev_energy)
+    def test_valid_toll_passes(self, so, toll):
+        residual = verify_tolled_equilibrium(so, toll)
         assert residual <= 1e-6 * so.multiplier
 
-    def test_perturbed_toll_detected(self, sc, so, schedule):
-        tampered = schedule.toll.copy()
+    def test_perturbed_toll_detected(self, so, toll):
+        tampered = toll.copy()
         inside = np.nonzero(so.profile.active >= 0)[0]
         tampered[inside[len(inside) // 2]] += 1.0
-        bad = TollSchedule(times=schedule.times, toll=tampered, optimum=so)
-        assert_allclose(verify_tolled_equilibrium(bad, sc, sc.ev_energy), 1.0, rtol=1e-9)
+        assert_allclose(verify_tolled_equilibrium(so, tampered), 1.0, rtol=1e-9)
+
+    @pytest.mark.parametrize("change", [-1, 1])
+    def test_toll_off_the_optimums_grid_rejected(self, so, toll, change):
+        # one point short or one point long
+        off_grid = np.resize(toll, toll.size + change)
+        with pytest.raises(ValueError, match="grid"):
+            verify_tolled_equilibrium(so, off_grid)
 
     def test_empty_schedule(self):
         sc = replace(basic_scenario(mpr=1.0), n_total=0.0)
         empty_so = solve_system_optimum(sc, sc.ev_energy)
-        empty_schedule = compute_toll(empty_so, sc.ev_energy, sc)
-        assert verify_tolled_equilibrium(empty_schedule, sc, sc.ev_energy) == 0.0
+        assert verify_tolled_equilibrium(empty_so, compute_toll(empty_so)) == 0.0
 
 
 class TestBinnedMinimization:

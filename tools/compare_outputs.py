@@ -12,8 +12,8 @@ mpr 0, 0.5 and 1 through ``CEQ_DEMAND_MPR``, then ``sweep --mpr`` 0, 0.5 and
 ``--out`` path, so both sides print the same paths.  Then ``solve`` runs on
 scenario files the tool writes (as ``scenario.toml`` in the working
 directory): a minimal mpr-0 file with no ``s_max``, ``[numerics]`` or
-``[energy.ev]``, which must solve, and broken files and a bad ``CEQ_*``
-override, which must exit 2.  Other ``CEQ_*`` variables are dropped from the
+``[energy.ev]`` and a wide mpr-0.8 draw, which must solve, and broken files
+and a bad ``CEQ_*`` override, which must exit 2.  Other ``CEQ_*`` variables are dropped from the
 environment.  Every file under ``--out``, stdout, stderr and the exit code
 are compared byte for byte, and an exit code other than a scenario case's
 expected one is a difference too.  One line is printed per difference; the
@@ -61,9 +61,46 @@ c1 = 4.0
 c2 = 16.8
 """
 
+# A wide draw of the benchmark's solve workload (seed 2401, op 1437). On it,
+# the energy cost c2*T*T taken as (c2*T)*T instead of c2*(T*T) changes one
+# profile.csv cell: a last-bit difference that no bundled case shows.
+WIDE_DRAW = """\
+[corridor]
+trip_km = 10.88852693259517
+capacity_r = 7527.59035091865
+nu = 4.674414748675243
+s_max = 60.0
+
+[demand]
+n_total = 5145.293392437876
+t_star = 8.0
+alpha = 10.886340900440342
+beta = 3.672816541956932
+gamma = 16.718723314574085
+mpr = 0.8
+
+[energy.gv]
+c1 = 4.711751044875757
+c2 = 15.199403914667503
+
+[energy.ev]
+c1 = 0.6537444752944165
+c2 = 3.683399045984123
+
+[numerics]
+dt_minutes = 1.0
+bin_minutes = 1.0
+eta = 0.5
+gap_tol = 3e-05
+max_days = 20000
+root_rtol = 1e-10
+mixed_rtol = 1e-08
+"""
+
 # label, scenario file text, CEQ_* variables, the exit code ``solve`` must give
 SCENARIO_CASES = (
     ("minimal mpr-0 file", MINIMAL, {}, 0),
+    ("wide mpr-0.8 draw", WIDE_DRAW, {}, 0),
     ("missing section", MINIMAL.split("[energy.gv]")[0], {}, 2),
     ("missing key", MINIMAL.replace("gamma = 16.8\n", ""), {}, 2),
     ("missing section and key",

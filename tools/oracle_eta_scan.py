@@ -17,10 +17,10 @@ The draws, all on 1-minute bins with the bundled ``gap_tol`` and
 
 A draw passes when the run converges, its delays on the used bins lie
 within 2% of the analytic peak delay, and at 0 < mpr < 1 it has criterion
-3's GV-EV-GV shape with a used-bin cut of both 3 vehicles and
-``1e-3 * n_total``.  Per ``eta`` the scan prints the failing draws, the
-worst deviation, the most days and the sum of days.  The shipped ``eta``
-is at most half the smallest value that fails any draw.
+3's GV-EV-GV shape with a used-bin cut of both 3 vehicles and the oracle's
+own ``USED_MASS_FRACTION * n_total``.  Per ``eta`` the scan prints the
+failing draws, the worst deviation, the most days and the sum of days.
+The shipped ``eta`` is at most half the smallest value that fails any draw.
 """
 
 from __future__ import annotations
@@ -44,6 +44,7 @@ from commuteq import (  # noqa: E402
     solution_delay,
     solve_mixed,
 )
+from commuteq.dynamics import USED_MASS_FRACTION  # noqa: E402
 from perfbench.workloads import WIDE_RANGES  # noqa: E402
 
 MAX_DAYS = 20000
@@ -114,14 +115,14 @@ def check(sc, numerics, eta: float) -> tuple[int, float, str | None]:
         sc, bin_width=numerics.bin_width, eta=eta, gap_tol=numerics.gap_tol, max_days=MAX_DAYS
     )
     reference = solution_delay(solve_mixed(sc), assignment.centers)
-    used = assignment.masses.sum(axis=0) > 1e-3 * sc.n_total
+    used = assignment.masses.sum(axis=0) > USED_MASS_FRACTION * sc.n_total
     deviation = float(np.max(np.abs(assignment.delays(sc) - reference)[used]) / np.max(reference))
     if not report.converged:
         return report.days, deviation, f"not converged in {report.days} days"
     if deviation > MAX_DEVIATION:
         return report.days, deviation, f"deviation {deviation:.3%}"
     if 0.0 < sc.mpr < 1.0:
-        for cut in (3.0, 1e-3 * sc.n_total):
+        for cut in (3.0, USED_MASS_FRACTION * sc.n_total):
             if not _shape_holds(assignment, sc, cut):
                 return report.days, deviation, f"no GV-EV-GV shape at a {cut:.3g}-vehicle cut"
     return report.days, deviation, None
