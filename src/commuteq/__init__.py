@@ -45,14 +45,8 @@ from .model import (
     invert_congestion_cost,
     schedule_delay,
 )
-from .scenario_io import (
-    Numerics,
-    ScenarioConfig,
-    bundled_scenario_path,
-    emit_config,
-    load_config,
-    load_scenario,
-)
+from .numerics import Numerics
+from .scenario_io import ScenarioConfig, bundled_scenario_path, emit_config, load_config
 from .toll import (
     SystemOptimum,
     compute_toll,
@@ -99,7 +93,6 @@ __all__ = [
     "init_assignment",
     "invert_congestion_cost",
     "load_config",
-    "load_scenario",
     "marginal_social_cost",
     "minimize_binned_total_cost",
     "run_until_converged",

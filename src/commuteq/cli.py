@@ -29,8 +29,9 @@ import numpy as np
 from . import dynamics, metrics, toll as toll_mod
 from .equilibrium import EquilibriumSolution, TimeProfile, solve_mixed, solution_delay
 from .errors import ScenarioError, SolverError
-from .model import Scenario, VehicleClass, average_speed
-from .scenario_io import Numerics, ScenarioConfig, bundled_scenario_path, load_config
+from .model import Scenario, VehicleClass, average_speed, schedule_delay
+from .numerics import Numerics
+from .scenario_io import ScenarioConfig, bundled_scenario_path, load_config
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -224,7 +225,9 @@ def cmd_toll(config: ScenarioConfig, out_dir: Path, dt: float, incentive: bool, 
     )
     toll = toll_mod.compute_toll(so)
     residual = toll_mod.verify_tolled_equilibrium(so, toll)
-    ue = _solve_with_numerics(scenario, numerics, dt)
+    # no ue_* value depends on the grid (the peak delay is at t*, on every
+    # grid), so the UE is solved at the file's dt whatever --dt asks for
+    ue = _solve_with_numerics(scenario, numerics, numerics.dt)
     # exact basis (cost * population), comparable with the SO total
     ue_social = sum(
         ue.class_costs[c] * ue.class_counts[c] for c in ue.class_costs
@@ -272,8 +275,10 @@ def cmd_oracle(config: ScenarioConfig, out_dir: Path, dt: float, quiet: bool) ->
         max_days=numerics.max_days,
     )
     with np.errstate(under="ignore"):  # as in the day loop: near-empty bins flush to zero
-        costs = dynamics.bin_costs(assignment, scenario)
         delays = assignment.delays(scenario)
+        costs = dynamics.bin_costs(
+            assignment, scenario, schedule_delay(assignment.centers, scenario), delays
+        )
     flows = assignment.masses / assignment.bin_width
     _write_csvs({
         out_dir / "oracle_profile.csv": {

@@ -70,7 +70,7 @@ from .model import (
     flow_from_delay,
     schedule_delay,
 )
-from .numerics import solve_bracketed
+from .numerics import DEFAULTS, solve_bracketed
 
 CLASS_ORDER = (VehicleClass.GV, VehicleClass.EV)
 
@@ -89,10 +89,6 @@ class BinAssignment:
     bin_width: float
     centers: np.ndarray
     masses: np.ndarray
-
-    @property
-    def total_mass(self) -> float:
-        return float(np.sum(self.masses))
 
     def class_mass(self, cls: VehicleClass) -> np.ndarray:
         return self.masses[CLASS_ORDER.index(cls)]
@@ -138,26 +134,18 @@ class GapReport:
 
 
 def bin_costs(
-    assignment: BinAssignment,
-    scenario: Scenario,
-    schedule: np.ndarray | None = None,
-    delay: np.ndarray | None = None,
+    assignment: BinAssignment, scenario: Scenario, schedule: np.ndarray, delay: np.ndarray
 ) -> np.ndarray:
     """Per-class per-bin trip cost, shape (2, n_bins).
 
     Congestion is shared: the delay comes from the total bin flow; the
     classes differ through their energy models.  ``schedule`` is the
     :func:`schedule_delay` of the bin centers, which depends on the grid
-    alone, and ``delay`` is :meth:`BinAssignment.delays`; each is computed
-    here when omitted.
+    alone, and ``delay`` is :meth:`BinAssignment.delays`.
     """
     # the flow is checked for negative values once, in delay_from_flow; the
     # delay of a nonnegative flow is nonnegative, so each class's cost skips
     # the check congestion_cost would repeat
-    if delay is None:
-        delay = assignment.delays(scenario)
-    if schedule is None:
-        schedule = schedule_delay(assignment.centers, scenario)
     costs = np.empty_like(assignment.masses)
     for row, cls in enumerate(CLASS_ORDER):
         costs[row] = congestion_cost_map(scenario.energy_model(cls), scenario)(delay) + schedule
@@ -204,9 +192,9 @@ def day_step(
     assignment: BinAssignment,
     scenario: Scenario,
     eta: float,
-    costs: np.ndarray | None = None,
-    schedule: np.ndarray | None = None,
-    delay: np.ndarray | None = None,
+    costs: np.ndarray,
+    schedule: np.ndarray,
+    delay: np.ndarray,
 ) -> BinAssignment:
     """Advance one day: the GV row swaps mass toward cheaper bins, then the EV row.
 
@@ -227,8 +215,7 @@ def day_step(
     delay and the EV cost row are recomputed from the masses it left (with
     ``schedule``, the :func:`schedule_delay` of the bin centers), and the EV
     row moves on those, so its Newton step sees the GV move.  A single-class
-    fleet takes one pass on the starting costs.  ``costs``, ``schedule`` and
-    ``delay`` are computed here when omitted.
+    fleet takes one pass on the starting costs.
 
     The split is evaluated in the cost excess ``e = c - c_min``, sorted once
     per class.  With ``d_t`` the gap between sorted positions ``t-1`` and
@@ -244,10 +231,6 @@ def day_step(
     """
     if not 0.0 < eta <= 1.0:
         raise ValueError("eta must lie in (0, 1]")
-    if delay is None:
-        delay = assignment.delays(scenario)
-    if costs is None:
-        costs = bin_costs(assignment, scenario, schedule, delay)
     new_masses = assignment.masses.copy()
     gv, ev = new_masses
     bin_mass = assignment.masses.sum(axis=0)
@@ -255,8 +238,6 @@ def day_step(
     if _swap(gv, costs[0], scenario.gv_energy, delay, bin_mass, scenario, eta) and ev.any():
         bin_mass = new_masses.sum(axis=0)
         delay = delay_from_flow(bin_mass / assignment.bin_width, scenario)
-        if schedule is None:
-            schedule = schedule_delay(assignment.centers, scenario)
         ev_costs = congestion_cost_map(scenario.ev_energy, scenario)(delay) + schedule
     _swap(ev, ev_costs, scenario.ev_energy, delay, bin_mass, scenario, eta)
     return BinAssignment(assignment.bin_width, assignment.centers, new_masses)
@@ -315,23 +296,18 @@ def _swap(
     return True
 
 
-def gap_measure(
-    assignment: BinAssignment, scenario: Scenario, costs: np.ndarray | None = None
-) -> GapReport:
+def gap_measure(assignment: BinAssignment, scenario: Scenario, costs: np.ndarray) -> GapReport:
     """Both gaps per class: mass-weighted relative, and over the used bins.
 
     The weighted gap ``sum m (c - c_min) / sum m c_min`` takes one dot
     product per class, ``m . c``; the used-bin gap is the spread between the
     costliest bin holding more than :data:`USED_MASS_FRACTION` of the class and
     the cheapest bin anywhere.  ``costs`` is the :func:`bin_costs` of
-    ``assignment``, computed here when omitted.  An assignment holding no
-    mass has an empty report.
+    ``assignment``.  An assignment holding no mass has an empty report.
     """
     masses = assignment.masses
     if not masses.any():
         return GapReport(gap={}, relative_gap={}, weighted_gap={})
-    if costs is None:
-        costs = bin_costs(assignment, scenario)
     gaps: dict[VehicleClass, float] = {}
     rels: dict[VehicleClass, float] = {}
     weighted: dict[VehicleClass, float] = {}
@@ -356,10 +332,10 @@ def gap_measure(
 
 def run_until_converged(
     scenario: Scenario,
-    bin_width: float = 1.0 / 60.0,
-    eta: float = 0.5,
-    gap_tol: float = 3e-5,
-    max_days: int = 10000,
+    bin_width: float = DEFAULTS.bin_width,
+    eta: float = DEFAULTS.eta,
+    gap_tol: float = DEFAULTS.gap_tol,
+    max_days: int = DEFAULTS.max_days,
 ) -> tuple[BinAssignment, GapReport]:
     """Iterate :func:`day_step` until every class's weighted gap drops below ``gap_tol``.
 

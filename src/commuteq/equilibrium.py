@@ -50,9 +50,12 @@ from .model import (
     schedule_delay,
     toll_at_delay,
 )
-from .numerics import solve_bracketed
+from .numerics import DEFAULTS, solve_bracketed
 
-DEFAULT_DT = 1.0 / 60.0
+DEFAULT_DT = DEFAULTS.dt
+
+#: Schedule-penalty levels per band that :func:`_validate_no_deviation` sweeps.
+DEVIATION_LEVELS = 257
 
 
 @dataclass(frozen=True)
@@ -88,12 +91,6 @@ class TimeProfile:
     toll: np.ndarray
     cost_total: np.ndarray
     active: np.ndarray
-
-    def class_flow(self, cls: VehicleClass) -> np.ndarray:
-        return self.flow_gv if cls is VehicleClass.GV else self.flow_ev
-
-    def active_mask(self, cls: VehicleClass) -> np.ndarray:
-        return self.active == _class_index(cls)
 
 
 @dataclass(frozen=True)
@@ -148,7 +145,7 @@ def _antiderivative(cmap: CostMap, p: float, delay: float) -> float:
     return delay ** (1.0 + p) * (cmap.a / (1.0 + p) + 2.0 * cmap.b * delay / (2.0 + p))
 
 
-def window_mass(scenario: Scenario, cmap: CostMap, t_hi: float, t_lo: float = 0.0) -> float:
+def window_mass(scenario: Scenario, cmap: CostMap, t_hi: float, t_lo: float) -> float:
     """Commuters absorbed while the delay climbs from ``t_lo`` to ``t_hi``.
 
     Equals `K * int q dr` with K = 1/beta + 1/gamma over the cost residual
@@ -170,7 +167,7 @@ def conservation_root(
     cmap: CostMap,
     population: float,
     root_rtol: float,
-    t_lo: float = 0.0,
+    t_lo: float,
 ) -> float:
     """Delay ``T`` whose window ``[t_lo, T]`` absorbs ``population`` > 0.
 
@@ -224,7 +221,7 @@ def _solve_bands(
     """
     if scenario.n_total == 0.0:
         window = (scenario.t_star, scenario.t_star)
-        return kind(scenario, window, (), {}, {}, _sample(scenario, window, (), dt))
+        return kind(scenario, window, (), {}, {}, _sample(scenario, window, (), dt, kind.optimum))
     if any(model != scenario.energy_model(model.vehicle_class) for model, _ in bands):
         raise ValueError("model must be the scenario's energy model of its class")
     pick = marginal_social_cost_map if kind.optimum else congestion_cost_map
@@ -233,7 +230,7 @@ def _solve_bands(
     populations = tuple(population for _, population in bands)
     roots = [0.0]  # the delay at each band's outer edge, then the peak
     for cmap, population in zip(maps, populations):
-        roots.append(conservation_root(scenario, cmap, population, root_rtol, t_lo=roots[-1]))
+        roots.append(conservation_root(scenario, cmap, population, root_rtol, roots[-1]))
     costs = [0.0] * len(bands)
     levels = [0.0] * (len(bands) + 1)  # the schedule penalty at each band's outer edge, then t*
     for k in reversed(range(len(bands))):
@@ -279,8 +276,8 @@ def solve_single_class(
     scenario: Scenario,
     model: EnergyModel,
     dt: float = DEFAULT_DT,
-    root_rtol: float = 1e-10,
-    mixed_rtol: float = 1e-8,
+    root_rtol: float = DEFAULTS.root_rtol,
+    mixed_rtol: float = DEFAULTS.mixed_rtol,
 ) -> EquilibriumSolution:
     """Equilibrium when the whole fleet is one vehicle class.
 
@@ -295,8 +292,8 @@ def solve_single_class(
 def solve_mixed(
     scenario: Scenario,
     dt: float = DEFAULT_DT,
-    root_rtol: float = 1e-10,
-    mixed_rtol: float = 1e-8,
+    root_rtol: float = DEFAULTS.root_rtol,
+    mixed_rtol: float = DEFAULTS.mixed_rtol,
 ) -> EquilibriumSolution:
     """Two-class equilibrium at the scenario's EV market penetration.
 
@@ -318,7 +315,6 @@ def solve_mixed(
 def _validate_no_deviation(
     outer: tuple[VehicleClass, CostMap, float, tuple[float, float]],
     inner: tuple[VehicleClass, CostMap, float, tuple[float, float]],
-    n_check: int = 257,
 ) -> None:
     """Assert neither of two adjacent bands' classes can undercut its cost in the other's band.
 
@@ -326,14 +322,14 @@ def _validate_no_deviation(
     penalty at its inner and outer edge.  The band order is an assumption of
     the construction; this check turns it into a verified property.  Both
     flanks of a band run over the same penalty levels, so the check sweeps
-    levels, not clock times.  The band reaching t* (``s_in = 0``) is the one
-    centre segment.
+    :data:`DEVIATION_LEVELS` levels, not clock times.  The band reaching t*
+    (``s_in = 0``) is the one centre segment.
     """
     for (cls, cmap, cost, levels), (intruder, intruder_map, intruder_cost, _) in (
         (inner, outer),
         (outer, inner),
     ):
-        sd = np.linspace(*levels, n_check)
+        sd = np.linspace(*levels, DEVIATION_LEVELS)
         tempted = intruder_map(cmap.invert(np.maximum(cost - sd, 0.0))) + sd
         if np.any(tempted < intruder_cost - 1e-9 * intruder_cost):
             who = ("an " if intruder is VehicleClass.EV else "a ") + intruder.name
@@ -379,7 +375,7 @@ def _sample(
     window: tuple[float, float],
     segments: tuple[ClassSegment, ...],
     dt: float,
-    optimum: bool = False,
+    optimum: bool,
 ) -> TimeProfile:
     """Evaluate the solution curves on a uniform grid spanning the window.
 

@@ -35,7 +35,7 @@ class CostBreakdown:
 
 @dataclass(frozen=True)
 class MetricsReport:
-    """Headline congestion indicators of a profile (optionally vs a baseline)."""
+    """Headline congestion indicators of a profile against a baseline profile."""
 
     max_delay: float
     window: tuple[float, float]
@@ -43,12 +43,12 @@ class MetricsReport:
     peak_flow: float
     ecp: float
     costs: CostBreakdown
-    ecd_times: np.ndarray | None = None
-    ecd_delta: np.ndarray | None = None
+    ecd_times: np.ndarray
+    ecd_delta: np.ndarray
 
     @property
     def max_ecd(self) -> float:
-        if self.ecd_delta is None or self.ecd_delta.size == 0:
+        if self.ecd_delta.size == 0:
             return 0.0
         return float(np.max(self.ecd_delta))
 
@@ -105,16 +105,15 @@ def total_cost_breakdown(profile: TimeProfile) -> CostBreakdown:
     )
 
 
-def summarize(profile: TimeProfile, baseline: TimeProfile | None = None) -> MetricsReport:
-    """Assemble the indicator report; ECP and ECD need a baseline profile."""
+def summarize(profile: TimeProfile, baseline: TimeProfile) -> MetricsReport:
+    """Assemble the indicator report, with ECP and ECD against ``baseline``.
+
+    A profile summarized against itself has zero ECP and zero max ECD.
+    """
     max_delay = float(np.max(profile.delay)) if profile.delay.size else 0.0
     peak_flow = float(np.max(profile.flow_total)) if profile.flow_total.size else 0.0
-    if baseline is not None:
-        baseline_max = float(np.max(baseline.delay)) if baseline.delay.size else 0.0
-        ecd_times, ecd_delta = extra_congestion_delay(profile, baseline)
-    else:
-        baseline_max = max_delay
-        ecd_times, ecd_delta = None, None
+    baseline_max = float(np.max(baseline.delay)) if baseline.delay.size else 0.0
+    ecd_times, ecd_delta = extra_congestion_delay(profile, baseline)
     return MetricsReport(
         max_delay=max_delay,
         window=profile.window,

@@ -1,23 +1,70 @@
-"""Deterministic scalar root-finding and quadrature helpers.
+"""Numerical settings, and deterministic root-finding and quadrature helpers.
 
-Everything here is plain float arithmetic with fixed iteration orders, so
+:class:`Numerics` holds every numerical setting a scenario file may set,
+and :data:`DEFAULTS` is its default instance: the one place each numerical
+default is written.  The solvers' and the oracle's keyword defaults read it.
+
+The helpers are plain float arithmetic with fixed iteration orders, so
 identical inputs produce bit-identical outputs on a given platform.
 """
 
 from __future__ import annotations
 
+import math
+from dataclasses import dataclass, fields
 from typing import Callable
 
 import numpy as np
 
-from .errors import SolverError
+from .errors import ScenarioError, SolverError
+
+
+@dataclass(frozen=True)
+class Numerics:
+    """Numerical settings shared by the solvers and the day-to-day oracle."""
+
+    dt_minutes: float = 1.0
+    bin_minutes: float = 1.0
+    eta: float = 0.5
+    gap_tol: float = 3e-5
+    max_days: int = 10000
+    root_rtol: float = 1e-10
+    mixed_rtol: float = 1e-8
+
+    def __post_init__(self):
+        for fld in fields(self):
+            value = getattr(self, fld.name)
+            if not math.isfinite(value):
+                raise ScenarioError(f"{fld.name} must be finite, got {value}")
+        if self.dt_minutes <= 0.0 or self.bin_minutes <= 0.0:
+            raise ScenarioError("dt_minutes and bin_minutes must be positive")
+        if not 0.0 < self.eta <= 1.0:
+            raise ScenarioError(f"eta must lie in (0,1], got {self.eta}")
+        if min(self.gap_tol, self.root_rtol, self.mixed_rtol) <= 0.0:
+            raise ScenarioError("tolerances must be positive")
+        if self.max_days < 0:
+            raise ScenarioError(f"max_days must be nonnegative, got {self.max_days}")
+
+    @property
+    def dt(self) -> float:
+        """Profile grid spacing in hours."""
+        return self.dt_minutes / 60.0
+
+    @property
+    def bin_width(self) -> float:
+        """Oracle bin width in hours."""
+        return self.bin_minutes / 60.0
+
+
+#: The default settings, which a scenario file's ``[numerics]`` overrides key by key.
+DEFAULTS = Numerics()
 
 
 def solve_bracketed(
     fn: Callable[[float], tuple[float, float]],
     lo: float,
     hi: float,
-    rtol: float = 1e-12,
+    rtol: float,
     max_iter: int = 200,
 ) -> float:
     """Find ``x`` in ``[lo, hi]`` with ``f(x) = 0`` by Newton's method kept in the bracket.

@@ -7,18 +7,18 @@ comments).  Every solver input lives in one of five sections, ``[corridor]``,
 is the one list of their keys, in file order, and each key is named after
 the ``Scenario``, ``EnergyModel`` or ``Numerics`` field it sets.
 
-``[numerics]`` keys all have defaults.  ``gap_tol`` (3e-5) stops the
-day-to-day oracle once every class's mass-weighted relative gap
-``sum m (c - c_min) / sum m c_min`` is below it; it used to bound the
-relative gap over bins holding more than 1e-3 of the class, at 1e-3, and a
-file that still sets ``gap_tol = 0.001`` now stops far earlier and looser
-(393 days and 1.33% of the peak delay at mpr 0 on the bundled corridor).
-``root_rtol`` bounds the last
-Newton step of every conservation root, relative to the root's delay;
-``mixed_rtol`` is the largest miss, as a fraction of ``n_total``, allowed
-between a class's absorbed count and its population in every solve (exit 3
-beyond it).  No solver runs a
-quadrature, so the retired ``quad_rtol`` key loads (finite) and is ignored.
+``[numerics]`` keys all have defaults, :data:`numerics.DEFAULTS`.
+``gap_tol`` (3e-5) stops the day-to-day oracle once every class's
+mass-weighted relative gap ``sum m (c - c_min) / sum m c_min`` is below
+it; it used to bound the relative gap over bins holding more than 1e-3 of
+the class, at 1e-3, and a file that still sets ``gap_tol = 0.001`` now
+stops far earlier and looser (393 days and 1.33% of the peak delay at
+mpr 0 on the bundled corridor).  ``root_rtol`` bounds the last Newton step
+of every conservation root, relative to the root's delay; ``mixed_rtol`` is
+the largest miss, as a fraction of ``n_total``, allowed between a class's
+absorbed count and its population in every solve (exit 3 beyond it).  No
+solver runs a quadrature, so the retired ``quad_rtol`` key loads (finite)
+and is ignored.
 ``s_max`` defaults to 60 km/h; ``[energy.ev]`` may be omitted only when
 mpr = 0 (the EV record then copies the GV coefficients, making the classes
 indistinguishable).  Unknown sections or keys are rejected by name.  Any key
@@ -31,12 +31,13 @@ from __future__ import annotations
 import math
 import os
 from collections.abc import Mapping
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
 from .errors import ScenarioError
 from .model import EnergyModel, Scenario, VehicleClass
+from .numerics import Numerics
 
 ENV_PREFIX = "CEQ_"
 
@@ -51,43 +52,6 @@ _KEYS = {
                  "root_rtol", "mixed_rtol"),
 }
 _SECTIONS = tuple(sorted(_KEYS))
-
-
-@dataclass(frozen=True)
-class Numerics:
-    """Numerical settings shared by the solvers and the day-to-day oracle."""
-
-    dt_minutes: float = 1.0
-    bin_minutes: float = 1.0
-    eta: float = 0.5
-    gap_tol: float = 3e-5
-    max_days: int = 10000
-    root_rtol: float = 1e-10
-    mixed_rtol: float = 1e-8
-
-    def __post_init__(self):
-        for fld in fields(self):
-            value = getattr(self, fld.name)
-            if not math.isfinite(value):
-                raise ScenarioError(f"{fld.name} must be finite, got {value}")
-        if self.dt_minutes <= 0.0 or self.bin_minutes <= 0.0:
-            raise ScenarioError("dt_minutes and bin_minutes must be positive")
-        if not 0.0 < self.eta <= 1.0:
-            raise ScenarioError(f"eta must lie in (0,1], got {self.eta}")
-        if min(self.gap_tol, self.root_rtol, self.mixed_rtol) <= 0.0:
-            raise ScenarioError("tolerances must be positive")
-        if self.max_days < 0:
-            raise ScenarioError(f"max_days must be nonnegative, got {self.max_days}")
-
-    @property
-    def dt(self) -> float:
-        """Profile grid spacing in hours."""
-        return self.dt_minutes / 60.0
-
-    @property
-    def bin_width(self) -> float:
-        """Oracle bin width in hours."""
-        return self.bin_minutes / 60.0
 
 
 @dataclass(frozen=True)
@@ -108,7 +72,7 @@ def _parse_number(token: str, where: str) -> float:
     return value
 
 
-def parse_config_text(text: str, source: str = "<string>") -> dict[str, dict[str, float]]:
+def parse_config_text(text: str, source: str) -> dict[str, dict[str, float]]:
     """Parse the sectioned key-value format into ``{section: {key: value}}``.
 
     Errors carry the source name, line, and column of the offending token.
@@ -230,11 +194,6 @@ def load_config(
     sections = parse_config_text(text, source=str(path))
     sections = _apply_env_overrides(sections, os.environ if env is None else env)
     return _build_config(sections, source=str(path))
-
-
-def load_scenario(path: str | Path, env: Mapping[str, str] | None = None) -> Scenario:
-    """Load just the physical scenario from a file (numerics discarded)."""
-    return load_config(path, env=env).scenario
 
 
 def emit_config(config: ScenarioConfig) -> str:

@@ -42,7 +42,7 @@ from .model import (
     schedule_delay,
     toll_at_delay,  # re-exported: one of this module's public names
 )
-from .numerics import project_to_simplex
+from .numerics import DEFAULTS, project_to_simplex
 
 
 class SystemOptimum(EquilibriumSolution):
@@ -77,8 +77,8 @@ def solve_system_optimum(
     scenario: Scenario,
     model: EnergyModel,
     dt: float = DEFAULT_DT,
-    root_rtol: float = 1e-10,
-    mixed_rtol: float = 1e-8,
+    root_rtol: float = DEFAULTS.root_rtol,
+    mixed_rtol: float = DEFAULTS.mixed_rtol,
 ) -> SystemOptimum:
     """Minimize total system cost over departure patterns of one class.
 
@@ -137,17 +137,15 @@ def verify_tolled_equilibrium(so: SystemOptimum, toll: np.ndarray) -> float:
 
 
 def minimize_binned_total_cost(
-    scenario: Scenario,
-    model: EnergyModel,
-    bin_width: float = 1.0 / 60.0,
-    max_iter: int = 20000,
-    ftol: float = 1e-12,
+    scenario: Scenario, model: EnergyModel, bin_width: float = DEFAULTS.bin_width
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """Direct numerical minimization of the discretized total cost.
 
     Projected gradient over per-bin commuter masses on the day-to-day bin
     grid, with backtracking line search; serves as an independent check on
-    the variational construction.  Returns (bin centers, masses, total cost).
+    the variational construction.  A descent stops after 20,000 steps, or
+    after 10 steps in a row that each lower the cost by at most 1e-12
+    relative.  Returns (bin centers, masses, total cost).
     """
     # the day-to-day grid of a fleet that is all of this class
     solo = replace(scenario, mpr=1.0 if model.vehicle_class is VehicleClass.EV else 0.0)
@@ -172,7 +170,7 @@ def minimize_binned_total_cost(
         value = total_cost(mass)
         step = 1.0
         flat_streak = 0
-        for _ in range(max_iter):
+        for _ in range(20000):
             grad = gradient(mass)
             improved = False
             for _ in range(60):
@@ -188,7 +186,7 @@ def minimize_binned_total_cost(
             drop = value - cand_value
             mass, value = candidate, cand_value
             step *= 2.0
-            flat_streak = flat_streak + 1 if drop <= ftol * max(abs(value), 1.0) else 0
+            flat_streak = flat_streak + 1 if drop <= 1e-12 * max(abs(value), 1.0) else 0
             if flat_streak >= 10:
                 break
         return mass, value

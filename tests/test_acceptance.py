@@ -44,10 +44,11 @@ from commuteq import (
     verify_tolled_equilibrium,
 )
 from commuteq.cli import main as cli_main
+from commuteq.dynamics import USED_MASS_FRACTION
 from commuteq.model import marginal_social_cost_map
 from conftest import N_TOTAL, gv_ev_gv_pattern
 
-USED_MASS = 1e-3 * N_TOTAL
+USED_MASS = USED_MASS_FRACTION * N_TOTAL
 
 GOLDEN_PEAK_DELAY_RATIO = 1.5239669599992096
 GOLDEN_ECD_REDUCTION = 0.8276371088960215

@@ -183,6 +183,29 @@ class TestToll:
         assert header == ["t_hours", "toll", "incentive"]
         assert rows == _cells([profile.times, profile.toll, profile.toll - np.max(profile.toll)])
 
+    @pytest.mark.parametrize("mpr", ["0", "1"])
+    def test_ue_lines_do_not_depend_on_dt(self, tmp_path, monkeypatch, mpr):
+        # the UE's social cost is exact, its window analytic and its peak delay
+        # at t*, which every grid holds; so it is solved at the file's dt alone
+        monkeypatch.setenv("CEQ_DEMAND_MPR", mpr)
+        solved_dt = []
+        real = cli.solve_mixed
+
+        def recording(scenario, **kwargs):
+            solved_dt.append(kwargs["dt"])
+            return real(scenario, **kwargs)
+
+        monkeypatch.setattr(cli, "solve_mixed", recording)
+        lines = []
+        for dt in ("0.01", "1"):
+            out = tmp_path / dt
+            assert main(["toll", "--out", str(out), "--dt", dt, "--quiet"]) == EXIT_OK
+            summary = _read_summary(out / "summary.txt")
+            lines.append({key: value for key, value in summary.items() if key.startswith("ue_")})
+        assert sorted(lines[0]) == ["ue_duration_hours", "ue_max_delay_hours", "ue_social_cost"]
+        assert lines[0] == lines[1]
+        assert solved_dt == [load_config(bundled_scenario_path()).numerics.dt] * 2
+
     def test_mixed_fleet_is_an_input_error(self, tmp_path, monkeypatch, capsys):
         # the mixed-fleet system optimum is not built; no all-EV answer instead
         monkeypatch.setenv("CEQ_DEMAND_MPR", "0.5")

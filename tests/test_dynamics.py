@@ -47,7 +47,7 @@ class TestInitAssignment:
     def test_empty_population(self):
         sc = replace(basic_scenario(), n_total=0.0)
         assignment = init_assignment(sc, BIN_WIDTH)
-        assert assignment.total_mass == 0.0
+        assert assignment.masses.sum() == 0.0
 
     @pytest.mark.parametrize(
         "sc",
@@ -209,6 +209,16 @@ def _unsorted_day_step(
     return _class_sequential(assignment, costs, sc, swap)
 
 
+def _day_state(
+    assignment: BinAssignment, sc: Scenario
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(costs, schedule, delay)`` of ``assignment``, in :func:`day_step`'s
+    argument order, computed as :func:`run_until_converged` computes them."""
+    schedule = schedule_delay(assignment.centers, sc)
+    delay = assignment.delays(sc)
+    return bin_costs(assignment, sc, schedule, delay), schedule, delay
+
+
 def _reference_costs(assignment: BinAssignment, sc: Scenario) -> np.ndarray:
     """Bin costs rebuilt from the model formulas alone, nothing cached."""
     delay = delay_from_flow(assignment.masses.sum(axis=0) / assignment.bin_width, sc)
@@ -218,9 +228,9 @@ def _reference_costs(assignment: BinAssignment, sc: Scenario) -> np.ndarray:
 
 def _assert_no_stale_grid_state(assignment: BinAssignment, report, sc: Scenario) -> None:
     """The run's last trace row and costs equal a from-scratch evaluation, bit for bit."""
-    costs = bin_costs(assignment, sc)
-    assert np.array_equal(costs, _reference_costs(assignment, sc))
-    fresh = gap_measure(assignment, sc, costs=None)
+    costs = _reference_costs(assignment, sc)
+    assert np.array_equal(_day_state(assignment, sc)[0], costs)
+    fresh = gap_measure(assignment, sc, costs)
     expected = [fresh.relative_gap.get(cls, 0.0) for cls in CLASS_ORDER]
     assert report.trace[-1].tolist() == expected
     assert report.relative_gap == fresh.relative_gap
@@ -254,8 +264,9 @@ class TestDayStepMatchesPairwiseForm:
         for case in range(300):
             assignment, costs, eta = _random_state(rng, case)
             expected = _pairwise_day_step(assignment, costs, eta, sc)
-            stepped = day_step(assignment, sc, eta, costs=costs)
-            scale = max(assignment.total_mass, 1.0)
+            schedule, delay = schedule_delay(assignment.centers, sc), assignment.delays(sc)
+            stepped = day_step(assignment, sc, eta, costs, schedule, delay)
+            scale = max(float(assignment.masses.sum()), 1.0)
             assert np.max(np.abs(stepped.masses - expected)) <= 1e-12 * scale, case
 
     def test_random_states_bit_for_bit_and_silent(self):
@@ -267,7 +278,8 @@ class TestDayStepMatchesPairwiseForm:
             assignment, costs, eta = _random_state(rng, case)
             expected = _unsorted_day_step(assignment, costs, eta, sc)
             with np.errstate(all="raise"):
-                stepped = day_step(assignment, sc, eta, costs=costs)
+                schedule, delay = schedule_delay(assignment.centers, sc), assignment.delays(sc)
+                stepped = day_step(assignment, sc, eta, costs, schedule, delay)
             assert np.array_equal(stepped.masses, expected), case
             assert stepped.centers is assignment.centers
 
@@ -275,23 +287,10 @@ class TestDayStepMatchesPairwiseForm:
         sc = basic_scenario(mpr=0.4)
         assignment = init_assignment(sc, BIN_WIDTH)
         for _ in range(20):
-            expected = _pairwise_day_step(assignment, bin_costs(assignment, sc), 0.5, sc)
-            assignment = day_step(assignment, sc, eta=0.5)
+            state = _day_state(assignment, sc)
+            expected = _pairwise_day_step(assignment, state[0], 0.5, sc)
+            assignment = day_step(assignment, sc, 0.5, *state)
             assert np.max(np.abs(assignment.masses - expected)) <= 1e-12 * N_TOTAL
-
-    def test_given_costs_match_computed_ones(self):
-        sc = basic_scenario(mpr=0.4)
-        assignment = day_step(init_assignment(sc, BIN_WIDTH), sc, eta=0.05)
-        schedule = schedule_delay(assignment.centers, sc)
-        delay = assignment.delays(sc)
-        costs = bin_costs(assignment, sc, schedule, delay)
-        assert np.array_equal(costs, bin_costs(assignment, sc))
-        computed = day_step(assignment, sc, 0.05).masses
-        assert np.array_equal(day_step(assignment, sc, 0.05, costs=costs).masses, computed)
-        assert np.array_equal(
-            day_step(assignment, sc, 0.05, costs, schedule, delay).masses, computed
-        )
-        assert gap_measure(assignment, sc, costs=costs) == gap_measure(assignment, sc)
 
     def test_memory_stays_linear_in_bins(self):
         # the pairwise form needs 3.2 GB per n x n temporary at 20,000 bins
@@ -304,7 +303,7 @@ class TestDayStepMatchesPairwiseForm:
         assignment = BinAssignment(bin_width=BIN_WIDTH, centers=centers, masses=masses)
         tracemalloc.start()
         try:
-            stepped = day_step(assignment, sc, eta=0.05)
+            stepped = day_step(assignment, sc, 0.05, *_day_state(assignment, sc))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -317,7 +316,7 @@ class TestDayStep:
         sc = basic_scenario(mpr=0.4)
         assignment = init_assignment(sc, BIN_WIDTH)
         for _ in range(5):
-            assignment = day_step(assignment, sc, eta=0.05)
+            assignment = day_step(assignment, sc, 0.05, *_day_state(assignment, sc))
         assert abs(assignment.class_mass(VehicleClass.GV).sum() - 1800.0) <= 1e-12 * N_TOTAL
         assert abs(assignment.class_mass(VehicleClass.EV).sum() - 1200.0) <= 1e-12 * N_TOTAL
         assert np.all(assignment.masses >= 0.0)
@@ -326,13 +325,13 @@ class TestDayStep:
         # costs equalize up to one float round trip, so motion is at rounding scale
         sc = basic_scenario()
         assignment = _equal_cost_assignment(sc, level=4.0)
-        stepped = day_step(assignment, sc, eta=0.05)
+        stepped = day_step(assignment, sc, 0.05, *_day_state(assignment, sc))
         assert float(np.max(np.abs(stepped.masses - assignment.masses))) <= 1e-9
 
     def test_unequal_costs_move_mass(self):
         sc = basic_scenario()
         assignment = init_assignment(sc, BIN_WIDTH)
-        stepped = day_step(assignment, sc, eta=0.05)
+        stepped = day_step(assignment, sc, 0.05, *_day_state(assignment, sc))
         assert not np.array_equal(stepped.masses, assignment.masses)
 
     def test_all_mass_in_one_bin_strictly_leaves(self):
@@ -342,7 +341,7 @@ class TestDayStep:
         loaded = int(np.argmin(np.abs(template.centers - 8.0)))
         masses[0, loaded] = N_TOTAL
         assignment = BinAssignment(bin_width=BIN_WIDTH, centers=template.centers, masses=masses)
-        stepped = day_step(assignment, sc, eta=0.05)
+        stepped = day_step(assignment, sc, 0.05, *_day_state(assignment, sc))
         assert stepped.masses[0, loaded] < N_TOTAL
         assert_allclose(stepped.masses[0].sum(), N_TOTAL, rtol=1e-13)
 
@@ -354,8 +353,8 @@ class TestDayStep:
         masses[0, 0] = 25.0
         masses[1, 1:] = 25.0 / 6.0
         assignment = BinAssignment(bin_width=BIN_WIDTH, centers=centers, masses=masses)
-        costs = bin_costs(assignment, sc)
-        stepped = day_step(assignment, sc, 0.5, costs=costs)
+        costs, schedule, delay = _day_state(assignment, sc)
+        stepped = day_step(assignment, sc, 0.5, costs, schedule, delay)
         gv_move = stepped.masses[0] - masses[0]
         assert gv_move[0] < 0.0 and np.all(gv_move[1:5] > 0.0)
 
@@ -364,13 +363,14 @@ class TestDayStep:
         after_gv = BinAssignment(
             bin_width=BIN_WIDTH, centers=centers, masses=np.array([stepped.masses[0], masses[1]])
         )
-        fresh = np.array([still, bin_costs(after_gv, sc)[1]])
-        sequential = day_step(after_gv, sc, 0.5, costs=fresh)
+        after_costs, after_schedule, after_delay = _day_state(after_gv, sc)
+        fresh = np.array([still, after_costs[1]])
+        sequential = day_step(after_gv, sc, 0.5, fresh, after_schedule, after_delay)
         assert np.array_equal(stepped.masses, sequential.masses)
 
         # the simultaneous update moves the EV row on the day's starting costs;
         # the EVs then miss that the GVs left bin 0 and filled bins 1 to 4
-        simultaneous = day_step(assignment, sc, 0.5, costs=np.array([still, costs[1]]))
+        simultaneous = day_step(assignment, sc, 0.5, np.array([still, costs[1]]), schedule, delay)
         ev_gain = stepped.masses[1] - simultaneous.masses[1]
         assert ev_gain[0] > 0.1
         assert np.all(ev_gain[1:5] < -0.02)
@@ -378,32 +378,28 @@ class TestDayStep:
     def test_eta_out_of_range(self):
         sc = basic_scenario()
         assignment = init_assignment(sc, BIN_WIDTH)
+        state = _day_state(assignment, sc)
         with pytest.raises(ValueError):
-            day_step(assignment, sc, eta=0.0)
+            day_step(assignment, sc, 0.0, *state)
         with pytest.raises(ValueError):
-            day_step(assignment, sc, eta=1.5)
+            day_step(assignment, sc, 1.5, *state)
 
 
 class TestBinCosts:
-    def test_given_schedule_matches_computed_one(self):
-        sc = basic_scenario(mpr=0.3)
-        assignment = init_assignment(sc, BIN_WIDTH)
-        schedule = schedule_delay(assignment.centers, sc)
-        assert np.array_equal(bin_costs(assignment, sc, schedule), bin_costs(assignment, sc))
-
     def test_negative_mass_rejected(self):
         sc = basic_scenario()
         assignment = init_assignment(sc, BIN_WIDTH)
         masses = assignment.masses.copy()
         masses[0, 3] = -1.0
         with pytest.raises(ValueError, match="flow must be nonnegative"):
-            bin_costs(replace(assignment, masses=masses), sc)
+            _day_state(replace(assignment, masses=masses), sc)
 
 
 class TestGapMeasure:
     def test_empty_assignment(self):
         sc = replace(basic_scenario(), n_total=0.0)
-        report = gap_measure(init_assignment(sc, BIN_WIDTH), sc)
+        assignment = init_assignment(sc, BIN_WIDTH)
+        report = gap_measure(assignment, sc, _day_state(assignment, sc)[0])
         assert report.gap == {}
         assert report.worst_relative_gap == 0.0
         assert report.worst_weighted_gap == 0.0
@@ -411,7 +407,7 @@ class TestGapMeasure:
     def test_equal_cost_state_has_zero_gap(self):
         sc = basic_scenario()
         assignment = _equal_cost_assignment(sc, level=4.0)
-        report = gap_measure(assignment, sc)
+        report = gap_measure(assignment, sc, _day_state(assignment, sc)[0])
         assert report.gap[VehicleClass.GV] <= 1e-9
         assert 0.0 <= report.weighted_gap[VehicleClass.GV] <= 1e-9
 
@@ -422,7 +418,7 @@ class TestGapMeasure:
             assignment, costs, _ = _random_state(rng, case)
             masses = assignment.masses
             masses[:, 0] = 1.0  # both classes hold mass
-            report = gap_measure(assignment, sc, costs=costs)
+            report = gap_measure(assignment, sc, costs)
             for row, cls in enumerate(CLASS_ORDER):
                 m, c = masses[row], costs[row]
                 c_min = max(float(c.min()), 1e-12)
@@ -441,7 +437,7 @@ class TestGapMeasure:
         costs[0, -1] = 4.04
         centers = 8.0 + BIN_WIDTH * np.arange(n, dtype=float)
         assignment = BinAssignment(bin_width=BIN_WIDTH, centers=centers, masses=masses)
-        report = gap_measure(assignment, sc, costs=costs)
+        report = gap_measure(assignment, sc, costs)
         assert report.relative_gap[VehicleClass.GV] == pytest.approx(0.01)
         assert report.weighted_gap[VehicleClass.GV] == pytest.approx(0.01 * 6.0 / N_TOTAL)
 
@@ -449,7 +445,7 @@ class TestGapMeasure:
         # per-bin flows start tiny, so the cost spread is almost pure scheduling
         sc = basic_scenario()
         assignment = init_assignment(sc, BIN_WIDTH)
-        report = gap_measure(assignment, sc)
+        report = gap_measure(assignment, sc, _day_state(assignment, sc)[0])
         sd_span = float(np.max(schedule_delay(assignment.centers, sc)))
         assert report.gap[VehicleClass.GV] >= 0.9 * sd_span
 
@@ -460,9 +456,9 @@ class TestGapMeasure:
         # park everyone far on the early side: an empty bin near t* is cheaper
         masses[0, 0] = N_TOTAL
         assignment = BinAssignment(bin_width=BIN_WIDTH, centers=template.centers, masses=masses)
-        report = gap_measure(assignment, sc)
-        costs = bin_costs(assignment, sc)[0]
-        assert report.gap[VehicleClass.GV] == pytest.approx(costs[0] - costs.min())
+        costs = _day_state(assignment, sc)[0]
+        report = gap_measure(assignment, sc, costs)
+        assert report.gap[VehicleClass.GV] == pytest.approx(costs[0, 0] - costs[0].min())
         assert report.gap[VehicleClass.GV] > 0.0
 
 
@@ -486,7 +482,7 @@ class TestConvergedRuns:
         assignment, _, _ = oracle_mpr0
         delays = assignment.delays(scenario)
         reference = solution_delay(gv_solution, assignment.centers)
-        used = assignment.class_mass(VehicleClass.GV) > 1e-3 * N_TOTAL
+        used = assignment.class_mass(VehicleClass.GV) > USED_MASS_FRACTION * N_TOTAL
         deviation = np.abs(delays - reference)[used] / float(np.max(reference))
         assert float(np.max(deviation)) <= 0.02
 
@@ -544,7 +540,8 @@ class TestConvergedRuns:
         sc = replace(sc, n_total=scale * sc.n_total)
         assignment, report, _ = timed_oracle(sc)
         assert report.converged
-        assert gv_ev_gv_pattern(assignment, sc.t_star, 1e-3 * N_TOTAL) == (True, True, True)
+        cut = USED_MASS_FRACTION * N_TOTAL
+        assert gv_ev_gv_pattern(assignment, sc.t_star, cut) == (True, True, True)
 
     def test_wide_interior_mpr_draw_matches_the_analytic_solver(self):
         rng = np.random.default_rng(18)
@@ -567,9 +564,10 @@ class TestConvergedRuns:
         )
         assignment, report, _ = timed_oracle(sc)
         assert report.converged
-        assert gv_ev_gv_pattern(assignment, sc.t_star, 1e-3 * sc.n_total) == (True, True, True)
+        cut = USED_MASS_FRACTION * sc.n_total
+        assert gv_ev_gv_pattern(assignment, sc.t_star, cut) == (True, True, True)
         reference = solution_delay(solve_mixed(sc), assignment.centers)
-        used = assignment.masses.sum(axis=0) > 1e-3 * sc.n_total
+        used = assignment.masses.sum(axis=0) > USED_MASS_FRACTION * sc.n_total
         deviation = np.abs(assignment.delays(sc) - reference)[used] / float(np.max(reference))
         print(f"mpr {sc.mpr:.3f}: {report.days} days, deviation {np.max(deviation):.4%}")
         assert float(np.max(deviation)) <= 0.02
@@ -610,6 +608,6 @@ class TestConvergedRuns:
         analytic = solve_single_class(sc, sc.gv_energy)
         delays = assignment.delays(sc)
         reference = solution_delay(analytic, assignment.centers)
-        used = assignment.class_mass(VehicleClass.GV) > 1e-3 * sc.n_total
+        used = assignment.class_mass(VehicleClass.GV) > USED_MASS_FRACTION * sc.n_total
         deviation = np.abs(delays - reference)[used] / float(np.max(reference))
         assert float(np.max(deviation)) <= 0.02

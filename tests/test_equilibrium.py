@@ -115,7 +115,7 @@ class TestSingleClass:
 
     def test_conservation_map_is_increasing(self, scenario):
         cmap = congestion_cost_map(scenario.gv_energy, scenario)
-        masses = [window_mass(scenario, cmap, cmap.invert(c)) for c in (1.0, 2.0, 4.0, 6.0)]
+        masses = [window_mass(scenario, cmap, cmap.invert(c), 0.0) for c in (1.0, 2.0, 4.0, 6.0)]
         assert np.all(np.diff(masses) > 0.0)
 
     def test_missed_conservation_is_a_solver_error(self, scenario):
@@ -200,9 +200,9 @@ class TestMixed:
 
     def test_cost_constancy_per_class(self, mixed_solution):
         profile = mixed_solution.profile
-        for cls in (VehicleClass.GV, VehicleClass.EV):
+        for index, cls in enumerate((VehicleClass.GV, VehicleClass.EV)):
             cost = mixed_solution.class_costs[cls]
-            mask = profile.active_mask(cls)
+            mask = profile.active == index
             deviation = np.abs(profile.cost_total[mask] - cost) / cost
             assert float(np.max(deviation)) <= 1e-6
 
@@ -446,7 +446,7 @@ class TestConservationRoot:
             population = float(10.0 ** rng.uniform(-12.0, 9.0))
             t_lo = 0.0
             for _ in range(2):  # from 0, then from a fraction or multiple of that root
-                t_hi = equilibrium.conservation_root(sc, cmap, population, 1e-10, t_lo=t_lo)
+                t_hi = equilibrium.conservation_root(sc, cmap, population, 1e-10, t_lo)
                 miss = abs(window_mass(sc, cmap, t_hi, t_lo) - population) / population
                 worst = max(worst, miss)
                 t_lo = t_hi * float(rng.uniform(0.01, 3.0))
@@ -471,7 +471,7 @@ class TestComparativeStatics:
         p = 1.0 / sc.nu
 
         def root(a, b):
-            delay = equilibrium.conservation_root(sc, CostMap(a, b), N_TOTAL, 1e-14)
+            delay = equilibrium.conservation_root(sc, CostMap(a, b), N_TOTAL, 1e-14, 0.0)
             return delay, a * delay + b * delay * delay
 
         a, b = cmap.a, cmap.b

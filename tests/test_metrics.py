@@ -123,8 +123,7 @@ class TestCostAccounting:
         profile = mixed_solution.profile
         breakdown = total_cost_breakdown(profile)
         expected = 0.0
-        for cls in (VehicleClass.GV, VehicleClass.EV):
-            flow = profile.class_flow(cls)
+        for cls, flow in ((VehicleClass.GV, profile.flow_gv), (VehicleClass.EV, profile.flow_ev)):
             expected += mixed_solution.class_costs[cls] * float(
                 np.trapezoid(flow, profile.times)
             )
@@ -158,9 +157,10 @@ class TestCostAccounting:
 
 class TestSummarize:
     def test_baseline_free_report(self, gv_solution):
-        report = summarize(gv_solution.profile)
+        # a profile summarized against itself has no extra congestion
+        report = summarize(gv_solution.profile, gv_solution.profile)
         assert report.ecp == 0.0
-        assert report.ecd_delta is None
+        assert report.max_ecd == 0.0
         assert_allclose(report.max_delay, gv_solution.max_delay, rtol=1e-12)
         assert_allclose(report.duration, gv_solution.duration, rtol=1e-12)
 

@@ -41,7 +41,8 @@ class TestSolveBracketed:
         assert_allclose(root, 2.0 ** (1.0 / 3.0), rtol=1e-12)
 
     def test_linear(self):
-        assert_allclose(solve_bracketed(lambda x: (3.0 * x - 1.5, 3.0), -1.0, 1.0), 0.5, rtol=1e-10)
+        root = solve_bracketed(lambda x: (3.0 * x - 1.5, 3.0), -1.0, 1.0, 1e-12)
+        assert_allclose(root, 0.5, rtol=1e-10)
 
     def test_steep_monotone(self):
         def fn(x):
@@ -50,11 +51,11 @@ class TestSolveBracketed:
         assert_allclose(solve_bracketed(fn, 0.0, 1.0, rtol=1e-13), 0.3, rtol=1e-10)
 
     def test_endpoint_root(self):
-        assert solve_bracketed(lambda x: (x, 1.0), 0.0, 1.0) == 0.0
+        assert solve_bracketed(lambda x: (x, 1.0), 0.0, 1.0, 1e-12) == 0.0
 
     def test_not_bracketed(self):
         with pytest.raises(SolverError, match="not bracketed") as err:
-            solve_bracketed(lambda x: (x + 10.0, 1.0), 0.0, 1.0)
+            solve_bracketed(lambda x: (x + 10.0, 1.0), 0.0, 1.0, 1e-12)
         assert err.value.diagnostics == {"lo": 0.0, "hi": 1.0, "flo": 10.0, "fhi": 11.0}
 
     def test_decreasing_function(self):
@@ -74,7 +75,7 @@ class TestSolveBracketed:
 
     def test_step_leaving_the_bracket_bisects(self):
         # Newton from hi = 2 on atan overshoots far below lo = -1
-        root = solve_bracketed(lambda x: (math.atan(x), 1.0 / (1.0 + x * x)), -1.0, 2.0)
+        root = solve_bracketed(lambda x: (math.atan(x), 1.0 / (1.0 + x * x)), -1.0, 2.0, 1e-12)
         assert abs(root) <= 1e-12
 
     def test_max_iter_exhaustion(self):

@@ -16,7 +16,6 @@ from commuteq import (
     bundled_scenario_path,
     emit_config,
     load_config,
-    load_scenario,
     run_until_converged,
 )
 from commuteq.scenario_io import _KEYS, parse_config_text
@@ -81,15 +80,11 @@ class TestBundledScenario:
         assert (sc.ev_energy.c1, sc.ev_energy.c2) == (0.5, 3.0)
 
     def test_gap_tol_default_is_the_shipped_one(self):
-        # the oracle's stop threshold is shipped in three places; they agree
+        # the oracle's stop threshold: the bundled file, Numerics and the run's default agree
         bundled = load_config(bundled_scenario_path(), env={}).numerics.gap_tol
         assert Numerics().gap_tol == bundled
         default = inspect.signature(run_until_converged).parameters["gap_tol"].default
         assert default == bundled
-
-    def test_load_scenario_shortcut(self):
-        sc = load_scenario(bundled_scenario_path(), env={})
-        assert sc.n_total == 3000.0
 
 
 class TestValidation:
@@ -126,12 +121,12 @@ class TestValidation:
             load_config(path, env={})
 
     def test_parse_error_reports_line_and_column(self):
-        with pytest.raises(ScenarioError, match="line 3"):
-            parse_config_text("[corridor]\ntrip_km = 20\nnot a key value\n")
+        with pytest.raises(ScenarioError, match="text.toml: line 3"):
+            parse_config_text("[corridor]\ntrip_km = 20\nnot a key value\n", "text.toml")
 
     def test_bad_number_reports_location(self):
-        with pytest.raises(ScenarioError, match="line 2"):
-            parse_config_text("[corridor]\ntrip_km = twenty\n")
+        with pytest.raises(ScenarioError, match="text.toml: line 2"):
+            parse_config_text("[corridor]\ntrip_km = twenty\n", "text.toml")
 
     def test_duplicate_key_rejected(self, tmp_path):
         path = _write(tmp_path, MINIMAL.replace("nu = 4.1", "nu = 4.1\nnu = 4.2"))
@@ -139,8 +134,8 @@ class TestValidation:
             load_config(path, env={})
 
     def test_non_finite_number_reports_location(self):
-        with pytest.raises(ScenarioError, match="line 2.*finite"):
-            parse_config_text("[corridor]\nnu = nan\n")
+        with pytest.raises(ScenarioError, match="text.toml: line 2.*finite"):
+            parse_config_text("[corridor]\nnu = nan\n", "text.toml")
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ScenarioError, match="not found"):

@@ -13,20 +13,30 @@ mpr 0, 0.5 and 1 through ``CEQ_DEMAND_MPR``, then ``sweep --mpr`` 0, 0.5 and
 scenario files the tool writes (as ``scenario.toml`` in the working
 directory): a minimal mpr-0 file with no ``s_max``, ``[numerics]`` or
 ``[energy.ev]`` and a wide mpr-0.8 draw, which must solve, and broken files
-and a bad ``CEQ_*`` override, which must exit 2.  Other ``CEQ_*`` variables are dropped from the
-environment.  Every file under ``--out``, stdout, stderr and the exit code
-are compared byte for byte, and an exit code other than a scenario case's
-expected one is a difference too.  One line is printed per difference; the
-exit status is 1 if there is any, else 0.
+and a bad ``CEQ_*`` override, which must exit 2.  Last come 6 seeded wide
+draws, a Latin hypercube over ``perfbench/workloads.py`` ``WIDE_RANGES``
+from ``random.Random("compare_outputs:wide")`` (built as in
+``tools/oracle_eta_scan.py``) at mpr 0, 0.2, ..., 1; each runs ``solve``,
+``toll --incentive --dt 0.05`` at mpr 0 and 1, and ``oracle``.  Other
+``CEQ_*`` variables are dropped from the environment.  Every file under
+``--out``, stdout, stderr and the exit code are compared byte for byte, and
+an exit code other than a scenario case's expected one is a difference too.
+One line is printed per difference; the exit status is 1 if there is any,
+else 0.
 """
 
 from __future__ import annotations
 
 import os
+import random
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
+
+from perfbench.workloads import WIDE_RANGES  # noqa: E402
 
 COMMANDS = (
     ("solve",),
@@ -111,6 +121,36 @@ SCENARIO_CASES = (
     ("bad CEQ_* override", MINIMAL, {"CEQ_DEMAND_WIBBLE": "1", "CEQ_CORRIDOR_NU": "fast"}, 2),
 )
 
+# each wide draw's commands, with their CEQ_* variables
+WIDE_COMMANDS = (
+    (("solve",), {}),
+    (("toll", "--incentive", "--dt", "0.05"), {"CEQ_DEMAND_MPR": "0"}),
+    (("toll", "--incentive", "--dt", "0.05"), {"CEQ_DEMAND_MPR": "1"}),
+    (("oracle",), {}),
+)
+
+
+def wide_draws() -> list[str]:
+    """6 scenario files, each ``WIDE_RANGES`` column cut into 6 strata, at mpr k / 5."""
+    n = 6
+    rng = random.Random("compare_outputs:wide")
+    columns = {}
+    for name, (lo, hi) in WIDE_RANGES.items():
+        strata = list(range(n))
+        rng.shuffle(strata)
+        columns[name] = [lo + (hi - lo) * (k + rng.random()) / n for k in strata]
+    texts = []
+    for i in range(n):
+        p = {name: column[i] for name, column in columns.items()}
+        texts.append(
+            f"[corridor]\ntrip_km = {p['trip_km']!r}\ncapacity_r = {p['capacity_r']!r}\n"
+            f"nu = {p['nu']!r}\n\n[demand]\nn_total = {p['n_total']!r}\nt_star = 8.0\n"
+            f"alpha = {p['alpha']!r}\nbeta = {p['beta']!r}\ngamma = {p['gamma']!r}\n"
+            f"mpr = {i / (n - 1)!r}\n\n[energy.gv]\nc1 = {p['gv_c1']!r}\nc2 = {p['gv_c2']!r}\n\n"
+            f"[energy.ev]\nc1 = {p['ev_c1']!r}\nc2 = {p['ev_c2']!r}\n"
+        )
+    return texts
+
 
 def run_case(checkout: Path, workdir: Path, command: tuple[str, ...], variables: dict,
              scenario: str | None = None) -> dict:
@@ -172,6 +212,10 @@ def main(argv: list[str]) -> int:
     cases += [(" ".join(command), command, {}, None, None) for command in SWEEPS]
     cases += [(f"scenario file: {label}", ("solve",), variables, text, expected)
               for label, text, variables, expected in SCENARIO_CASES]
+    cases += [(f"wide draw {k}: {' '.join(command)}"
+               + "".join(f" @ mpr {mpr}" for mpr in variables.values()),
+               command, variables, text, None)
+              for k, text in enumerate(wide_draws()) for command, variables in WIDE_COMMANDS]
     n_files = n_bad = 0
     for label, command, variables, text, expected in cases:
         with tempfile.TemporaryDirectory() as parent_dir, \
