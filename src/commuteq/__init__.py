@@ -16,6 +16,7 @@ from .dynamics import (
 )
 from .equilibrium import (
     ClassSegment,
+    CostBreakdown,
     EquilibriumSolution,
     TimeProfile,
     sample_profiles,
@@ -24,14 +25,7 @@ from .equilibrium import (
     solve_single_class,
 )
 from .errors import CommuteqError, ScenarioError, SolverError
-from .metrics import (
-    CostBreakdown,
-    MetricsReport,
-    extra_congested_period,
-    extra_congestion_delay,
-    summarize,
-    total_cost_breakdown,
-)
+from .metrics import MetricsReport, extra_congested_period, extra_congestion_delay, summarize
 from .model import (
     EnergyModel,
     Scenario,
@@ -104,6 +98,5 @@ __all__ = [
     "solve_system_optimum",
     "summarize",
     "toll_at_delay",
-    "total_cost_breakdown",
     "verify_tolled_equilibrium",
 ]

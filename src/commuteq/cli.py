@@ -160,12 +160,8 @@ def _baseline(scenario: Scenario, numerics: Numerics, dt: float) -> EquilibriumS
 def cmd_solve(config: ScenarioConfig, out_dir: Path, dt: float, quiet: bool) -> int:
     scenario = config.scenario
     solution = _solve_with_numerics(scenario, config.numerics, dt)
-    baseline = (
-        solution.profile
-        if scenario.mpr == 0.0
-        else _baseline(scenario, config.numerics, dt).profile
-    )
-    report = metrics.summarize(solution.profile, baseline)
+    baseline = solution if scenario.mpr == 0.0 else _baseline(scenario, config.numerics, dt)
+    report = metrics.summarize(solution, baseline)
     _write_csvs({out_dir / "profile.csv": _profile_columns(solution.profile)})
     _write_summary(out_dir / "summary.txt", [("command", "solve")] + _solution_summary(solution, report))
     if not quiet:
@@ -186,7 +182,7 @@ def cmd_sweep(config: ScenarioConfig, out_dir: Path, dt: float, mprs: list[float
             if mpr == 0.0
             else _solve_with_numerics(replace(config.scenario, mpr=mpr), numerics, dt)
         )
-        report = metrics.summarize(solution.profile, baseline.profile)
+        report = metrics.summarize(solution, baseline)
         row = {
             "mpr": mpr,
             "cost_gv": _cost_cell(solution, VehicleClass.GV),
@@ -225,13 +221,9 @@ def cmd_toll(config: ScenarioConfig, out_dir: Path, dt: float, incentive: bool, 
     )
     toll = toll_mod.compute_toll(so)
     residual = toll_mod.verify_tolled_equilibrium(so, toll)
-    # no ue_* value depends on the grid (the peak delay is at t*, on every
-    # grid), so the UE is solved at the file's dt whatever --dt asks for
+    # no ue_* value depends on the grid, so the UE is solved at the file's
+    # dt whatever --dt asks for
     ue = _solve_with_numerics(scenario, numerics, numerics.dt)
-    # exact basis (cost * population), comparable with the SO total
-    ue_social = sum(
-        ue.class_costs[c] * ue.class_counts[c] for c in ue.class_costs
-    )
 
     columns = {"t_hours": so.profile.times, "toll": toll}
     if incentive:
@@ -254,7 +246,7 @@ def cmd_toll(config: ScenarioConfig, out_dir: Path, dt: float, incentive: bool, 
             ("max_toll", float(np.max(toll))),
             ("toll_revenue", so.toll_revenue),
             ("so_social_cost", so.total_cost),
-            ("ue_social_cost", ue_social),
+            ("ue_social_cost", ue.costs.social),
             ("ue_duration_hours", ue.duration),
             ("ue_max_delay_hours", ue.max_delay),
         ],

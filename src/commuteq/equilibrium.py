@@ -17,9 +17,12 @@ arrival time and residual cost are affine in each other and the two window
 flanks collapse into a single integral `(1/beta + 1/gamma) * int q dr` over
 the congestion-cost residual ``r``.  Every cost map is quadratic in the
 delay, so substituting the delay for the residual makes that integral a
-closed form in the delay (see :func:`window_mass`): the masses are exact,
-with no quadrature and no inversion, and each conservation root is solved
-for the delay, whose cost then follows from the map.
+closed form in the delay (see :func:`_band_moments`): the masses are
+exact, with no quadrature and no inversion, and each conservation root is
+solved for the delay, whose cost then follows from the map.  Weighted by a
+polynomial in the delay, the same closed form gives every rush-hour total of
+a solution (its :class:`CostBreakdown`): travel time, energy, schedule delay
+and, on an optimum, the toll revenue.
 
 Every solved pattern is an :class:`EquilibriumSolution`.  The system optimum
 (:class:`toll.SystemOptimum`) is one too: the one-band walk with Psi in
@@ -51,8 +54,6 @@ from .model import (
     toll_at_delay,
 )
 from .numerics import DEFAULTS, solve_bracketed
-
-DEFAULT_DT = DEFAULTS.dt
 
 #: Schedule-penalty levels per band that :func:`_validate_no_deviation` sweeps.
 DEVIATION_LEVELS = 257
@@ -94,11 +95,33 @@ class TimeProfile:
 
 
 @dataclass(frozen=True)
+class CostBreakdown:
+    """Rush-hour totals of the cost components ($), each an exact band integral.
+
+    ``social`` is travel time + energy + schedule delay; toll revenue is a
+    transfer and deliberately kept out of it.
+    """
+
+    travel_time: float
+    energy: float
+    schedule_delay: float
+    toll_revenue: float
+
+    @property
+    def social(self) -> float:
+        return self.travel_time + self.energy + self.schedule_delay
+
+
+@dataclass(frozen=True)
 class EquilibriumSolution:
-    """A solved departure pattern: window, segments, costs, counts, curves.
+    """A solved departure pattern: window, segments, costs, counts, totals, curves.
 
     ``optimum`` picks the cost map the segments' delays invert: Phi for a
     user equilibrium, Psi for a system optimum (:class:`toll.SystemOptimum`).
+    ``roots`` are the delays at the band edges, from 0 at the window edge to
+    the peak at t*; band k holds the delays from ``roots[k]`` to
+    ``roots[k + 1]`` and is ``segments[k]`` on the early flank.  ``costs``
+    are the exact rush-hour totals; ``profile`` is sampled on the solve's grid.
     """
 
     optimum: ClassVar[bool] = False
@@ -107,6 +130,8 @@ class EquilibriumSolution:
     segments: tuple[ClassSegment, ...]
     class_costs: dict[VehicleClass, float]
     class_counts: dict[VehicleClass, float]
+    roots: tuple[float, ...]
+    costs: CostBreakdown
     profile: TimeProfile
 
     @property
@@ -119,7 +144,8 @@ class EquilibriumSolution:
 
     @property
     def max_delay(self) -> float:
-        return float(np.max(self.profile.delay)) if self.profile.delay.size else 0.0
+        """The peak delay, at t*: the innermost band's conservation root (0 with no commuter)."""
+        return self.roots[-1]
 
 
 def _class_index(cls: VehicleClass) -> int:
@@ -140,26 +166,38 @@ def _mass_scale(scenario: Scenario) -> float:
     return k * scenario.capacity_r * scenario.trip_km ** (-1.0 / scenario.nu)
 
 
-def _antiderivative(cmap: CostMap, p: float, delay: float) -> float:
-    """`F(T) = a * T**(1+p) / (1+p) + 2*b * T**(2+p) / (2+p)`."""
-    return delay ** (1.0 + p) * (cmap.a / (1.0 + p) + 2.0 * cmap.b * delay / (2.0 + p))
+def _antiderivative(cmap: CostMap, p: float, delay: float, j: int) -> float:
+    """`F_j(T) = a * T**(j+1+p) / (j+1+p) + 2*b * T**(j+2+p) / (j+2+p)`, an antiderivative
+    of `T**j * T**p * (a + 2*b*T)`."""
+    return delay ** (j + 1.0 + p) * (cmap.a / (j + 1.0 + p) + 2.0 * cmap.b * delay / (j + 2.0 + p))
+
+
+def _band_moments(
+    scenario: Scenario, cmap: CostMap, t_lo: float, t_hi: float, count: int
+) -> list[float]:
+    """`K * int T**j q dr` over both flanks of a band, for j < ``count``.
+
+    The rush-hour total of a per-commuter amount ``g(T) = sum_j g_j * T**j``
+    borne at delay T is ``sum_j g_j`` times moment j.  K = 1/beta + 1/gamma,
+    the arrival flow is ``q = R * (T/m)**p`` (p = 1/nu) and the cost residual
+    ``r = cmap(T)`` runs from ``cmap(t_lo)`` to ``cmap(t_hi)``.  Along a flank
+    the schedule penalty, and so the arrival time, is affine in ``r``; with
+    dr = (a + 2*b*T) dT moment j is exactly `K * R * m**-p * [F_j(t_hi) - F_j(t_lo)]`.
+    """
+    p = 1.0 / scenario.nu
+    scale = _mass_scale(scenario)
+    return [
+        scale * (_antiderivative(cmap, p, t_hi, j) - _antiderivative(cmap, p, t_lo, j))
+        for j in range(count)
+    ]
 
 
 def window_mass(scenario: Scenario, cmap: CostMap, t_hi: float, t_lo: float) -> float:
-    """Commuters absorbed while the delay climbs from ``t_lo`` to ``t_hi``.
-
-    Equals `K * int q dr` with K = 1/beta + 1/gamma over the cost residual
-    ``r = cmap(T)`` from ``cmap(t_lo)`` to ``cmap(t_hi)``, where the arrival
-    flow is ``q = R * (T/m)**p``, p = 1/nu.  With dr = (a + 2*b*T) dT this
-    is exactly `K * R * m**-p * [F(t_hi) - F(t_lo)]`, where
-    `F(T) = a * T**(1+p) / (1+p) + 2*b * T**(2+p) / (2+p)`.
-    """
+    """Commuters absorbed while the delay climbs from ``t_lo`` to ``t_hi``:
+    moment 0 of :func:`_band_moments`, `K * R * m**-p * [F_0(t_hi) - F_0(t_lo)]`."""
     if t_hi <= t_lo:
         return 0.0
-    p = 1.0 / scenario.nu
-    return _mass_scale(scenario) * (
-        _antiderivative(cmap, p, t_hi) - _antiderivative(cmap, p, t_lo)
-    )
+    return _band_moments(scenario, cmap, t_lo, t_hi, 1)[0]
 
 
 def conservation_root(
@@ -173,9 +211,9 @@ def conservation_root(
 
     The mass ``M(T) = window_mass(scenario, cmap, T, t_lo)`` is increasing
     and convex with the exact slope `K * R * m**-p * T**p * (a + 2*b*T)`.
-    Each term of ``F`` alone is a lower bound on ``F``, so the smaller of
+    Each term of ``F_0`` alone is a lower bound on ``F_0``, so the smaller of
     `((1+p) * F* / a)**(1/(1+p))` and `((2+p) * F* / (2*b))**(1/(2+p))`, with
-    `F* = F(t_lo) + population / (K * R * m**-p)`, lies above the root; a
+    `F* = F_0(t_lo) + population / (K * R * m**-p)`, lies above the root; a
     relative pad keeps it there under rounding (with b = 0 the first bound is
     the root itself).  Newton from that bound descends monotonically onto
     the root (:func:`solve_bracketed`) until its last step is within
@@ -185,7 +223,7 @@ def conservation_root(
     p = 1.0 / scenario.nu
     scale = _mass_scale(scenario)
     a, b = cmap.a, cmap.b
-    target = _antiderivative(cmap, p, t_lo) + population / scale
+    target = _antiderivative(cmap, p, t_lo, 0) + population / scale
     hi = ((1.0 + p) * target / a) ** (1.0 / (1.0 + p))
     if b > 0.0:
         hi = min(hi, ((2.0 + p) * target / (2.0 * b)) ** (1.0 / (2.0 + p)))
@@ -221,7 +259,10 @@ def _solve_bands(
     """
     if scenario.n_total == 0.0:
         window = (scenario.t_star, scenario.t_star)
-        return kind(scenario, window, (), {}, {}, _sample(scenario, window, (), dt, kind.optimum))
+        profile = _sample(scenario, window, (), dt, kind.optimum)
+        return kind(
+            scenario, window, (), {}, {}, (0.0,), CostBreakdown(0.0, 0.0, 0.0, 0.0), profile
+        )
     if any(model != scenario.energy_model(model.vehicle_class) for model, _ in bands):
         raise ValueError("model must be the scenario's energy model of its class")
     pick = marginal_social_cost_map if kind.optimum else congestion_cost_map
@@ -266,16 +307,32 @@ def _solve_bands(
         for k, t_lo, t_hi in zip(order, edges, edges[1:])
     )
     window = (edges[0], edges[-1])
+    totals = [0.0] * 4  # travel time, energy, schedule delay, toll revenue
+    for k, ((model, _), cmap, cost, count) in enumerate(zip(bands, maps, costs, counts)):
+        # at delay T on band k: alpha*T, c1*T + c2*T**2, C_k - map_k(T), and nu*T*Phi'(T) on Psi
+        _, t1, t2 = _band_moments(scenario, cmap, roots[k], roots[k + 1], 3)
+        totals[0] += scenario.alpha * t1
+        totals[1] += model.c1 * t1 + model.c2 * t2
+        totals[2] += cost * count - (cmap.a * t1 + cmap.b * t2)
+        if kind.optimum:
+            totals[3] += scenario.nu * ((scenario.alpha + model.c1) * t1 + 2.0 * model.c2 * t2)
     profile = _sample(scenario, window, segments, dt, kind.optimum)
     return kind(
-        scenario, window, segments, dict(zip(classes, costs)), dict(zip(classes, counts)), profile
+        scenario,
+        window,
+        segments,
+        dict(zip(classes, costs)),
+        dict(zip(classes, counts)),
+        tuple(roots),
+        CostBreakdown(*totals),
+        profile,
     )
 
 
 def solve_single_class(
     scenario: Scenario,
     model: EnergyModel,
-    dt: float = DEFAULT_DT,
+    dt: float = DEFAULTS.dt,
     root_rtol: float = DEFAULTS.root_rtol,
     mixed_rtol: float = DEFAULTS.mixed_rtol,
 ) -> EquilibriumSolution:
@@ -291,7 +348,7 @@ def solve_single_class(
 
 def solve_mixed(
     scenario: Scenario,
-    dt: float = DEFAULT_DT,
+    dt: float = DEFAULTS.dt,
     root_rtol: float = DEFAULTS.root_rtol,
     mixed_rtol: float = DEFAULTS.mixed_rtol,
 ) -> EquilibriumSolution:

@@ -1,45 +1,29 @@
-"""Congestion indicators and cost accounting over solved profiles.
+"""Congestion indicators of solved patterns.
 
 The extra-congested period (ECP) measures how long delays exceed the worst
 delay of the all-gasoline baseline; the extra congestion delay (ECD) is the
 pointwise-by-arrival-time delay difference against that baseline.  Both
-treat delay as zero outside a pattern's rush window.
+treat delay as zero outside a pattern's rush window.  ECP is a closed form
+in the solution's bands; ECD is read off the sampled profiles.  The cost
+totals are the solution's own exact :class:`CostBreakdown`.
 """
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 
 import numpy as np
 
-from .equilibrium import TimeProfile
-
-
-@dataclass(frozen=True)
-class CostBreakdown:
-    """Integrated cost components of one profile ($).
-
-    ``social`` is travel time + energy + schedule delay; toll revenue is a
-    transfer and deliberately kept out of it.
-    """
-
-    travel_time: float
-    energy: float
-    schedule_delay: float
-    toll_revenue: float
-
-    @property
-    def social(self) -> float:
-        return self.travel_time + self.energy + self.schedule_delay
+from .equilibrium import CostBreakdown, EquilibriumSolution, TimeProfile
+from .model import congestion_cost_map, flow_from_delay, marginal_social_cost_map
 
 
 @dataclass(frozen=True)
 class MetricsReport:
-    """Headline congestion indicators of a profile against a baseline profile."""
+    """Headline congestion indicators of a solution against a baseline solution."""
 
     max_delay: float
-    window: tuple[float, float]
-    duration: float
     peak_flow: float
     ecp: float
     costs: CostBreakdown
@@ -53,29 +37,26 @@ class MetricsReport:
         return float(np.max(self.ecd_delta))
 
 
-def extra_congested_period(profile: TimeProfile, baseline_max_delay: float) -> float:
-    """Total hours during which the delay strictly exceeds the baseline peak.
+def extra_congested_period(solution: EquilibriumSolution, baseline_max_delay: float) -> float:
+    """Total hours during which the delay strictly exceeds the baseline peak ``D0``.
 
-    Crossings between grid nodes are located by linear interpolation, so the
-    measure does not inherit grid-resolution bias.  A profile measured
-    against its own maximum yields exactly zero.
+    The delay falls away from t* on both flanks, so it exceeds ``D0`` while
+    the schedule penalty is below the level ``s0`` at which it equals ``D0``:
+    `(1/beta + 1/gamma) * s0` hours.  On the band whose delays hold ``D0``,
+    ``s0 = C_k - map_k(D0)``; ``s0 = 0`` when ``D0`` is at or above the
+    solution's peak, so a solution measured against its own peak yields
+    exactly zero.
     """
     if baseline_max_delay < 0.0:
         raise ValueError("baseline_max_delay must be nonnegative")
-    t = profile.times
-    d = profile.delay - baseline_max_delay
-    if t.size < 2:
+    if baseline_max_delay >= solution.max_delay:
         return 0.0
-    d1, d2 = d[:-1], d[1:]
-    widths = np.diff(t)
-    frac = np.zeros_like(widths)
-    both = (d1 > 0.0) & (d2 > 0.0)
-    frac[both] = 1.0
-    down = (d1 > 0.0) & (d2 <= 0.0)
-    frac[down] = d1[down] / (d1[down] - d2[down])
-    up = (d1 <= 0.0) & (d2 > 0.0)
-    frac[up] = d2[up] / (d2[up] - d1[up])
-    return float(np.sum(frac * widths))
+    scenario = solution.scenario
+    segment = solution.segments[bisect.bisect_right(solution.roots, baseline_max_delay) - 1]
+    pick = marginal_social_cost_map if solution.optimum else congestion_cost_map
+    cmap = pick(scenario.energy_model(segment.vehicle_class), scenario)
+    level = segment.equilibrium_cost - cmap(baseline_max_delay)
+    return (1.0 / scenario.beta + 1.0 / scenario.gamma) * level
 
 
 def extra_congestion_delay(
@@ -88,39 +69,19 @@ def extra_congestion_delay(
     return grid, own - base
 
 
-def total_cost_breakdown(profile: TimeProfile) -> CostBreakdown:
-    """Trapezoidal integrals of flow-weighted cost components over the grid.
-
-    Toll revenue comes from the profile's own toll column.
-    """
-    t = profile.times
-    f = profile.flow_total
-    if t.size < 2 or not np.any(f > 0.0):
-        return CostBreakdown(0.0, 0.0, 0.0, 0.0)
-    return CostBreakdown(
-        travel_time=float(np.trapezoid(f * profile.cost_travel_time, t)),
-        energy=float(np.trapezoid(f * profile.cost_energy, t)),
-        schedule_delay=float(np.trapezoid(f * profile.cost_schedule, t)),
-        toll_revenue=float(np.trapezoid(f * profile.toll, t)),
-    )
-
-
-def summarize(profile: TimeProfile, baseline: TimeProfile) -> MetricsReport:
+def summarize(solution: EquilibriumSolution, baseline: EquilibriumSolution) -> MetricsReport:
     """Assemble the indicator report, with ECP and ECD against ``baseline``.
 
-    A profile summarized against itself has zero ECP and zero max ECD.
+    The peak delay and the cost totals are the solution's own; the peak flow
+    is the flow at that delay.  A solution summarized against itself has zero
+    ECP and zero max ECD.
     """
-    max_delay = float(np.max(profile.delay)) if profile.delay.size else 0.0
-    peak_flow = float(np.max(profile.flow_total)) if profile.flow_total.size else 0.0
-    baseline_max = float(np.max(baseline.delay)) if baseline.delay.size else 0.0
-    ecd_times, ecd_delta = extra_congestion_delay(profile, baseline)
+    ecd_times, ecd_delta = extra_congestion_delay(solution.profile, baseline.profile)
     return MetricsReport(
-        max_delay=max_delay,
-        window=profile.window,
-        duration=profile.window[1] - profile.window[0],
-        peak_flow=peak_flow,
-        ecp=extra_congested_period(profile, baseline_max),
-        costs=total_cost_breakdown(profile),
+        max_delay=solution.max_delay,
+        peak_flow=float(flow_from_delay(solution.max_delay, solution.scenario)),
+        ecp=extra_congested_period(solution, baseline.max_delay),
+        costs=solution.costs,
         ecd_times=ecd_times,
         ecd_delta=ecd_delta,
     )

@@ -19,7 +19,9 @@ revenue and the total cost), no stored field.  Charging the externality
 part ``tau = nu * T * Phi'(T)`` at the optimal flows makes the pattern
 cost-constant for individuals, i.e. a user equilibrium of the tolled system;
 :func:`verify_tolled_equilibrium` certifies that identity.  The toll revenue
-is a closed form, like the conservation masses.
+and the total cost read the solution's exact :class:`CostBreakdown`: the
+revenue is the band integral of tau, the same closed form as the
+conservation masses.
 """
 
 from __future__ import annotations
@@ -29,16 +31,14 @@ from dataclasses import replace
 import numpy as np
 
 from .dynamics import CLASS_ORDER, crowded_edges, extend_grid, init_assignment
-from .equilibrium import DEFAULT_DT, EquilibriumSolution, _mass_scale, _solve_bands
+from .equilibrium import EquilibriumSolution, _solve_bands
 from .model import (
     EnergyModel,
     Scenario,
     VehicleClass,
     congestion_cost,
-    congestion_cost_map,
     delay_from_flow,
     marginal_social_cost,
-    marginal_social_cost_map,
     schedule_delay,
     toll_at_delay,  # re-exported: one of this module's public names
 )
@@ -62,21 +62,18 @@ class SystemOptimum(EquilibriumSolution):
 
     @property
     def toll_revenue(self) -> float:
-        if self.is_empty:
-            return 0.0
-        model = self.scenario.energy_model(self.segments[0].vehicle_class)
-        return _so_toll_revenue(self.scenario, model, self.multiplier)
+        return self.costs.toll_revenue
 
     @property
     def total_cost(self) -> float:
-        """Social cost `lambda * N - revenue`: the toll is a transfer."""
-        return self.multiplier * self.scenario.n_total - self.toll_revenue
+        """Social cost `lambda * N - revenue`, exact: the toll is a transfer."""
+        return self.costs.social
 
 
 def solve_system_optimum(
     scenario: Scenario,
     model: EnergyModel,
-    dt: float = DEFAULT_DT,
+    dt: float = DEFAULTS.dt,
     root_rtol: float = DEFAULTS.root_rtol,
     mixed_rtol: float = DEFAULTS.mixed_rtol,
 ) -> SystemOptimum:
@@ -88,26 +85,6 @@ def solve_system_optimum(
     """
     bands = ((model, scenario.n_total),)
     return _solve_bands(scenario, bands, dt, root_rtol, mixed_rtol, SystemOptimum)
-
-
-def _so_toll_revenue(scenario: Scenario, model: EnergyModel, lam: float) -> float:
-    """Exact toll revenue `K * int_0^lam q * tau dr`, K = 1/beta + 1/gamma.
-
-    With Phi = a*T + b*T**2, Psi = A*T + B*T**2, tau = nu*T*(a + 2*b*T),
-    q = R*(T/m)**p (p = 1/nu) and dr = (A + 2*B*T) dT, the revenue is
-    `K*R*m**-p*nu*[a*A*T**(2+p)/(2+p) + 2*(a*B + b*A)*T**(3+p)/(3+p)
-    + 4*b*B*T**(4+p)/(4+p)]` at T = Psi^{-1}(lam).
-    """
-    phi = congestion_cost_map(model, scenario)
-    psi = marginal_social_cost_map(model, scenario)
-    p = 1.0 / scenario.nu
-    delay = float(psi.invert(lam))
-    poly = (
-        phi.a * psi.a / (2.0 + p)
-        + 2.0 * (phi.a * psi.b + phi.b * psi.a) * delay / (3.0 + p)
-        + 4.0 * phi.b * psi.b * delay**2 / (4.0 + p)
-    )
-    return _mass_scale(scenario) * scenario.nu * delay ** (2.0 + p) * poly
 
 
 def compute_toll(so: SystemOptimum) -> np.ndarray:

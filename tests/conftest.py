@@ -111,3 +111,30 @@ def oracle_mpr1(scenario):
 @pytest.fixture(scope="session")
 def oracle_mixed(scenario):
     return timed_oracle(replace(scenario, mpr=0.5))
+
+
+def grid_ecp(profile, baseline_max_delay: float) -> float:
+    """Reference ECP of a sampled profile: the grid measure the exact
+    ``extra_congested_period`` replaced, kept to check it against.
+
+    Total hours during which the delay strictly exceeds the baseline peak.
+    Crossings between grid nodes are located by linear interpolation, so the
+    measure does not inherit grid-resolution bias.  A profile measured
+    against its own maximum yields exactly zero.
+    """
+    if baseline_max_delay < 0.0:
+        raise ValueError("baseline_max_delay must be nonnegative")
+    t = profile.times
+    d = profile.delay - baseline_max_delay
+    if t.size < 2:
+        return 0.0
+    d1, d2 = d[:-1], d[1:]
+    widths = np.diff(t)
+    frac = np.zeros_like(widths)
+    both = (d1 > 0.0) & (d2 > 0.0)
+    frac[both] = 1.0
+    down = (d1 > 0.0) & (d2 <= 0.0)
+    frac[down] = d1[down] / (d1[down] - d2[down])
+    up = (d1 <= 0.0) & (d2 > 0.0)
+    frac[up] = d2[up] / (d2[up] - d1[up])
+    return float(np.sum(frac * widths))

@@ -186,7 +186,7 @@ class TestToll:
     @pytest.mark.parametrize("mpr", ["0", "1"])
     def test_ue_lines_do_not_depend_on_dt(self, tmp_path, monkeypatch, mpr):
         # the UE's social cost is exact, its window analytic and its peak delay
-        # at t*, which every grid holds; so it is solved at the file's dt alone
+        # the peak root; so it is solved at the file's dt alone
         monkeypatch.setenv("CEQ_DEMAND_MPR", mpr)
         solved_dt = []
         real = cli.solve_mixed
@@ -213,6 +213,71 @@ class TestToll:
         assert main(["toll", "--out", str(out), "--quiet"]) == EXIT_INPUT
         assert "mpr=0.5" in capsys.readouterr().err
         assert not (out / "toll.csv").exists()
+
+
+def _summary_numbers(path):
+    """``summary.txt`` values, each a float where it parses as one."""
+    out = {}
+    for key, value in _read_summary(path).items():
+        try:
+            out[key] = float(value)
+        except ValueError:
+            out[key] = value
+    return out
+
+
+def _agree(a, b, rtol):
+    if isinstance(a, str) or isinstance(b, str):
+        return a == b
+    return abs(a - b) <= rtol * max(abs(a), abs(b))
+
+
+class TestExactTotals:
+    """Every summary scalar is exact: ``--dt`` shapes only the CSV profiles
+    and the max ECD, and the commands report one social cost."""
+
+    @pytest.mark.parametrize("mpr", ["0", "1"])
+    def test_social_cost_agrees_across_commands(self, tmp_path, monkeypatch, mpr):
+        monkeypatch.setenv("CEQ_DEMAND_MPR", mpr)
+        for command in (["solve"], ["sweep", "--mpr", mpr], ["toll"]):
+            assert main([*command, "--out", str(tmp_path / command[0]), "--quiet"]) == EXIT_OK
+        solve = float(_read_summary(tmp_path / "solve" / "summary.txt")["social_cost_total"])
+        header, rows = _read_csv(tmp_path / "sweep" / "sweep.csv")
+        sweep = float(rows[0][header.index("social_cost")])
+        toll = float(_read_summary(tmp_path / "toll" / "summary.txt")["ue_social_cost"])
+        assert _agree(solve, sweep, 1e-9) and _agree(solve, toll, 1e-9), (solve, sweep, toll)
+
+    @pytest.mark.parametrize(
+        "command, mpr",
+        [("solve", "0"), ("solve", "0.5"), ("solve", "1"), ("toll", "0"), ("toll", "1")],
+    )
+    def test_summary_does_not_depend_on_dt(self, tmp_path, monkeypatch, command, mpr):
+        monkeypatch.setenv("CEQ_DEMAND_MPR", mpr)
+        summaries = []
+        for dt in ("1", "0.1"):
+            out = tmp_path / dt
+            assert main([command, "--out", str(out), "--dt", dt, "--quiet"]) == EXIT_OK
+            summaries.append(_summary_numbers(out / "summary.txt"))
+        coarse, fine = summaries
+        assert sorted(coarse) == sorted(fine)
+        # the two grid quantities
+        grid = {"max_ecd_hours", "tolled_equilibrium_residual"}
+        apart = {key: (coarse[key], fine[key]) for key in coarse
+                 if key not in grid and not _agree(coarse[key], fine[key], 1e-9)}
+        assert not apart
+        assert grid & set(coarse)
+
+    def test_sweep_does_not_depend_on_dt(self, tmp_path):
+        tables = []
+        for dt in ("1", "0.1"):
+            out = tmp_path / dt
+            assert main(["sweep", "--out", str(out), "--dt", dt, "--quiet"]) == EXIT_OK
+            tables.append(_read_csv(out / "sweep.csv"))
+        (header, coarse), (fine_header, fine) = tables
+        assert header == fine_header and len(coarse) == len(fine) == 11
+        for row, fine_row in zip(coarse, fine):
+            for name, a, b in zip(header, row, fine_row):
+                assert (a == b == "") or _agree(float(a), float(b), 1e-9), (name, a, b)
 
 
 class TestWriteCsvs:

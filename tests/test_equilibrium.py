@@ -27,10 +27,10 @@ from commuteq import (
 from commuteq import equilibrium
 from commuteq.cli import EXIT_OK, main
 from commuteq.equilibrium import window_mass
-from commuteq.model import CostMap, congestion_cost_map, delay_from_flow
+from commuteq.model import CostMap, congestion_cost_map, delay_from_flow, marginal_social_cost_map
 from commuteq.numerics import trapezoid_refine
 from commuteq.scenario_io import Numerics, ScenarioConfig, emit_config
-from commuteq.toll import marginal_social_cost_map, solve_system_optimum
+from commuteq.toll import solve_system_optimum
 from conftest import N_TOTAL, basic_scenario
 
 GOLDEN_COST_GV = 4.389575841217798

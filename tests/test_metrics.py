@@ -1,4 +1,9 @@
-"""Indicator tests: ECP measure, ECD differences, cost accounting identities."""
+"""Indicator tests: ECP measure, ECD differences, cost accounting identities.
+
+The exact ECP is checked against the grid measure it replaced
+(``conftest.grid_ecp``), and the exact cost totals against a refined
+trapezoid of flow times cost over arrival time.
+"""
 
 from dataclasses import replace
 
@@ -8,15 +13,21 @@ from numpy.testing import assert_allclose
 
 from commuteq import (
     VehicleClass,
+    energy_cost,
     extra_congested_period,
     extra_congestion_delay,
+    flow_from_delay,
+    sample_profiles,
+    schedule_delay,
+    solution_delay,
     solve_mixed,
     solve_system_optimum,
     summarize,
-    total_cost_breakdown,
+    toll_at_delay,
 )
 from commuteq.equilibrium import TimeProfile
-from conftest import basic_scenario
+from commuteq.numerics import trapezoid_refine
+from conftest import basic_scenario, grid_ecp
 
 # frozen from the solved patterns after oracle verification
 GOLDEN_PEAK_DELAY_RATIO = 1.5239669599992096
@@ -46,37 +57,65 @@ def _synthetic_profile(times, delay):
 
 
 class TestExtraCongestedPeriod:
-    def test_profile_against_its_own_max_is_zero(self, gv_solution):
-        profile = gv_solution.profile
-        assert extra_congested_period(profile, float(np.max(profile.delay))) == 0.0
+    def test_profile_against_its_own_max_is_zero(self, gv_solution, mixed_solution):
+        assert extra_congested_period(gv_solution, gv_solution.max_delay) == 0.0
+        assert extra_congested_period(mixed_solution, mixed_solution.max_delay) == 0.0
 
     def test_everywhere_below_threshold(self, gv_solution):
-        assert extra_congested_period(gv_solution.profile, 10.0) == 0.0
+        assert extra_congested_period(gv_solution, 10.0) == 0.0
 
     def test_tent_crossing_interpolation(self):
         # delay rises 0 -> 1 -> 0 over [0, 2]; above 0.5 from t=0.5 to t=1.5
         profile = _synthetic_profile([0.0, 1.0, 2.0], [0.0, 1.0, 0.0])
-        assert_allclose(extra_congested_period(profile, 0.5), 1.0, rtol=1e-15)
+        assert_allclose(grid_ecp(profile, 0.5), 1.0, rtol=1e-15)
 
     def test_flat_top(self):
         profile = _synthetic_profile([0.0, 1.0, 2.0, 3.0], [0.0, 1.0, 1.0, 0.0])
-        assert_allclose(extra_congested_period(profile, 0.5), 2.0, rtol=1e-15)
+        assert_allclose(grid_ecp(profile, 0.5), 2.0, rtol=1e-15)
 
-    def test_threshold_zero_counts_whole_window(self):
+    def test_threshold_zero_counts_whole_window(self, mixed_solution):
         profile = _synthetic_profile([0.0, 1.0, 2.0], [0.0, 1.0, 0.0])
         # strictly above zero only inside the open interval
-        assert_allclose(extra_congested_period(profile, 0.0), 2.0, rtol=1e-15)
+        assert_allclose(grid_ecp(profile, 0.0), 2.0, rtol=1e-15)
+        whole = extra_congested_period(mixed_solution, 0.0)
+        assert_allclose(whole, mixed_solution.duration, rtol=1e-12)
 
     def test_negative_threshold_rejected(self, gv_solution):
         with pytest.raises(ValueError):
-            extra_congested_period(gv_solution.profile, -1.0)
+            extra_congested_period(gv_solution, -1.0)
+        with pytest.raises(ValueError):
+            grid_ecp(gv_solution.profile, -1.0)
 
     def test_mixed_beats_baseline(self, scenario, gv_solution, mixed_solution):
-        baseline_max = float(np.max(gv_solution.profile.delay))
-        ecp_half = extra_congested_period(mixed_solution.profile, baseline_max)
+        baseline_max = gv_solution.max_delay
+        ecp_half = extra_congested_period(mixed_solution, baseline_max)
         ev_solution = solve_mixed(replace(scenario, mpr=1.0))
-        ecp_full = extra_congested_period(ev_solution.profile, baseline_max)
+        ecp_full = extra_congested_period(ev_solution, baseline_max)
         assert 0.0 < ecp_half < ecp_full
+
+    @pytest.mark.parametrize("mpr", [0.5, 1.0])
+    @pytest.mark.parametrize("share", [0.2, 0.6, 0.9])
+    def test_grid_measure_converges_to_the_exact_one(self, scenario, mpr, share):
+        # thresholds in the outer GV band and in the EV band at mpr 0.5; the
+        # interpolated crossings converge at O(dt**2)
+        solution = solve_mixed(replace(scenario, mpr=mpr))
+        threshold = share * solution.max_delay
+        exact = extra_congested_period(solution, threshold)
+        errors = [
+            abs(grid_ecp(sample_profiles(solution, minutes / 60.0), threshold) - exact) / exact
+            for minutes in (1.0, 0.1, 0.01)
+        ]
+        assert errors[2] < 1e-6
+        assert errors[2] < errors[1] < errors[0]
+
+    def test_system_optimum_against_the_grid_measure(self, scenario, gv_solution):
+        sc = replace(scenario, mpr=1.0)
+        so = solve_system_optimum(sc, sc.ev_energy)
+        threshold = 0.5 * so.max_delay
+        exact = extra_congested_period(so, threshold)
+        grid = grid_ecp(sample_profiles(so, 0.01 / 60.0), threshold)
+        assert_allclose(grid, exact, rtol=1e-6)
+        assert extra_congested_period(so, gv_solution.max_delay) == 0.0
 
 
 class TestExtraCongestionDelay:
@@ -110,43 +149,79 @@ class TestExtraCongestionDelay:
         assert_allclose(float(np.max(delta)), GOLDEN_MAX_ECD_TOLLED, rtol=1e-6)
 
 
+def _quadrature_breakdown(solution) -> tuple[float, float, float, float]:
+    """(travel time, energy, schedule, toll) totals by refined trapezoids of
+    flow x cost over arrival time, along :func:`solution_delay`.
+
+    The window is split at every segment edge and at t*; on each piece the
+    quintic stretch t = t0 + (t1 - t0) * u**3 * (10 - 15u + 6u**2) flattens
+    the integrand at both ends, including the delay**(1/nu) flow at the
+    window edges.
+    """
+    sc = solution.scenario
+    totals = np.zeros(4)
+    for seg in solution.segments:
+        model = sc.energy_model(seg.vehicle_class)
+        cuts = [seg.t_lo, *([sc.t_star] if seg.t_lo < sc.t_star < seg.t_hi else []), seg.t_hi]
+        for t0, t1 in zip(cuts, cuts[1:]):
+            for i in range(4):
+
+                def integrand(u, i=i, t0=t0, t1=t1, model=model):
+                    t = t0 + (t1 - t0) * u**3 * (10.0 - 15.0 * u + 6.0 * u * u)
+                    delay = solution_delay(solution, t)
+                    cost = (
+                        sc.alpha * delay,
+                        energy_cost(model, delay),
+                        schedule_delay(t, sc),
+                        toll_at_delay(model, sc, delay) if solution.optimum else 0.0 * delay,
+                    )[i]
+                    stretch = 30.0 * (t1 - t0) * (u * (1.0 - u)) ** 2
+                    return flow_from_delay(delay, sc) * cost * stretch
+
+                totals[i] += trapezoid_refine(integrand, 0.0, 1.0, rtol=1e-11)
+    return tuple(totals)
+
+
+def _solved(kind: str, mpr: float):
+    sc = basic_scenario(mpr=mpr)
+    if kind == "ue":
+        return solve_mixed(sc)
+    return solve_system_optimum(sc, sc.energy_model(VehicleClass.EV if mpr else VehicleClass.GV))
+
+
 class TestCostAccounting:
     def test_equilibrium_cost_identity(self, gv_solution):
-        # constancy x conservation: component integrals sum to C * (grid flow mass)
-        profile = gv_solution.profile
-        breakdown = total_cost_breakdown(profile)
+        # constancy x conservation: the components sum to C * N
+        breakdown = gv_solution.costs
         cost = gv_solution.class_costs[VehicleClass.GV]
-        grid_mass = float(np.trapezoid(profile.flow_total, profile.times))
-        assert_allclose(breakdown.social, cost * grid_mass, rtol=1e-6)
+        count = gv_solution.class_counts[VehicleClass.GV]
+        assert_allclose(breakdown.social, cost * count, rtol=1e-12)
 
     def test_mixed_cost_identity(self, mixed_solution):
-        profile = mixed_solution.profile
-        breakdown = total_cost_breakdown(profile)
-        expected = 0.0
-        for cls, flow in ((VehicleClass.GV, profile.flow_gv), (VehicleClass.EV, profile.flow_ev)):
-            expected += mixed_solution.class_costs[cls] * float(
-                np.trapezoid(flow, profile.times)
-            )
-        assert_allclose(breakdown.social, expected, rtol=1e-6)
+        expected = sum(
+            mixed_solution.class_costs[cls] * mixed_solution.class_counts[cls]
+            for cls in (VehicleClass.GV, VehicleClass.EV)
+        )
+        assert_allclose(mixed_solution.costs.social, expected, rtol=1e-12)
 
     def test_empty_profile(self):
         sc = replace(basic_scenario(), n_total=0.0)
-        solution = solve_mixed(sc)
-        breakdown = total_cost_breakdown(solution.profile)
+        breakdown = solve_mixed(sc).costs
         assert breakdown.social == 0.0
         assert breakdown.toll_revenue == 0.0
+        empty_so = solve_system_optimum(sc, sc.gv_energy)
+        assert empty_so.costs.social == 0.0
+        assert empty_so.toll_revenue == 0.0
 
     def test_so_cheaper_than_ue_on_same_grid(self, scenario, ev_solution):
         sc = replace(scenario, mpr=1.0)
         so = solve_system_optimum(sc, sc.ev_energy)
-        so_costs = total_cost_breakdown(so.profile)
-        ue_costs = total_cost_breakdown(ev_solution.profile)
-        assert so_costs.social < ue_costs.social
+        assert so.costs.social < ev_solution.costs.social
 
     def test_toll_revenue_separated_from_social_cost(self, scenario):
         sc = replace(scenario, mpr=1.0)
         so = solve_system_optimum(sc, sc.ev_energy)
-        breakdown = total_cost_breakdown(so.profile)
+        breakdown = so.costs
         assert breakdown.toll_revenue > 0.0
         assert_allclose(
             breakdown.social,
@@ -154,15 +229,42 @@ class TestCostAccounting:
             rtol=1e-15,
         )
 
+    @pytest.mark.parametrize(
+        "kind, mpr", [("ue", 0.0), ("ue", 0.5), ("ue", 1.0), ("so", 0.0), ("so", 1.0)]
+    )
+    def test_components_match_the_time_quadrature(self, kind, mpr):
+        solution = _solved(kind, mpr)
+        breakdown = solution.costs
+        exact = (
+            breakdown.travel_time,
+            breakdown.energy,
+            breakdown.schedule_delay,
+            breakdown.toll_revenue,
+        )
+        reference = _quadrature_breakdown(solution)
+        assert_allclose(exact, reference, rtol=1e-8, atol=0.0)
+        assert (breakdown.toll_revenue > 0.0) == (kind == "so")
+
+    @pytest.mark.parametrize("mpr", [0.0, 1.0])
+    def test_social_totals_are_cost_times_count(self, mpr):
+        ue = _solved("ue", mpr)
+        so = _solved("so", mpr)
+        (cls,) = ue.class_costs
+        assert_allclose(ue.costs.social, ue.class_costs[cls] * ue.class_counts[cls], rtol=1e-12)
+        assert_allclose(so.total_cost, so.costs.social, rtol=1e-12)
+        lam_n = so.multiplier * so.class_counts[cls]
+        assert_allclose(so.total_cost, lam_n - so.toll_revenue, rtol=1e-12)
+
 
 class TestSummarize:
     def test_baseline_free_report(self, gv_solution):
-        # a profile summarized against itself has no extra congestion
-        report = summarize(gv_solution.profile, gv_solution.profile)
+        # a solution summarized against itself has no extra congestion
+        report = summarize(gv_solution, gv_solution)
         assert report.ecp == 0.0
         assert report.max_ecd == 0.0
-        assert_allclose(report.max_delay, gv_solution.max_delay, rtol=1e-12)
-        assert_allclose(report.duration, gv_solution.duration, rtol=1e-12)
+        assert report.max_delay == gv_solution.max_delay
+        assert report.costs == gv_solution.costs
+        assert_allclose(report.peak_flow, np.max(gv_solution.profile.flow_total), rtol=1e-14)
 
     def test_peak_delay_ratio_band_and_golden(self, gv_solution, ev_solution):
         ratio = ev_solution.max_delay / gv_solution.max_delay
@@ -170,7 +272,7 @@ class TestSummarize:
         assert_allclose(ratio, GOLDEN_PEAK_DELAY_RATIO, rtol=1e-6)
 
     def test_full_report_against_baseline(self, gv_solution, ev_solution):
-        report = summarize(ev_solution.profile, gv_solution.profile)
+        report = summarize(ev_solution, gv_solution)
         assert report.ecp > 0.0
         assert report.max_ecd > 0.0
         assert_allclose(report.max_ecd, GOLDEN_MAX_ECD_UNTOLLED, rtol=1e-6)

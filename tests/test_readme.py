@@ -2,6 +2,8 @@
 
 from pathlib import Path
 
+import pytest
+
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
@@ -18,3 +20,8 @@ def test_library_example_runs():
     cq, so = namespace["cq"], namespace["so"]
     assert cq.verify_tolled_equilibrium(so, namespace["toll"]) <= 1e-12 * so.multiplier
     assert namespace["gap"].converged
+    ue, report = namespace["ue"], namespace["report"]
+    assert report.ecp > 0.0
+    assert report.costs.social == pytest.approx(
+        sum(ue.class_costs[c] * ue.class_counts[c] for c in ue.class_costs), rel=1e-12
+    )

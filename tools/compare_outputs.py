@@ -4,12 +4,13 @@ Usage, from anywhere (standard library only):
 
     python3 tools/compare_outputs.py PARENT_DIR CHANGE_DIR
 
-Each case (``solve``, ``sweep``, ``toll``, ``toll --incentive``,
-``toll --dt 0.01``, ``toll --incentive --dt 0.01`` and ``oracle``, each at
-mpr 0, 0.5 and 1 through ``CEQ_DEMAND_MPR``, then ``sweep --mpr`` 0, 0.5 and
-1 on the bundled file) runs as ``python -m commuteq.cli`` on the checkout's
-``src``, in a fresh working directory per side and with the same relative
-``--out`` path, so both sides print the same paths.  Then ``solve`` runs on
+Each case (``solve``, ``solve --dt 0.1``, ``sweep``, ``toll``,
+``toll --incentive``, ``toll --dt 0.01``, ``toll --incentive --dt 0.01`` and
+``oracle``, each at mpr 0, 0.5 and 1 through ``CEQ_DEMAND_MPR``, then
+``sweep --mpr`` 0, 0.5 and 1 and ``sweep --dt 0.1`` on the bundled file)
+runs as ``python -m commuteq.cli`` on the checkout's ``src``, in a fresh
+working directory per side and with the same relative ``--out`` path, so
+both sides print the same paths.  Then ``solve`` runs on
 scenario files the tool writes (as ``scenario.toml`` in the working
 directory): a minimal mpr-0 file with no ``s_max``, ``[numerics]`` or
 ``[energy.ev]`` and a wide mpr-0.8 draw, which must solve, and broken files
@@ -40,6 +41,7 @@ from perfbench.workloads import WIDE_RANGES  # noqa: E402
 
 COMMANDS = (
     ("solve",),
+    ("solve", "--dt", "0.1"),  # a fine-grid profile.csv; the summary does not depend on dt
     ("sweep",),
     ("toll",),
     ("toll", "--incentive"),
@@ -49,8 +51,8 @@ COMMANDS = (
 )
 MPRS = ("0", "0.5", "1")
 
-# one-row sweeps; at mpr 0 and 1 a cost column is all empty cells
-SWEEPS = tuple(("sweep", "--mpr", mpr) for mpr in MPRS)
+# one-row sweeps, where at mpr 0 and 1 a cost column is all empty cells, and a fine-grid sweep
+SWEEPS = tuple(("sweep", "--mpr", mpr) for mpr in MPRS) + (("sweep", "--dt", "0.1"),)
 
 MINIMAL = """\
 [corridor]
