@@ -190,12 +190,11 @@ def _solved(kind: str, mpr: float):
 
 
 class TestCostAccounting:
-    def test_equilibrium_cost_identity(self, gv_solution):
+    def test_equilibrium_cost_identity(self, gv_solution, ev_solution):
         # constancy x conservation: the components sum to C * N
-        breakdown = gv_solution.costs
-        cost = gv_solution.class_costs[VehicleClass.GV]
-        count = gv_solution.class_counts[VehicleClass.GV]
-        assert_allclose(breakdown.social, cost * count, rtol=1e-12)
+        for solution in (gv_solution, ev_solution):
+            ((cls, cost),) = solution.class_costs.items()
+            assert_allclose(solution.costs.social, cost * solution.class_counts[cls], rtol=1e-12)
 
     def test_mixed_cost_identity(self, mixed_solution):
         expected = sum(
@@ -246,14 +245,11 @@ class TestCostAccounting:
         assert (breakdown.toll_revenue > 0.0) == (kind == "so")
 
     @pytest.mark.parametrize("mpr", [0.0, 1.0])
-    def test_social_totals_are_cost_times_count(self, mpr):
-        ue = _solved("ue", mpr)
+    def test_so_total_cost_is_the_social_total(self, mpr):
         so = _solved("so", mpr)
-        (cls,) = ue.class_costs
-        assert_allclose(ue.costs.social, ue.class_costs[cls] * ue.class_counts[cls], rtol=1e-12)
-        assert_allclose(so.total_cost, so.costs.social, rtol=1e-12)
-        lam_n = so.multiplier * so.class_counts[cls]
-        assert_allclose(so.total_cost, lam_n - so.toll_revenue, rtol=1e-12)
+        (count,) = so.class_counts.values()
+        assert so.total_cost == so.costs.social
+        assert_allclose(so.total_cost, so.multiplier * count - so.toll_revenue, rtol=1e-12)
 
 
 class TestSummarize:
