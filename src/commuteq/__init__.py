@@ -36,7 +36,6 @@ from .model import (
     delay_from_flow,
     energy_cost,
     flow_from_delay,
-    invert_congestion_cost,
     schedule_delay,
 )
 from .numerics import Numerics
@@ -85,7 +84,6 @@ __all__ = [
     "flow_from_delay",
     "gap_measure",
     "init_assignment",
-    "invert_congestion_cost",
     "load_config",
     "marginal_social_cost",
     "minimize_binned_total_cost",

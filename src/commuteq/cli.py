@@ -29,7 +29,7 @@ import numpy as np
 from . import dynamics, metrics, toll as toll_mod
 from .equilibrium import EquilibriumSolution, TimeProfile, solve_mixed, solution_delay
 from .errors import ScenarioError, SolverError
-from .model import Scenario, VehicleClass, average_speed, schedule_delay
+from .model import Scenario, VehicleClass, average_speed, flow_from_delay, schedule_delay
 from .numerics import Numerics
 from .scenario_io import ScenarioConfig, bundled_scenario_path, load_config
 
@@ -182,21 +182,21 @@ def cmd_sweep(config: ScenarioConfig, out_dir: Path, dt: float, mprs: list[float
             if mpr == 0.0
             else _solve_with_numerics(replace(config.scenario, mpr=mpr), numerics, dt)
         )
-        report = metrics.summarize(solution, baseline)
+        ecp = metrics.extra_congested_period(solution, baseline.max_delay)
         row = {
             "mpr": mpr,
             "cost_gv": _cost_cell(solution, VehicleClass.GV),
             "cost_ev": _cost_cell(solution, VehicleClass.EV),
-            "max_delay_hours": report.max_delay,
+            "max_delay_hours": solution.max_delay,
             "duration_hours": solution.duration,
-            "ecp_hours": report.ecp,
-            "peak_flow_vph": report.peak_flow,
-            "social_cost": report.costs.social,
+            "ecp_hours": ecp,
+            "peak_flow_vph": float(flow_from_delay(solution.max_delay, solution.scenario)),
+            "social_cost": solution.costs.social,
         }
         for header, cell in row.items():
             columns.setdefault(header, []).append(cell)
         if not quiet:
-            print(f"sweep: mpr={mpr:g} max_delay={_fmt(report.max_delay)} ecp={_fmt(report.ecp)}")
+            print(f"sweep: mpr={mpr:g} max_delay={_fmt(solution.max_delay)} ecp={_fmt(ecp)}")
     # the cost cells come formatted, and empty for a class with no commuters
     _write_csvs({out_dir / "sweep.csv": columns})
     return EXIT_OK

@@ -10,7 +10,10 @@ where the band outside it ended; the class costs then follow from the
 roots, inward to outward.  A single class is one band (K = 1).  Two classes
 are two bands (K = 2, :func:`solve_mixed`): the gasoline vehicles hold the
 window flanks and the electric vehicles the high-delay centre, with the
-delay continuous at the class boundary.
+delay continuous at the class boundary.  That order is checked exactly
+(:func:`_validate_no_deviation`): what a class would pay inside another's
+band is quadratic in the delay, so its minimum is at a band edge or at the
+vertex ``T_c``.
 
 Along the early flank the schedule penalty falls linearly at rate beta, so
 arrival time and residual cost are affine in each other and the two window
@@ -35,6 +38,7 @@ and for :func:`solution_delay`, on either map.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -54,10 +58,6 @@ from .model import (
     toll_at_delay,
 )
 from .numerics import DEFAULTS, solve_bracketed
-
-#: Schedule-penalty levels per band that :func:`_validate_no_deviation` sweeps.
-DEVIATION_LEVELS = 257
-
 
 @dataclass(frozen=True)
 class ClassSegment:
@@ -252,10 +252,11 @@ def _solve_bands(
     schedule penalty at band k's outer edge is ``s_k = C_k - map_k(T_{k-1})``,
     so the window edge is at ``s_0 = C_0``.  The innermost band is one centre
     segment and every other band two flanks, 2K - 1 segments.  Each adjacent
-    pair is checked for profitable deviations, and each band's exact count
-    must match its population to ``mixed_rtol * n_total``.  An empty fleet has
-    no segment.  Every model must be the scenario's own, as the sampler looks
-    models up by class.
+    pair is checked exactly for profitable deviations, at the band edges and
+    the vertex ``T_c`` (:func:`_validate_no_deviation`), and each band's
+    exact count must match its population to ``mixed_rtol * n_total``.  An
+    empty fleet has no segment.  Every model must be the scenario's own, as
+    the sampler looks models up by class.
     """
     if scenario.n_total == 0.0:
         window = (scenario.t_star, scenario.t_star)
@@ -277,11 +278,7 @@ def _solve_bands(
     for k in reversed(range(len(bands))):
         costs[k] = maps[k](roots[k + 1]) + levels[k + 1]
         levels[k] = costs[k] - maps[k](roots[k])
-    for k in range(len(bands) - 1):
-        _validate_no_deviation(
-            (classes[k], maps[k], costs[k], (levels[k + 1], levels[k])),
-            (classes[k + 1], maps[k + 1], costs[k + 1], (levels[k + 2], levels[k + 1])),
-        )
+    _validate_no_deviation(tuple(zip(classes, maps, costs)), roots)
     counts = tuple(
         window_mass(scenario, cmap, t_hi, t_lo) for cmap, t_lo, t_hi in zip(maps, roots, roots[1:])
     )
@@ -370,34 +367,41 @@ def solve_mixed(
 
 
 def _validate_no_deviation(
-    outer: tuple[VehicleClass, CostMap, float, tuple[float, float]],
-    inner: tuple[VehicleClass, CostMap, float, tuple[float, float]],
+    bands: tuple[tuple[VehicleClass, CostMap, float], ...], roots: Sequence[float]
 ) -> None:
-    """Assert neither of two adjacent bands' classes can undercut its cost in the other's band.
+    """Assert no class can undercut its cost inside an adjacent class's band.
 
-    A band is ``(vehicle_class, cmap, cost, (s_in, s_out))``, with the schedule
-    penalty at its inner and outer edge.  The band order is an assumption of
-    the construction; this check turns it into a verified property.  Both
-    flanks of a band run over the same penalty levels, so the check sweeps
-    :data:`DEVIATION_LEVELS` levels, not clock times.  The band reaching t*
-    (``s_in = 0``) is the one centre segment.
+    ``bands`` are ``(vehicle_class, cmap, cost)`` from the window edge
+    inward, and band k holds the delays from ``roots[k]`` to ``roots[k + 1]``.
+    At delay T in band k the schedule penalty is ``C_k - map_k(T)``, so a
+    commuter of class j arriving there would pay ``(map_j - map_k)(T) + C_k``:
+    a quadratic in T, whose minimum over the band is at an edge or at the
+    vertex ``T_c = -da / (2*db)`` (with ``da, db`` the coefficient
+    differences) when ``db > 0`` and ``T_c`` lies inside.  That minimum is
+    checked exactly, the outer class of each adjacent pair first, so the band
+    order, an assumption of the construction, becomes a verified property.
+    The innermost band is the one centre segment.
     """
-    for (cls, cmap, cost, levels), (intruder, intruder_map, intruder_cost, _) in (
-        (inner, outer),
-        (outer, inner),
-    ):
-        sd = np.linspace(*levels, DEVIATION_LEVELS)
-        tempted = intruder_map(cmap.invert(np.maximum(cost - sd, 0.0))) + sd
-        if np.any(tempted < intruder_cost - 1e-9 * intruder_cost):
-            who = ("an " if intruder is VehicleClass.EV else "a ") + intruder.name
-            where = ("the " if levels[0] == 0.0 else "a ") + cls.name
-            raise SolverError(
-                f"mixed topology invalid: {who} commuter could profit inside {where} segment",
-                diagnostics={
-                    "min_cost": float(np.min(tempted)),
-                    f"cost_{intruder.value}": intruder_cost,
-                },
-            )
+    for k in range(len(bands) - 1):
+        for band, (intruder, intruder_map, intruder_cost) in ((k + 1, bands[k]), (k, bands[k + 1])):
+            cls, cmap, cost = bands[band]
+            t_lo, t_hi = roots[band], roots[band + 1]
+            da, db = intruder_map.a - cmap.a, intruder_map.b - cmap.b
+            delays = [t_lo, t_hi]
+            if db > 0.0 and t_lo < -da / (2.0 * db) < t_hi:
+                delays.append(-da / (2.0 * db))
+            min_cost, delay = min((cost + da * t + db * t * t, t) for t in delays)
+            if min_cost < intruder_cost - 1e-9 * intruder_cost:
+                who = ("an " if intruder is VehicleClass.EV else "a ") + intruder.name
+                where = ("the " if band == len(bands) - 1 else "a ") + cls.name
+                raise SolverError(
+                    f"mixed topology invalid: {who} commuter could profit inside {where} segment",
+                    diagnostics={
+                        "min_cost": min_cost,
+                        f"cost_{intruder.value}": intruder_cost,
+                        "delay_at_min": delay,
+                    },
+                )
 
 
 def _segment_delays(

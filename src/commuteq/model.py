@@ -227,12 +227,6 @@ def marginal_social_cost(model: EnergyModel, scenario: Scenario, delay: ArrayLik
     return congestion_cost(model, scenario, delay) + toll_at_delay(model, scenario, delay)
 
 
-def invert_congestion_cost(model: EnergyModel, scenario: Scenario, cost: ArrayLike) -> ArrayLike:
-    """Unique delay T >= 0 whose congestion cost equals ``cost`` >= 0."""
-    _check_nonnegative(cost, "congestion cost")
-    return congestion_cost_map(model, scenario).invert(cost)
-
-
 def delay_from_flow(flow: ArrayLike, scenario: Scenario) -> ArrayLike:
     """Congestion delay T = m * (f/R)**nu in hours for arrival flow f >= 0."""
     _check_nonnegative(flow, "flow")

@@ -15,6 +15,7 @@ import pytest
 from commuteq import (
     EnergyModel,
     Scenario,
+    SolverError,
     VehicleClass,
     bundled_scenario_path,
     load_config,
@@ -138,3 +139,35 @@ def grid_ecp(profile, baseline_max_delay: float) -> float:
     up = (d1 <= 0.0) & (d2 > 0.0)
     frac[up] = d2[up] / (d2[up] - d1[up])
     return float(np.sum(frac * widths))
+
+
+#: Schedule-penalty levels per band that :func:`sampled_no_deviation` sweeps.
+DEVIATION_LEVELS = 257
+
+
+def sampled_no_deviation(outer, inner) -> None:
+    """Reference no-deviation check: the sampled sweep that the exact
+    ``equilibrium._validate_no_deviation`` replaced, kept to check it against.
+
+    A band is ``(vehicle_class, cmap, cost, (s_in, s_out))``, with the schedule
+    penalty at its inner and outer edge.  Both flanks of a band run over the
+    same penalty levels, so the check sweeps :data:`DEVIATION_LEVELS` levels,
+    not clock times.  The band reaching t* (``s_in = 0``) is the one centre
+    segment.
+    """
+    for (cls, cmap, cost, levels), (intruder, intruder_map, intruder_cost, _) in (
+        (inner, outer),
+        (outer, inner),
+    ):
+        sd = np.linspace(*levels, DEVIATION_LEVELS)
+        tempted = intruder_map(cmap.invert(np.maximum(cost - sd, 0.0))) + sd
+        if np.any(tempted < intruder_cost - 1e-9 * intruder_cost):
+            who = ("an " if intruder is VehicleClass.EV else "a ") + intruder.name
+            where = ("the " if levels[0] == 0.0 else "a ") + cls.name
+            raise SolverError(
+                f"mixed topology invalid: {who} commuter could profit inside {where} segment",
+                diagnostics={
+                    "min_cost": float(np.min(tempted)),
+                    f"cost_{intruder.value}": intruder_cost,
+                },
+            )

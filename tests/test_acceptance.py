@@ -33,7 +33,6 @@ from commuteq import (
     extra_congested_period,
     extra_congestion_delay,
     flow_from_delay,
-    invert_congestion_cost,
     marginal_social_cost,
     minimize_binned_total_cost,
     sample_profiles,
@@ -45,7 +44,7 @@ from commuteq import (
 )
 from commuteq.cli import main as cli_main
 from commuteq.dynamics import USED_MASS_FRACTION
-from commuteq.model import marginal_social_cost_map
+from commuteq.model import congestion_cost_map, marginal_social_cost_map
 from conftest import N_TOTAL, grid_ecp, gv_ev_gv_pattern
 
 USED_MASS = USED_MASS_FRACTION * N_TOTAL
@@ -237,7 +236,7 @@ def test_criterion_8_formula_round_trips(scenario, gv_solution, ev_solution):
     delays = np.linspace(0.0, 10.0, 2001)
     worst = 0.0
     for model in (scenario.gv_energy, scenario.ev_energy):
-        back = invert_congestion_cost(model, scenario, congestion_cost(model, scenario, delays))
+        back = congestion_cost_map(model, scenario).invert(congestion_cost(model, scenario, delays))
         worst = max(worst, float(np.max(np.abs(back - delays) / np.maximum(delays, 1e-300))))
         msc = marginal_social_cost(model, scenario, delays)
         back2 = marginal_social_cost_map(model, scenario).invert(msc)

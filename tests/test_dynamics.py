@@ -18,7 +18,6 @@ from commuteq import (
     flow_from_delay,
     gap_measure,
     init_assignment,
-    invert_congestion_cost,
     run_until_converged,
     schedule_delay,
     solution_delay,
@@ -26,6 +25,7 @@ from commuteq import (
     solve_single_class,
 )
 from commuteq.dynamics import CLASS_ORDER, USED_MASS_FRACTION, BinAssignment, bin_costs
+from commuteq.model import congestion_cost_map
 from conftest import BUNDLED_NUMERICS, N_TOTAL, basic_scenario, gv_ev_gv_pattern, timed_oracle
 
 BIN_WIDTH = 1.0 / 60.0
@@ -88,7 +88,7 @@ def _equal_cost_assignment(sc, level: float) -> BinAssignment:
     """Exact discretized fixed point: every used bin costs exactly ``level``."""
     assignment = init_assignment(sc, BIN_WIDTH)
     residual = np.maximum(level - schedule_delay(assignment.centers, sc), 0.0)
-    delay = invert_congestion_cost(sc.gv_energy, sc, residual)
+    delay = congestion_cost_map(sc.gv_energy, sc).invert(residual)
     masses = np.zeros_like(assignment.masses)
     masses[0] = BIN_WIDTH * flow_from_delay(delay, sc)
     return BinAssignment(bin_width=BIN_WIDTH, centers=assignment.centers, masses=masses)

@@ -17,7 +17,6 @@ from commuteq import (
     SolverError,
     VehicleClass,
     flow_from_delay,
-    invert_congestion_cost,
     sample_profiles,
     schedule_delay,
     solution_delay,
@@ -31,7 +30,7 @@ from commuteq.model import CostMap, congestion_cost_map, delay_from_flow, margin
 from commuteq.numerics import trapezoid_refine
 from commuteq.scenario_io import Numerics, ScenarioConfig, emit_config
 from commuteq.toll import solve_system_optimum
-from conftest import N_TOTAL, basic_scenario
+from conftest import N_TOTAL, basic_scenario, sampled_no_deviation
 
 GOLDEN_COST_GV = 4.389575841217798
 GOLDEN_COST_EV = 4.02175345295732
@@ -131,7 +130,7 @@ class TestSingleClass:
         ts = np.linspace(t0, t1, 200_001)
         residual = np.maximum(cost - schedule_delay(ts, scenario), 0.0)
         flows = flow_from_delay(
-            invert_congestion_cost(scenario.gv_energy, scenario, residual), scenario
+            congestion_cost_map(scenario.gv_energy, scenario).invert(residual), scenario
         )
         brute = float(np.trapezoid(flows, ts))
         assert_allclose(gv_solution.class_counts[VehicleClass.GV], brute, rtol=1e-5)
@@ -236,11 +235,11 @@ def _reference_state(sc, cost_gv, cost_ev, quad_rtol=1e-9):
     solver, the boundary construction nor the closed-form masses with
     solve_mixed.
     """
-    gv, ev = sc.gv_energy, sc.ev_energy
+    invert_gv = congestion_cost_map(sc.gv_energy, sc).invert
+    invert_ev = congestion_cost_map(sc.ev_energy, sc).invert
 
     def curve_gap(s):
-        delay_gv = invert_congestion_cost(gv, sc, cost_gv - s)
-        return float(delay_gv - invert_congestion_cost(ev, sc, cost_ev - s))
+        return float(invert_gv(cost_gv - s) - invert_ev(cost_ev - s))
 
     lo, hi = 0.0, cost_ev
     gap_lo = curve_gap(lo)
@@ -251,8 +250,6 @@ def _reference_state(sc, cost_gv, cost_ev, quad_rtol=1e-9):
         else:
             hi = mid
     s_star = 0.5 * (lo + hi)
-    invert_gv = partial(invert_congestion_cost, gv, sc)
-    invert_ev = partial(invert_congestion_cost, ev, sc)
     mass_gv = _trapezoid_mass(sc, invert_gv, cost_gv - s_star, rtol=quad_rtol)
     mass_ev = _trapezoid_mass(sc, invert_ev, cost_ev, rtol=quad_rtol) - _trapezoid_mass(
         sc, invert_ev, cost_ev - s_star, rtol=quad_rtol
@@ -336,17 +333,15 @@ class TestMixedEdgeCases:
     )
     def test_profitable_deviation_is_a_solver_error(self, mixed_solution, bumped, message, key):
         # a class cost above its equilibrium value lets that class undercut it
-        # inside the other class's band at the boundary level s*
+        # inside the other class's band at the boundary delay T_x
         sc = mixed_solution.scenario
         costs = dict(mixed_solution.class_costs)
-        s_star = float(schedule_delay(mixed_solution.segments[1].t_lo, sc))
         gv_map, ev_map = (congestion_cost_map(m, sc) for m in (sc.gv_energy, sc.ev_energy))
 
         def validate():
-            cost_gv, cost_ev = costs[VehicleClass.GV], costs[VehicleClass.EV]
-            outer = (VehicleClass.GV, gv_map, cost_gv, (s_star, cost_gv))
-            inner = (VehicleClass.EV, ev_map, cost_ev, (0.0, s_star))
-            equilibrium._validate_no_deviation(outer, inner)
+            bands = ((VehicleClass.GV, gv_map, costs[VehicleClass.GV]),
+                     (VehicleClass.EV, ev_map, costs[VehicleClass.EV]))
+            equilibrium._validate_no_deviation(bands, mixed_solution.roots)
 
         validate()
         costs[bumped] *= 1.0 + 1e-6
@@ -354,6 +349,21 @@ class TestMixedEdgeCases:
             validate()
         assert err.value.diagnostics[key] == costs[bumped]
         assert err.value.diagnostics["min_cost"] < costs[bumped]
+        assert err.value.diagnostics["delay_at_min"] == mixed_solution.roots[1]
+
+    def test_violation_at_the_interior_vertex_only(self):
+        # Phi_gv - Phi_ev = -4T + T**2 has its vertex at T_c = 2, inside the EV
+        # band [1, 3.5] of a consistent walk: C_ev = Phi_ev(3.5) = 35, s* = 25
+        # and C_gv = Phi_gv(1) + s* = 32.  A GV commuter there pays
+        # 35 - 4T + T**2: 32 and 33.25 at the band edges, 31 at T_c.
+        gv_map, ev_map = CostMap(6.0, 1.0), CostMap(10.0, 0.0)
+        bands = ((VehicleClass.GV, gv_map, 32.0), (VehicleClass.EV, ev_map, 35.0))
+        for edge in (1.0, 3.5):
+            assert 35.0 + gv_map(edge) - ev_map(edge) >= 32.0
+        message = "a GV commuter could profit inside the EV segment"
+        with pytest.raises(SolverError, match=message) as err:
+            equilibrium._validate_no_deviation(bands, (0.0, 1.0, 3.5))
+        assert err.value.diagnostics == {"min_cost": 31.0, "cost_gv": 32.0, "delay_at_min": 2.0}
 
     @pytest.mark.parametrize("vanishing", [VehicleClass.EV, VehicleClass.GV])
     def test_vanishing_band_leaves_the_other_single_class_solution(self, vanishing):
@@ -378,6 +388,75 @@ class TestMixedEdgeCases:
         assert err.value.diagnostics["populations"] == (1500.0, 1500.0)
 
 
+def _deviation_outcome(check, *bands) -> tuple[str, float] | None:
+    """``check``'s message and minimum tempted cost if it raises, else None."""
+    try:
+        check(*bands)
+    except SolverError as err:
+        return str(err), err.diagnostics["min_cost"]
+    return None
+
+
+class TestNoDeviationAgainstSweep:
+    @pytest.mark.filterwarnings("ignore:EV energy coefficients")
+    def test_exact_check_agrees_with_the_sampled_sweep(self, monkeypatch):
+        # every mixed walk of 300 seeded wide draws, with EV (c1, c2) on both
+        # sides of the Scenario warning, is checked by the exact check and by
+        # the 257-level sweep it replaced
+        exact_check = equilibrium._validate_no_deviation
+        walks = []
+        monkeypatch.setattr(
+            equilibrium, "_validate_no_deviation", lambda bands, roots: walks.append((bands, roots))
+        )
+        rng = np.random.default_rng(20261020)
+        base = basic_scenario()
+        warned = 0
+        for _ in range(300):
+            gv = EnergyModel(VehicleClass.GV, rng.uniform(3.0, 5.0), rng.uniform(12.0, 22.0))
+            ev = EnergyModel(
+                VehicleClass.EV, gv.c1 * rng.uniform(0.1, 2.0), gv.c2 * rng.uniform(0.05, 2.5)
+            )
+            warned += ev.c1 > gv.c1 or ev.c2 > gv.c2
+            solve_mixed(replace(
+                base, nu=rng.uniform(3.0, 5.0), n_total=rng.uniform(1500.0, 6000.0),
+                capacity_r=rng.uniform(5000.0, 12000.0), trip_km=rng.uniform(10.0, 35.0),
+                alpha=rng.uniform(6.0, 12.0), beta=rng.uniform(2.5, 5.5),
+                gamma=rng.uniform(10.0, 25.0), mpr=rng.uniform(0.05, 0.95),
+                gv_energy=gv, ev_energy=ev,
+            ))
+        monkeypatch.undo()
+        assert len(walks) == 300 and 0 < warned < 300
+
+        failures = 0
+        for bands, roots in walks:
+            (cls_out, map_out, cost_out), (cls_in, map_in, cost_in) = bands
+            s_star = cost_in - map_in(roots[1])
+            outcomes = []
+            # the costs as solved, then 1e300 for the outer and for the inner
+            # class, which leaves only the other direction to fire: it then
+            # reports its minimum whatever its margin
+            for costs in ((cost_out, cost_in), (1e300, cost_in), (cost_out, 1e300)):
+                exact = _deviation_outcome(
+                    exact_check, ((cls_out, map_out, costs[0]), (cls_in, map_in, costs[1])), roots
+                )
+                sampled = _deviation_outcome(
+                    sampled_no_deviation,
+                    (cls_out, map_out, costs[0], (s_star, costs[0] - map_out(roots[0]))),
+                    (cls_in, map_in, costs[1], (0.0, s_star)),
+                )
+                outcomes.append((exact, sampled))
+            (exact, sampled), *directions = outcomes
+            assert (exact is None) == (sampled is None)
+            failures += exact is not None
+            for exact, sampled in directions:
+                # both read the band edges, through different roundings; the
+                # sweep misses the true minimum by at most a few 1e-6 of it
+                assert exact[0] == sampled[0]
+                assert exact[1] <= sampled[1] + 1e-12 * sampled[1]
+                assert sampled[1] - exact[1] <= 1e-4 * exact[1]
+        assert 0 < failures < 300
+
+
 class TestWindowMassClosedForm:
     def test_matches_trapezoid_reference(self):
         # Phi and Psi maps of both classes, each from r = 0 and from r_lo > 0
@@ -392,17 +471,13 @@ class TestWindowMassClosedForm:
                 capacity_r=base.capacity_r * float(rng.uniform(0.5, 2.0)),
             )
             model = (sc.gv_energy, sc.ev_energy)[i % 2]
-            if i % 4 < 2:
-                cmap = congestion_cost_map(model, sc)
-                invert = partial(invert_congestion_cost, model, sc)
-            else:
-                cmap = marginal_social_cost_map(model, sc)
-                invert = cmap.invert
+            pick = congestion_cost_map if i % 4 < 2 else marginal_social_cost_map
+            cmap = pick(model, sc)
             packed = float(delay_from_flow(sc.n_total, sc))
             r_hi = (cmap.a * packed + cmap.b * packed**2) * float(rng.uniform(0.2, 2.0))
             r_lo = 0.0 if i % 8 < 4 else r_hi * float(rng.uniform(0.0, 0.99))
             exact = window_mass(sc, cmap, cmap.invert(r_hi), cmap.invert(r_lo))
-            reference = _trapezoid_mass(sc, invert, r_hi, r_lo)
+            reference = _trapezoid_mass(sc, cmap.invert, r_hi, r_lo)
             worst = max(worst, abs(exact - reference) / reference)
         assert worst <= 1e-10
 

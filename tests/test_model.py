@@ -17,9 +17,9 @@ from commuteq import (
     delay_from_flow,
     energy_cost,
     flow_from_delay,
-    invert_congestion_cost,
     schedule_delay,
 )
+from commuteq.model import congestion_cost_map
 from conftest import basic_scenario
 
 
@@ -110,32 +110,30 @@ class TestCongestionCost:
 
 
 class TestInvertCongestionCost:
+    """The inverse of Phi, ``congestion_cost_map(model, scenario).invert``."""
+
     def test_zero(self, sc):
-        assert invert_congestion_cost(sc.gv_energy, sc, 0.0) == 0.0
+        assert congestion_cost_map(sc.gv_energy, sc).invert(0.0) == 0.0
 
     def test_forward_value(self, sc):
-        assert_allclose(invert_congestion_cost(sc.gv_energy, sc, 29.2), 1.0, rtol=1e-12)
+        assert_allclose(congestion_cost_map(sc.gv_energy, sc).invert(29.2), 1.0, rtol=1e-12)
 
     @pytest.mark.parametrize("delay", [0.01, 0.1, 0.5, 2.0])
     def test_round_trip(self, sc, delay):
         for model in (sc.gv_energy, sc.ev_energy):
             cost = congestion_cost(model, sc, delay)
-            assert_allclose(invert_congestion_cost(model, sc, cost), delay, rtol=1e-12)
+            assert_allclose(congestion_cost_map(model, sc).invert(cost), delay, rtol=1e-12)
 
     def test_round_trip_grid(self, sc):
         ts = np.linspace(0.0, 10.0, 2001)
         for model in (sc.gv_energy, sc.ev_energy):
-            back = invert_congestion_cost(model, sc, congestion_cost(model, sc, ts))
+            back = congestion_cost_map(model, sc).invert(congestion_cost(model, sc, ts))
             assert_allclose(back, ts, rtol=1e-12, atol=1e-15)
 
     def test_linear_model(self, sc):
         linear = EnergyModel(VehicleClass.GV, 2.0, 0.0)
         # Phi(T) = (8.4 + 2) T, so the inverse of 5.2 is 0.5
-        assert_allclose(invert_congestion_cost(linear, sc, 5.2), 0.5, rtol=1e-14)
-
-    def test_negative_cost_rejected(self, sc):
-        with pytest.raises(ValueError):
-            invert_congestion_cost(sc.gv_energy, sc, -1.0)
+        assert_allclose(congestion_cost_map(linear, sc).invert(5.2), 0.5, rtol=1e-14)
 
     def test_slope(self, sc):
         h = 1e-7

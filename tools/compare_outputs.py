@@ -13,8 +13,10 @@ working directory per side and with the same relative ``--out`` path, so
 both sides print the same paths.  Then ``solve`` runs on
 scenario files the tool writes (as ``scenario.toml`` in the working
 directory): a minimal mpr-0 file with no ``s_max``, ``[numerics]`` or
-``[energy.ev]`` and a wide mpr-0.8 draw, which must solve, and broken files
-and a bad ``CEQ_*`` override, which must exit 2.  Last come 6 seeded wide
+``[energy.ev]`` and a wide mpr-0.8 draw, which must solve, broken files and
+a bad ``CEQ_*`` override, which must exit 2, and the minimal file at mpr 0.5
+with EV energy models (c1, c2) of (8, 1), (6, 20) and (0.5, 40), whose
+GV-EV-GV walk fails its no-deviation check and must exit 3.  Last come 6 seeded wide
 draws, a Latin hypercube over ``perfbench/workloads.py`` ``WIDE_RANGES``
 from ``random.Random("compare_outputs:wide")`` (built as in
 ``tools/oracle_eta_scan.py``) at mpr 0, 0.2, ..., 1; each runs ``solve``,
@@ -22,8 +24,9 @@ from ``random.Random("compare_outputs:wide")`` (built as in
 ``CEQ_*`` variables are dropped from the environment.  Every file under
 ``--out``, stdout, stderr and the exit code are compared byte for byte, and
 an exit code other than a scenario case's expected one is a difference too.
-One line is printed per difference; the exit status is 1 if there is any,
-else 0.
+One line is printed per difference: for a ``summary.txt``, one per
+``key = value`` line that differs, with both values; for any other output,
+the first line that differs.  The exit status is 1 if there is any, else 0.
 """
 
 from __future__ import annotations
@@ -109,6 +112,9 @@ root_rtol = 1e-10
 mixed_rtol = 1e-08
 """
 
+# the minimal file at mpr 0.5, open for an [energy.ev] model
+MIXED = MINIMAL.replace("mpr = 0.0", "mpr = 0.5") + "\n[energy.ev]\n"
+
 # label, scenario file text, CEQ_* variables, the exit code ``solve`` must give
 SCENARIO_CASES = (
     ("minimal mpr-0 file", MINIMAL, {}, 0),
@@ -121,6 +127,9 @@ SCENARIO_CASES = (
     ("no [energy.ev] at mpr 0.5", MINIMAL.replace("mpr = 0.0", "mpr = 0.5"), {}, 2),
     ("non-integer max_days", MINIMAL + "\n[numerics]\nmax_days = 10.5\n", {}, 2),
     ("bad CEQ_* override", MINIMAL, {"CEQ_DEMAND_WIBBLE": "1", "CEQ_CORRIDOR_NU": "fast"}, 2),
+    # EV models past the Scenario warning: the topology message on stderr
+    *((f"EV ({c1}, {c2}) at mpr 0.5", MIXED + f"c1 = {c1}\nc2 = {c2}\n", {}, 3)
+      for c1, c2 in (("8", "1"), ("6", "20"), ("0.5", "40"))),
 )
 
 # each wide draw's commands, with their CEQ_* variables
@@ -184,6 +193,16 @@ def _first_line_apart(a: bytes, b: bytes) -> int:
     return min(len(lines_a), len(lines_b)) + 1
 
 
+def _keys_apart(a: bytes, b: bytes) -> list[str]:
+    """Each ``key = value`` line of two summaries that differs, as
+    ``key: parent value != change value``, in the order the keys first appear."""
+    parent, change = ({key: value for key, _, value in
+                       (line.decode().partition(" = ") for line in text.splitlines())}
+                      for text in (a, b))
+    return [f"{key}: {parent.get(key, '(absent)')} != {change.get(key, '(absent)')}"
+            for key in {**parent, **change} if parent.get(key) != change.get(key)]
+
+
 def differences(parent: dict, change: dict) -> list[str]:
     """Human-readable differences between two runs of one case."""
     found = []
@@ -199,8 +218,10 @@ def differences(parent: dict, change: dict) -> list[str]:
         elif name not in parent["files"]:
             found.append(f"{name} only in the change")
         elif parent["files"][name] != change["files"][name]:
-            found.append(f"{name} differs from line "
-                         f"{_first_line_apart(parent['files'][name], change['files'][name])}")
+            a, b = parent["files"][name], change["files"][name]
+            keys = _keys_apart(a, b) if Path(name).name == "summary.txt" else []
+            found += ([f"{name} {line}" for line in keys]
+                      or [f"{name} differs from line {_first_line_apart(a, b)}"])
     return found
 
 
