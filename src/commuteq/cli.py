@@ -29,8 +29,7 @@ import numpy as np
 from . import dynamics, metrics, toll as toll_mod
 from .equilibrium import EquilibriumSolution, TimeProfile, solve_mixed, solution_delay
 from .errors import ScenarioError, SolverError
-from .model import Scenario, VehicleClass, average_speed, flow_from_delay, schedule_delay
-from .numerics import Numerics
+from .model import Scenario, VehicleClass, average_speed, schedule_delay
 from .scenario_io import ScenarioConfig, bundled_scenario_path, load_config
 
 EXIT_OK = 0
@@ -130,16 +129,16 @@ def _solution_summary(solution: EquilibriumSolution, report: metrics.MetricsRepo
         ("window_start_hours", solution.window[0]),
         ("window_end_hours", solution.window[1]),
         ("duration_hours", solution.duration),
-        ("max_delay_hours", report.max_delay),
-        ("peak_flow_vph", report.peak_flow),
-        ("speed_at_peak_kmh", float(average_speed(report.max_delay, sc))),
+        ("max_delay_hours", solution.max_delay),
+        ("peak_flow_vph", solution.peak_flow),
+        ("speed_at_peak_kmh", float(average_speed(solution.max_delay, sc))),
         ("ecp_hours", report.ecp),
         ("max_ecd_hours", report.max_ecd),
-        ("cost_traveltime_total", report.costs.travel_time),
-        ("cost_energy_total", report.costs.energy),
-        ("cost_schedule_total", report.costs.schedule_delay),
-        ("toll_revenue_total", report.costs.toll_revenue),
-        ("social_cost_total", report.costs.social),
+        ("cost_traveltime_total", solution.costs.travel_time),
+        ("cost_energy_total", solution.costs.energy),
+        ("cost_schedule_total", solution.costs.schedule_delay),
+        ("toll_revenue_total", solution.costs.toll_revenue),
+        ("social_cost_total", solution.costs.social),
     ]
     for cls in (VehicleClass.GV, VehicleClass.EV):
         if cls in solution.class_counts:
@@ -147,41 +146,30 @@ def _solution_summary(solution: EquilibriumSolution, report: metrics.MetricsRepo
     return items
 
 
-def _solve_with_numerics(scenario: Scenario, numerics: Numerics, dt: float) -> EquilibriumSolution:
-    return solve_mixed(
-        scenario, dt=dt, root_rtol=numerics.root_rtol, mixed_rtol=numerics.mixed_rtol
-    )
-
-
-def _baseline(scenario: Scenario, numerics: Numerics, dt: float) -> EquilibriumSolution:
-    return _solve_with_numerics(replace(scenario, mpr=0.0), numerics, dt)
+def _baseline(scenario: Scenario, dt: float) -> EquilibriumSolution:
+    return solve_mixed(replace(scenario, mpr=0.0), dt=dt)
 
 
 def cmd_solve(config: ScenarioConfig, out_dir: Path, dt: float, quiet: bool) -> int:
     scenario = config.scenario
-    solution = _solve_with_numerics(scenario, config.numerics, dt)
-    baseline = solution if scenario.mpr == 0.0 else _baseline(scenario, config.numerics, dt)
+    solution = solve_mixed(scenario, dt=dt)
+    baseline = solution if scenario.mpr == 0.0 else _baseline(scenario, dt)
     report = metrics.summarize(solution, baseline)
     _write_csvs({out_dir / "profile.csv": _profile_columns(solution.profile)})
     _write_summary(out_dir / "summary.txt", [("command", "solve")] + _solution_summary(solution, report))
     if not quiet:
-        print(f"solve: mpr={scenario.mpr:g} max_delay={_fmt(report.max_delay)} h "
+        print(f"solve: mpr={scenario.mpr:g} max_delay={_fmt(solution.max_delay)} h "
               f"ecp={_fmt(report.ecp)} h -> {out_dir}")
     return EXIT_OK
 
 
 def cmd_sweep(config: ScenarioConfig, out_dir: Path, dt: float, mprs: list[float], quiet: bool) -> int:
-    numerics = config.numerics
     mprs = sorted(set(mprs))
     # the solve is deterministic, so the mpr-0 row reuses the baseline's solution
-    baseline = _baseline(config.scenario, numerics, dt)
+    baseline = _baseline(config.scenario, dt)
     columns: dict[str, list] = {}
     for mpr in mprs:
-        solution = (
-            baseline
-            if mpr == 0.0
-            else _solve_with_numerics(replace(config.scenario, mpr=mpr), numerics, dt)
-        )
+        solution = baseline if mpr == 0.0 else solve_mixed(replace(config.scenario, mpr=mpr), dt=dt)
         ecp = metrics.extra_congested_period(solution, baseline.max_delay)
         row = {
             "mpr": mpr,
@@ -190,7 +178,7 @@ def cmd_sweep(config: ScenarioConfig, out_dir: Path, dt: float, mprs: list[float
             "max_delay_hours": solution.max_delay,
             "duration_hours": solution.duration,
             "ecp_hours": ecp,
-            "peak_flow_vph": float(flow_from_delay(solution.max_delay, solution.scenario)),
+            "peak_flow_vph": solution.peak_flow,
             "social_cost": solution.costs.social,
         }
         for header, cell in row.items():
@@ -204,7 +192,6 @@ def cmd_sweep(config: ScenarioConfig, out_dir: Path, dt: float, mprs: list[float
 
 def cmd_toll(config: ScenarioConfig, out_dir: Path, dt: float, incentive: bool, quiet: bool) -> int:
     scenario = config.scenario
-    numerics = config.numerics
     if 0.0 < scenario.mpr < 1.0:
         raise ScenarioError(
             f"toll needs a single-class fleet, mpr 0 or 1, got mpr={scenario.mpr}: "
@@ -212,18 +199,12 @@ def cmd_toll(config: ScenarioConfig, out_dir: Path, dt: float, incentive: bool, 
         )
     cls = VehicleClass.EV if scenario.mpr == 1.0 else VehicleClass.GV
     model = scenario.energy_model(cls)
-    so = toll_mod.solve_system_optimum(
-        scenario,
-        model,
-        dt=dt,
-        root_rtol=numerics.root_rtol,
-        mixed_rtol=numerics.mixed_rtol,
-    )
+    so = toll_mod.solve_system_optimum(scenario, model, dt=dt)
     toll = toll_mod.compute_toll(so)
     residual = toll_mod.verify_tolled_equilibrium(so, toll)
     # no ue_* value depends on the grid, so the UE is solved at the file's
     # dt whatever --dt asks for
-    ue = _solve_with_numerics(scenario, numerics, numerics.dt)
+    ue = solve_mixed(scenario, dt=config.numerics.dt)
 
     columns = {"t_hours": so.profile.times, "toll": toll}
     if incentive:
@@ -304,7 +285,7 @@ def cmd_oracle(config: ScenarioConfig, out_dir: Path, dt: float, quiet: bool) ->
     reference_error = None
     if scenario.n_total > 0.0:
         try:
-            analytic = _solve_with_numerics(scenario, numerics, dt)
+            analytic = solve_mixed(scenario, dt=dt)
         except SolverError as exc:  # the oracle's own result is still reported
             reference_error = exc
             items.append(("reference_error", str(exc)))

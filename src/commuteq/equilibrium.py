@@ -29,10 +29,16 @@ and, on an optimum, the toll revenue.
 
 Every solved pattern is an :class:`EquilibriumSolution`.  The system optimum
 (:class:`toll.SystemOptimum`) is one too: the one-band walk with Psi in
-place of Phi, selected by the class attribute ``optimum``.  One rule
-(:func:`_segment_delays`) picks the segment that owns each arrival time and
-inverts its map there, for the solver's profile, for :func:`sample_profiles`
-and for :func:`solution_delay`, on either map.
+place of Phi, selected by the class attribute ``optimum``.  Each segment
+carries the map its delays invert, so one rule (:func:`_segment_delays`)
+picks the segment that owns each arrival time and inverts that map there,
+for the solver's profile, for :func:`sample_profiles` and for
+:func:`solution_delay`.
+
+The root tolerance :data:`ROOT_RTOL` and the count check :data:`COUNT_RTOL`
+are fixed: each root is a closed-form mass solved by Newton from above, so
+a looser tolerance could only miss the count, and a tighter one moves no
+printed digit or, below about 1e-16, asks for a step below one ulp.
 """
 
 from __future__ import annotations
@@ -59,14 +65,23 @@ from .model import (
 )
 from .numerics import DEFAULTS, solve_bracketed
 
+#: Each conservation root stops once its last Newton step is within this share of the delay.
+ROOT_RTOL = 1e-10
+
+#: Largest miss allowed between a band's exact count and its population, as a share of the fleet.
+COUNT_RTOL = 1e-8
+
+
 @dataclass(frozen=True)
 class ClassSegment:
-    """One class's contiguous occupancy interval and its constant trip cost."""
+    """One class's contiguous occupancy interval, its constant trip cost and
+    the cost map its delays invert: Phi, or Psi on a system optimum."""
 
     vehicle_class: VehicleClass
     t_lo: float
     t_hi: float
     equilibrium_cost: float
+    cost_map: CostMap
 
 
 @dataclass(frozen=True)
@@ -81,7 +96,6 @@ class TimeProfile:
 
     times: np.ndarray
     dt: float
-    window: tuple[float, float]
     delay: np.ndarray
     flow_total: np.ndarray
     flow_gv: np.ndarray
@@ -116,8 +130,8 @@ class CostBreakdown:
 class EquilibriumSolution:
     """A solved departure pattern: window, segments, costs, counts, totals, curves.
 
-    ``optimum`` picks the cost map the segments' delays invert: Phi for a
-    user equilibrium, Psi for a system optimum (:class:`toll.SystemOptimum`).
+    ``optimum`` picks the cost map the bands are solved on: Phi for a user
+    equilibrium, Psi for a system optimum (:class:`toll.SystemOptimum`).
     ``roots`` are the delays at the band edges, from 0 at the window edge to
     the peak at t*; band k holds the delays from ``roots[k]`` to
     ``roots[k + 1]`` and is ``segments[k]`` on the early flank.  ``costs``
@@ -146,6 +160,11 @@ class EquilibriumSolution:
     def max_delay(self) -> float:
         """The peak delay, at t*: the innermost band's conservation root (0 with no commuter)."""
         return self.roots[-1]
+
+    @property
+    def peak_flow(self) -> float:
+        """The arrival flow at the peak delay (veh/h)."""
+        return float(flow_from_delay(self.max_delay, self.scenario))
 
 
 def _class_index(cls: VehicleClass) -> int:
@@ -204,7 +223,6 @@ def conservation_root(
     scenario: Scenario,
     cmap: CostMap,
     population: float,
-    root_rtol: float,
     t_lo: float,
 ) -> float:
     """Delay ``T`` whose window ``[t_lo, T]`` absorbs ``population`` > 0.
@@ -217,7 +235,7 @@ def conservation_root(
     relative pad keeps it there under rounding (with b = 0 the first bound is
     the root itself).  Newton from that bound descends monotonically onto
     the root (:func:`solve_bracketed`) until its last step is within
-    ``root_rtol`` of the delay.  Every equilibrium and optimum cost here is
+    :data:`ROOT_RTOL` of the delay.  Every equilibrium and optimum cost here is
     ``cmap`` at such a root.
     """
     p = 1.0 / scenario.nu
@@ -232,15 +250,13 @@ def conservation_root(
         slope = scale * delay**p * (a + 2.0 * b * delay)
         return window_mass(scenario, cmap, delay, t_lo) - population, slope
 
-    return solve_bracketed(conservation, t_lo, hi * (1.0 + 1e-9), rtol=root_rtol)
+    return solve_bracketed(conservation, t_lo, hi * (1.0 + 1e-9), rtol=ROOT_RTOL)
 
 
 def _solve_bands(
     scenario: Scenario,
     bands: tuple[tuple[EnergyModel, float], ...],
     dt: float,
-    root_rtol: float,
-    mixed_rtol: float,
     kind: type[EquilibriumSolution],
 ) -> EquilibriumSolution:
     """The fleet as bands of delay ``((model, population), ...)``, listed from
@@ -254,7 +270,7 @@ def _solve_bands(
     segment and every other band two flanks, 2K - 1 segments.  Each adjacent
     pair is checked exactly for profitable deviations, at the band edges and
     the vertex ``T_c`` (:func:`_validate_no_deviation`), and each band's
-    exact count must match its population to ``mixed_rtol * n_total``.  An
+    exact count must match its population to ``COUNT_RTOL * n_total``.  An
     empty fleet has no segment.  Every model must be the scenario's own, as
     the sampler looks models up by class.
     """
@@ -272,7 +288,7 @@ def _solve_bands(
     populations = tuple(population for _, population in bands)
     roots = [0.0]  # the delay at each band's outer edge, then the peak
     for cmap, population in zip(maps, populations):
-        roots.append(conservation_root(scenario, cmap, population, root_rtol, roots[-1]))
+        roots.append(conservation_root(scenario, cmap, population, roots[-1]))
     costs = [0.0] * len(bands)
     levels = [0.0] * (len(bands) + 1)  # the schedule penalty at each band's outer edge, then t*
     for k in reversed(range(len(bands))):
@@ -283,7 +299,7 @@ def _solve_bands(
         window_mass(scenario, cmap, t_hi, t_lo) for cmap, t_lo, t_hi in zip(maps, roots, roots[1:])
     )
     miss = max(abs(count - pop) for count, pop in zip(counts, populations))
-    if miss > mixed_rtol * scenario.n_total:
+    if miss > COUNT_RTOL * scenario.n_total:
         what = ("mixed" if len(bands) > 1 else "single-class") + " equilibrium"
         raise SolverError(
             f"{'system optimum' if kind.optimum else what} misses per-class conservation",
@@ -292,7 +308,7 @@ def _solve_bands(
                 "costs": tuple(costs),
                 "counts": counts,
                 "populations": populations,
-                "mixed_rtol": mixed_rtol,
+                "count_rtol": COUNT_RTOL,
             },
         )
 
@@ -300,7 +316,7 @@ def _solve_bands(
     edges += [scenario.t_star + s / scenario.gamma for s in reversed(levels[:-1])]
     order = [*range(len(bands)), *reversed(range(len(bands) - 1))]  # each segment's band
     segments = tuple(
-        ClassSegment(classes[k], t_lo, t_hi, costs[k])
+        ClassSegment(classes[k], t_lo, t_hi, costs[k], maps[k])
         for k, t_lo, t_hi in zip(order, edges, edges[1:])
     )
     window = (edges[0], edges[-1])
@@ -330,8 +346,6 @@ def solve_single_class(
     scenario: Scenario,
     model: EnergyModel,
     dt: float = DEFAULTS.dt,
-    root_rtol: float = DEFAULTS.root_rtol,
-    mixed_rtol: float = DEFAULTS.mixed_rtol,
 ) -> EquilibriumSolution:
     """Equilibrium when the whole fleet is one vehicle class.
 
@@ -340,14 +354,12 @@ def solve_single_class(
     and C = Phi(T_peak), with the peak delay the fleet's conservation root.
     """
     bands = ((model, scenario.n_total),)
-    return _solve_bands(scenario, bands, dt, root_rtol, mixed_rtol, EquilibriumSolution)
+    return _solve_bands(scenario, bands, dt, EquilibriumSolution)
 
 
 def solve_mixed(
     scenario: Scenario,
     dt: float = DEFAULTS.dt,
-    root_rtol: float = DEFAULTS.root_rtol,
-    mixed_rtol: float = DEFAULTS.mixed_rtol,
 ) -> EquilibriumSolution:
     """Two-class equilibrium at the scenario's EV market penetration.
 
@@ -363,7 +375,7 @@ def solve_mixed(
         for cls, share in ((VehicleClass.GV, 1.0 - scenario.mpr), (VehicleClass.EV, scenario.mpr))
         if share > 0.0
     )
-    return _solve_bands(scenario, bands, dt, root_rtol, mixed_rtol, EquilibriumSolution)
+    return _solve_bands(scenario, bands, dt, EquilibriumSolution)
 
 
 def _validate_no_deviation(
@@ -405,16 +417,16 @@ def _validate_no_deviation(
 
 
 def _segment_delays(
-    scenario: Scenario, segments: tuple[ClassSegment, ...], times: np.ndarray, optimum: bool
+    scenario: Scenario, segments: tuple[ClassSegment, ...], times: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Owning segment, schedule penalty and delay at each arrival time.
 
     The segments are contiguous and in time order.  A time belongs to the
     first segment that holds it to within ``1e-12 * max(1, |t1|)``, with
     ``t1`` the window end, so a shared edge belongs to the earlier segment; a
-    time no segment holds has owner -1 and delay 0.  On a segment's isocost curve the delay is its class's cost map
-    (Psi with ``optimum``, else Phi) inverted at ``C - sd``, clipped at zero
-    where the penalty alone exceeds the cost.
+    time no segment holds has owner -1 and delay 0.  On a segment's isocost
+    curve the delay is the segment's cost map inverted at ``C - sd``, clipped
+    at zero where the penalty alone exceeds the cost.
     """
     sd = schedule_delay(times, scenario)
     delay = np.zeros_like(times)
@@ -423,11 +435,9 @@ def _segment_delays(
     tiny = 1e-12 * max(1.0, abs(segments[-1].t_hi))
     owner = np.searchsorted([seg.t_hi + tiny for seg in segments], times)
     owner = np.where((owner == len(segments)) | (times < segments[0].t_lo - tiny), -1, owner)
-    pick = marginal_social_cost_map if optimum else congestion_cost_map
     for k, seg in enumerate(segments):
         mask = owner == k
-        cmap = pick(scenario.energy_model(seg.vehicle_class), scenario)
-        delay[mask] = cmap.invert(np.maximum(seg.equilibrium_cost - sd[mask], 0.0))
+        delay[mask] = seg.cost_map.invert(np.maximum(seg.equilibrium_cost - sd[mask], 0.0))
     return owner, sd, delay
 
 
@@ -443,14 +453,14 @@ def _sample(
     The grid is anchored so the preferred arrival time (where delay and flow
     peak) is a grid point; it starts at least two steps before the window and
     ends at least two steps after it, and delay and flows are identically
-    zero outside the window (everywhere, with no segments).  With ``optimum``
-    the segments are system-optimum ones: the delay inverts the marginal social
-    cost Psi, not Phi, and the toll column carries the charge ``tau = Psi - Phi``.
+    zero outside the window (everywhere, with no segments).  The delay
+    inverts each segment's own map; with ``optimum`` (segments on Psi) the
+    toll column carries the charge ``tau = Psi - Phi``.
     """
     if not 0.0 < dt < math.inf:  # NaN fails both comparisons
         raise ValueError(f"dt must be positive and finite, got {dt}")
     times = _window_grid(scenario.t_star, window, dt)
-    owner, sd, delay = _segment_delays(scenario, segments, times, optimum)
+    owner, sd, delay = _segment_delays(scenario, segments, times)
     flow_gv = np.zeros_like(times)
     flow_ev = np.zeros_like(times)
     cost_en = np.zeros_like(times)
@@ -473,7 +483,6 @@ def _sample(
     return TimeProfile(
         times=times,
         dt=dt,
-        window=window,
         delay=delay,
         flow_total=flow_gv + flow_ev,
         flow_gv=flow_gv,
@@ -498,4 +507,4 @@ def sample_profiles(solution: EquilibriumSolution, dt: float) -> TimeProfile:
 def solution_delay(solution: EquilibriumSolution, times: np.ndarray) -> np.ndarray:
     """Exact delay of a solved pattern at arbitrary arrival times (0 outside the window)."""
     times = np.asarray(times, dtype=float)
-    return _segment_delays(solution.scenario, solution.segments, times, solution.optimum)[2]
+    return _segment_delays(solution.scenario, solution.segments, times)[2]

@@ -4,8 +4,8 @@ The extra-congested period (ECP) measures how long delays exceed the worst
 delay of the all-gasoline baseline; the extra congestion delay (ECD) is the
 pointwise-by-arrival-time delay difference against that baseline.  Both
 treat delay as zero outside a pattern's rush window.  ECP is a closed form
-in the solution's bands; ECD is read off the sampled profiles.  The cost
-totals are the solution's own exact :class:`CostBreakdown`.
+in the solution's bands; ECD is read off the sampled profiles.  The peak
+delay, the peak flow and the exact cost totals are the solution's own.
 """
 
 from __future__ import annotations
@@ -15,26 +15,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .equilibrium import CostBreakdown, EquilibriumSolution, TimeProfile
-from .model import congestion_cost_map, flow_from_delay, marginal_social_cost_map
+from .equilibrium import EquilibriumSolution, TimeProfile
 
 
 @dataclass(frozen=True)
 class MetricsReport:
-    """Headline congestion indicators of a solution against a baseline solution."""
+    """The congestion a solution adds over a baseline solution: ECP and max ECD (hours)."""
 
-    max_delay: float
-    peak_flow: float
     ecp: float
-    costs: CostBreakdown
-    ecd_times: np.ndarray
-    ecd_delta: np.ndarray
-
-    @property
-    def max_ecd(self) -> float:
-        if self.ecd_delta.size == 0:
-            return 0.0
-        return float(np.max(self.ecd_delta))
+    max_ecd: float
 
 
 def extra_congested_period(solution: EquilibriumSolution, baseline_max_delay: float) -> float:
@@ -53,9 +42,7 @@ def extra_congested_period(solution: EquilibriumSolution, baseline_max_delay: fl
         return 0.0
     scenario = solution.scenario
     segment = solution.segments[bisect.bisect_right(solution.roots, baseline_max_delay) - 1]
-    pick = marginal_social_cost_map if solution.optimum else congestion_cost_map
-    cmap = pick(scenario.energy_model(segment.vehicle_class), scenario)
-    level = segment.equilibrium_cost - cmap(baseline_max_delay)
+    level = segment.equilibrium_cost - segment.cost_map(baseline_max_delay)
     return (1.0 / scenario.beta + 1.0 / scenario.gamma) * level
 
 
@@ -70,18 +57,9 @@ def extra_congestion_delay(
 
 
 def summarize(solution: EquilibriumSolution, baseline: EquilibriumSolution) -> MetricsReport:
-    """Assemble the indicator report, with ECP and ECD against ``baseline``.
-
-    The peak delay and the cost totals are the solution's own; the peak flow
-    is the flow at that delay.  A solution summarized against itself has zero
-    ECP and zero max ECD.
-    """
-    ecd_times, ecd_delta = extra_congestion_delay(solution.profile, baseline.profile)
+    """ECP and max ECD against ``baseline``; against itself, both are zero."""
+    _, ecd_delta = extra_congestion_delay(solution.profile, baseline.profile)
     return MetricsReport(
-        max_delay=solution.max_delay,
-        peak_flow=float(flow_from_delay(solution.max_delay, solution.scenario)),
         ecp=extra_congested_period(solution, baseline.max_delay),
-        costs=solution.costs,
-        ecd_times=ecd_times,
-        ecd_delta=ecd_delta,
+        max_ecd=float(np.max(ecd_delta)),
     )

@@ -28,8 +28,6 @@ class Numerics:
     eta: float = 0.5
     gap_tol: float = 3e-5
     max_days: int = 10000
-    root_rtol: float = 1e-10
-    mixed_rtol: float = 1e-8
 
     def __post_init__(self):
         for fld in fields(self):
@@ -40,7 +38,7 @@ class Numerics:
             raise ScenarioError("dt_minutes and bin_minutes must be positive")
         if not 0.0 < self.eta <= 1.0:
             raise ScenarioError(f"eta must lie in (0,1], got {self.eta}")
-        if min(self.gap_tol, self.root_rtol, self.mixed_rtol) <= 0.0:
+        if self.gap_tol <= 0.0:
             raise ScenarioError("tolerances must be positive")
         if self.max_days < 0:
             raise ScenarioError(f"max_days must be nonnegative, got {self.max_days}")

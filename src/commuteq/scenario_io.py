@@ -10,15 +10,8 @@ the ``Scenario``, ``EnergyModel`` or ``Numerics`` field it sets.
 ``[numerics]`` keys all have defaults, :data:`numerics.DEFAULTS`.
 ``gap_tol`` (3e-5) stops the day-to-day oracle once every class's
 mass-weighted relative gap ``sum m (c - c_min) / sum m c_min`` is below
-it; it used to bound the relative gap over bins holding more than 1e-3 of
-the class, at 1e-3, and a file that still sets ``gap_tol = 0.001`` now
-stops far earlier and looser (393 days and 1.33% of the peak delay at
-mpr 0 on the bundled corridor).  ``root_rtol`` bounds the last Newton step
-of every conservation root, relative to the root's delay; ``mixed_rtol`` is
-the largest miss, as a fraction of ``n_total``, allowed between a class's
-absorbed count and its population in every solve (exit 3 beyond it).  No
-solver runs a quadrature, so the retired ``quad_rtol`` key loads (finite)
-and is ignored.
+it.  The solver tolerances are fixed, so the retired keys ``_RETIRED``
+still load (finite) and are ignored.
 ``s_max`` defaults to 60 km/h; ``[energy.ev]`` may be omitted only when
 mpr = 0 (the EV record then copies the GV coefficients, making the classes
 indistinguishable).  Unknown sections or keys are rejected by name.  Any key
@@ -41,15 +34,17 @@ from .numerics import Numerics
 
 ENV_PREFIX = "CEQ_"
 
-#: Each section's keys in file order, each the name of the field it sets.
-#: ``s_max`` and the ``[numerics]`` keys are optional; ``quad_rtol`` is retired.
+#: ``[numerics]`` keys that set nothing: each loads (finite) and is ignored.
+_RETIRED = ("quad_rtol", "root_rtol", "mixed_rtol")
+
+#: Each section's keys in file order, each the name of the field it sets
+#: unless it is retired.  ``s_max`` and the ``[numerics]`` keys are optional.
 _KEYS = {
     "corridor": ("trip_km", "capacity_r", "nu", "s_max"),
     "demand": ("n_total", "t_star", "alpha", "beta", "gamma", "mpr"),
     "energy.gv": ("c1", "c2"),
     "energy.ev": ("c1", "c2"),
-    "numerics": ("dt_minutes", "bin_minutes", "eta", "gap_tol", "max_days", "quad_rtol",
-                 "root_rtol", "mixed_rtol"),
+    "numerics": ("dt_minutes", "bin_minutes", "eta", "gap_tol", "max_days", *_RETIRED),
 }
 _SECTIONS = tuple(sorted(_KEYS))
 
@@ -161,8 +156,9 @@ def _build_config(sections: dict[str, dict[str, float]], source: str) -> Scenari
             raise ScenarioError(f"{source}: [energy.ev] is required when mpr > 0 (mpr={mpr})")
         ev = gv  # no EVs on the road: coefficients are inert
 
-    numerics_raw = dict(sections.get("numerics", {}))
-    numerics_raw.pop("quad_rtol", None)
+    numerics_raw = {
+        key: value for key, value in sections.get("numerics", {}).items() if key not in _RETIRED
+    }
     if "max_days" in numerics_raw:
         max_days = numerics_raw["max_days"]
         if max_days != int(max_days):
@@ -204,7 +200,7 @@ def emit_config(config: ScenarioConfig) -> str:
     for section, keys in _KEYS.items():
         record = records.get(section, sc)  # corridor and demand keys are Scenario fields
         lines += ["", f"[{section}]"]
-        lines += [f"{key} = {getattr(record, key)!r}" for key in keys if key != "quad_rtol"]
+        lines += [f"{key} = {getattr(record, key)!r}" for key in keys if key not in _RETIRED]
     return "\n".join(lines[1:]) + "\n"
 
 

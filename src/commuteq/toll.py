@@ -74,17 +74,15 @@ def solve_system_optimum(
     scenario: Scenario,
     model: EnergyModel,
     dt: float = DEFAULTS.dt,
-    root_rtol: float = DEFAULTS.root_rtol,
-    mixed_rtol: float = DEFAULTS.mixed_rtol,
 ) -> SystemOptimum:
     """Minimize total system cost over departure patterns of one class.
 
     The single-class equilibrium with Psi in place of Phi: one segment at the
     multiplier, whose profile carries the toll column.  The optimal pattern
-    must absorb the fleet to ``mixed_rtol * n_total``.
+    must absorb the fleet to ``equilibrium.COUNT_RTOL * n_total``.
     """
     bands = ((model, scenario.n_total),)
-    return _solve_bands(scenario, bands, dt, root_rtol, mixed_rtol, SystemOptimum)
+    return _solve_bands(scenario, bands, dt, SystemOptimum)
 
 
 def compute_toll(so: SystemOptimum) -> np.ndarray:

@@ -28,7 +28,7 @@ from commuteq.cli import EXIT_OK, main
 from commuteq.equilibrium import window_mass
 from commuteq.model import CostMap, congestion_cost_map, delay_from_flow, marginal_social_cost_map
 from commuteq.numerics import trapezoid_refine
-from commuteq.scenario_io import Numerics, ScenarioConfig, emit_config
+from commuteq.scenario_io import _RETIRED, Numerics, ScenarioConfig, emit_config
 from commuteq.toll import solve_system_optimum
 from conftest import N_TOTAL, basic_scenario, sampled_no_deviation
 
@@ -117,10 +117,11 @@ class TestSingleClass:
         masses = [window_mass(scenario, cmap, cmap.invert(c), 0.0) for c in (1.0, 2.0, 4.0, 6.0)]
         assert np.all(np.diff(masses) > 0.0)
 
-    def test_missed_conservation_is_a_solver_error(self, scenario):
+    def test_missed_conservation_is_a_solver_error(self, scenario, monkeypatch):
         # a root stopped at 1% of the cost misses the fleet by ~1e-4 of N
+        monkeypatch.setattr(equilibrium, "ROOT_RTOL", 1e-2)
         with pytest.raises(SolverError, match="per-class conservation") as err:
-            solve_single_class(scenario, scenario.gv_energy, root_rtol=1e-2)
+            solve_single_class(scenario, scenario.gv_energy)
         assert err.value.diagnostics["populations"] == (N_TOTAL,)
 
     def test_quadrature_against_brute_force(self, scenario, gv_solution):
@@ -300,21 +301,32 @@ class TestMixedEdgeCases:
         self._assert_conserves(solution)
         assert 0.0 < solution.class_costs[VehicleClass.EV] < solution.class_costs[VehicleClass.GV]
 
-    def test_tight_quadrature_tolerance(self, tmp_path):
-        # no solver runs a quadrature, so the retired quad_rtol key loads and
-        # every output matches the same scenario file without it
+    def test_tight_quadrature_tolerance(self, tmp_path, monkeypatch):
+        # no solver runs a quadrature and the root and count tolerances are
+        # fixed, so each retired key loads, from the file or the environment,
+        # at any finite value, and every output matches the file without it
         path = tmp_path / "scenario.toml"
         for command, mpr in (("solve", 0.5), ("toll", 1.0)):
             text = emit_config(ScenarioConfig(basic_scenario(mpr), Numerics()))
-            assert "quad_rtol" not in text
-            outputs = []
-            for body in (text, text + "quad_rtol = 1e-12\n"):
+            assert not any(retired in text for retired in _RETIRED)
+
+            def outputs(body: str, name: str) -> dict[str, bytes]:
                 path.write_text(body, encoding="utf-8")
-                out = tmp_path / f"{command}-{len(outputs)}"
+                out = tmp_path / name
                 args = [command, "--scenario", str(path), "--out", str(out), "--quiet"]
-                assert main(args) == EXIT_OK
-                outputs.append({f.name: f.read_bytes() for f in out.iterdir()})
-            assert outputs[0] == outputs[1]
+                assert main(args) == EXIT_OK, name
+                return {f.name: f.read_bytes() for f in out.iterdir()}
+
+            expected = outputs(text, command)
+            for key in (*_RETIRED, "CEQ_NUMERICS_MIXED_RTOL"):
+                for value in ("0", "-1", "1e-2", "1e-17"):
+                    name = f"{command}-{key}-{value}"
+                    with monkeypatch.context() as env:
+                        body = text + f"{key} = {value}\n"
+                        if key.startswith("CEQ_"):
+                            env.setenv(key, value)
+                            body = text
+                        assert outputs(body, name) == expected, name
 
     def test_equal_energy_models_share_the_single_class_cost(self, gv_solution):
         sc = replace(basic_scenario(0.5), ev_energy=EnergyModel(VehicleClass.EV, 4.0, 16.8))
@@ -381,10 +393,11 @@ class TestMixedEdgeCases:
         assert len(widths) == (1 if vanishing is VehicleClass.EV else 2)
         assert max(widths) < 1e-9
 
-    def test_missed_conservation_is_a_solver_error(self):
+    def test_missed_conservation_is_a_solver_error(self, monkeypatch):
         # a root stopped at a 1% Newton step leaves the counts far outside 1e-8 * N
+        monkeypatch.setattr(equilibrium, "ROOT_RTOL", 1e-2)
         with pytest.raises(SolverError, match="per-class conservation") as err:
-            solve_mixed(basic_scenario(0.5), root_rtol=1e-2, mixed_rtol=1e-8)
+            solve_mixed(basic_scenario(0.5))
         assert err.value.diagnostics["populations"] == (1500.0, 1500.0)
 
 
@@ -521,7 +534,7 @@ class TestConservationRoot:
             population = float(10.0 ** rng.uniform(-12.0, 9.0))
             t_lo = 0.0
             for _ in range(2):  # from 0, then from a fraction or multiple of that root
-                t_hi = equilibrium.conservation_root(sc, cmap, population, 1e-10, t_lo)
+                t_hi = equilibrium.conservation_root(sc, cmap, population, t_lo)
                 miss = abs(window_mass(sc, cmap, t_hi, t_lo) - population) / population
                 worst = max(worst, miss)
                 t_lo = t_hi * float(rng.uniform(0.01, 3.0))
@@ -540,13 +553,14 @@ class TestComparativeStatics:
     """
 
     @pytest.mark.parametrize("cls", [VehicleClass.GV, VehicleClass.EV])
-    def test_derivatives_match_finite_differences(self, cls):
+    def test_derivatives_match_finite_differences(self, cls, monkeypatch):
+        monkeypatch.setattr(equilibrium, "ROOT_RTOL", 1e-14)  # roots for the finite differences
         sc = basic_scenario()
         cmap = congestion_cost_map(sc.energy_model(cls), sc)
         p = 1.0 / sc.nu
 
         def root(a, b):
-            delay = equilibrium.conservation_root(sc, CostMap(a, b), N_TOTAL, 1e-14, 0.0)
+            delay = equilibrium.conservation_root(sc, CostMap(a, b), N_TOTAL, 0.0)
             return delay, a * delay + b * delay * delay
 
         a, b = cmap.a, cmap.b

@@ -22,6 +22,6 @@ def test_library_example_runs():
     assert namespace["gap"].converged
     ue, report = namespace["ue"], namespace["report"]
     assert report.ecp > 0.0
-    assert report.costs.social == pytest.approx(
+    assert ue.costs.social == pytest.approx(
         sum(ue.class_costs[c] * ue.class_counts[c] for c in ue.class_costs), rel=1e-12
     )

@@ -18,7 +18,7 @@ from commuteq import (
     load_config,
     run_until_converged,
 )
-from commuteq.scenario_io import _KEYS, parse_config_text
+from commuteq.scenario_io import _KEYS, _RETIRED, parse_config_text
 
 MINIMAL = """
 [corridor]
@@ -288,6 +288,6 @@ def test_keys_are_the_fields_they_set():
     assert sorted(_KEYS["corridor"] + _KEYS["demand"]) == names(Scenario)
     assert list(_KEYS["energy.gv"]) == list(_KEYS["energy.ev"]) == names(EnergyModel)
     assert sorted(_KEYS["numerics"]) == sorted(
-        [fld.name for fld in fields(Numerics)] + ["quad_rtol"]
+        [fld.name for fld in fields(Numerics)] + list(_RETIRED)
     )
     assert sorted(_KEYS) == ["corridor", "demand", "energy.ev", "energy.gv", "numerics"]

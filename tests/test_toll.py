@@ -22,6 +22,7 @@ from commuteq import (
     toll_at_delay,
     verify_tolled_equilibrium,
 )
+from commuteq import equilibrium
 from commuteq.model import marginal_social_cost_map
 from commuteq.numerics import trapezoid_refine
 from conftest import N_TOTAL, basic_scenario
@@ -101,10 +102,11 @@ class TestSystemOptimum:
         ue_total = ev_solution.class_costs[VehicleClass.EV] * N_TOTAL
         assert so.total_cost < ue_total * (1.0 - 0.001)
 
-    def test_missed_conservation_is_a_solver_error(self, sc):
+    def test_missed_conservation_is_a_solver_error(self, sc, monkeypatch):
         # a root stopped at 1% of the multiplier misses the fleet by ~1e-4 of N
+        monkeypatch.setattr(equilibrium, "ROOT_RTOL", 1e-2)
         with pytest.raises(SolverError, match="per-class conservation") as err:
-            solve_system_optimum(sc, sc.ev_energy, root_rtol=1e-2)
+            solve_system_optimum(sc, sc.ev_energy)
         assert err.value.diagnostics["populations"] == (N_TOTAL,)
 
     def test_tolled_cost_constant_at_multiplier(self, so):

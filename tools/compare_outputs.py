@@ -13,7 +13,9 @@ working directory per side and with the same relative ``--out`` path, so
 both sides print the same paths.  Then ``solve`` runs on
 scenario files the tool writes (as ``scenario.toml`` in the working
 directory): a minimal mpr-0 file with no ``s_max``, ``[numerics]`` or
-``[energy.ev]`` and a wide mpr-0.8 draw, which must solve, broken files and
+``[energy.ev]``, a wide mpr-0.8 draw and the minimal file at mpr 0.5 with
+the retired keys ``root_rtol = 1e-17`` and ``mixed_rtol = 1e-16``, which
+must solve, broken files and
 a bad ``CEQ_*`` override, which must exit 2, and the minimal file at mpr 0.5
 with EV energy models (c1, c2) of (8, 1), (6, 20) and (0.5, 40), whose
 GV-EV-GV walk fails its no-deviation check and must exit 3.  Last come 6 seeded wide
@@ -119,6 +121,9 @@ MIXED = MINIMAL.replace("mpr = 0.0", "mpr = 0.5") + "\n[energy.ev]\n"
 SCENARIO_CASES = (
     ("minimal mpr-0 file", MINIMAL, {}, 0),
     ("wide mpr-0.8 draw", WIDE_DRAW, {}, 0),
+    # retired tolerances, ignored: a sub-ulp Newton step and a count check below rounding
+    ("retired tolerances at mpr 0.5",
+     MIXED + "c1 = 0.5\nc2 = 3.0\n\n[numerics]\nroot_rtol = 1e-17\nmixed_rtol = 1e-16\n", {}, 0),
     ("missing section", MINIMAL.split("[energy.gv]")[0], {}, 2),
     ("missing key", MINIMAL.replace("gamma = 16.8\n", ""), {}, 2),
     ("missing section and key",
