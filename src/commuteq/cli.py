@@ -8,6 +8,10 @@ column that repeats in a block, in one file or another, only once.  Exit
 codes: 0 success, 2 input or validation error, 3 solver non-convergence,
 4 I/O failure.
 
+No solve samples a grid: ``solve`` and ``toll`` sample their solution once,
+at ``--dt``, for their CSVs (and the max ECD's grid, or the residual).
+``sweep`` and ``oracle`` accept ``--dt`` and write nothing that depends on it.
+
 The argument parser is built once per process, on the first :func:`main`
 call, and reused: parsing leaves it unchanged.  The scenario file and the
 ``CEQ_*`` environment overrides are read again on every call, so repeated
@@ -27,9 +31,11 @@ from pathlib import Path
 import numpy as np
 
 from . import dynamics, metrics, toll as toll_mod
-from .equilibrium import EquilibriumSolution, TimeProfile, solve_mixed, solution_delay
+from .equilibrium import (
+    EquilibriumSolution, TimeProfile, sample_profiles, solution_delay, solve_mixed
+)
 from .errors import ScenarioError, SolverError
-from .model import Scenario, VehicleClass, average_speed, schedule_delay
+from .model import VehicleClass, average_speed, schedule_delay
 from .scenario_io import ScenarioConfig, bundled_scenario_path, load_config
 
 EXIT_OK = 0
@@ -146,16 +152,12 @@ def _solution_summary(solution: EquilibriumSolution, report: metrics.MetricsRepo
     return items
 
 
-def _baseline(scenario: Scenario, dt: float) -> EquilibriumSolution:
-    return solve_mixed(replace(scenario, mpr=0.0), dt=dt)
-
-
 def cmd_solve(config: ScenarioConfig, out_dir: Path, dt: float, quiet: bool) -> int:
     scenario = config.scenario
-    solution = solve_mixed(scenario, dt=dt)
-    baseline = solution if scenario.mpr == 0.0 else _baseline(scenario, dt)
-    report = metrics.summarize(solution, baseline)
-    _write_csvs({out_dir / "profile.csv": _profile_columns(solution.profile)})
+    solution = solve_mixed(scenario)
+    baseline = solution if scenario.mpr == 0.0 else solve_mixed(replace(scenario, mpr=0.0))
+    report = metrics.summarize(solution, baseline, dt)
+    _write_csvs({out_dir / "profile.csv": _profile_columns(sample_profiles(solution, dt))})
     _write_summary(out_dir / "summary.txt", [("command", "solve")] + _solution_summary(solution, report))
     if not quiet:
         print(f"solve: mpr={scenario.mpr:g} max_delay={_fmt(solution.max_delay)} h "
@@ -163,13 +165,13 @@ def cmd_solve(config: ScenarioConfig, out_dir: Path, dt: float, quiet: bool) -> 
     return EXIT_OK
 
 
-def cmd_sweep(config: ScenarioConfig, out_dir: Path, dt: float, mprs: list[float], quiet: bool) -> int:
+def cmd_sweep(config: ScenarioConfig, out_dir: Path, mprs: list[float], quiet: bool) -> int:
     mprs = sorted(set(mprs))
     # the solve is deterministic, so the mpr-0 row reuses the baseline's solution
-    baseline = _baseline(config.scenario, dt)
+    baseline = solve_mixed(replace(config.scenario, mpr=0.0))
     columns: dict[str, list] = {}
     for mpr in mprs:
-        solution = baseline if mpr == 0.0 else solve_mixed(replace(config.scenario, mpr=mpr), dt=dt)
+        solution = baseline if mpr == 0.0 else solve_mixed(replace(config.scenario, mpr=mpr))
         ecp = metrics.extra_congested_period(solution, baseline.max_delay)
         row = {
             "mpr": mpr,
@@ -199,19 +201,18 @@ def cmd_toll(config: ScenarioConfig, out_dir: Path, dt: float, incentive: bool, 
         )
     cls = VehicleClass.EV if scenario.mpr == 1.0 else VehicleClass.GV
     model = scenario.energy_model(cls)
-    so = toll_mod.solve_system_optimum(scenario, model, dt=dt)
-    toll = toll_mod.compute_toll(so)
-    residual = toll_mod.verify_tolled_equilibrium(so, toll)
-    # no ue_* value depends on the grid, so the UE is solved at the file's
-    # dt whatever --dt asks for
-    ue = solve_mixed(scenario, dt=config.numerics.dt)
+    so = toll_mod.solve_system_optimum(scenario, model)
+    profile = sample_profiles(so, dt)
+    toll = toll_mod.compute_toll(profile)
+    residual = toll_mod.verify_tolled_equilibrium(so, profile)
+    ue = solve_mixed(scenario)
 
-    columns = {"t_hours": so.profile.times, "toll": toll}
+    columns = {"t_hours": profile.times, "toll": toll}
     if incentive:
         columns["incentive"] = toll - np.max(toll)
     _write_csvs({
         out_dir / "toll.csv": columns,
-        out_dir / "so_profile.csv": _profile_columns(so.profile),
+        out_dir / "so_profile.csv": _profile_columns(profile),
     })
     _write_summary(
         out_dir / "summary.txt",
@@ -237,7 +238,7 @@ def cmd_toll(config: ScenarioConfig, out_dir: Path, dt: float, incentive: bool, 
     return EXIT_OK
 
 
-def cmd_oracle(config: ScenarioConfig, out_dir: Path, dt: float, quiet: bool) -> int:
+def cmd_oracle(config: ScenarioConfig, out_dir: Path, quiet: bool) -> int:
     scenario = config.scenario
     numerics = config.numerics
     assignment, report = dynamics.run_until_converged(
@@ -285,7 +286,7 @@ def cmd_oracle(config: ScenarioConfig, out_dir: Path, dt: float, quiet: bool) ->
     reference_error = None
     if scenario.n_total > 0.0:
         try:
-            analytic = solve_mixed(scenario, dt=dt)
+            analytic = solve_mixed(scenario)
         except SolverError as exc:  # the oracle's own result is still reported
             reference_error = exc
             items.append(("reference_error", str(exc)))
@@ -423,11 +424,11 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "solve":
             return cmd_solve(config, out_dir, dt, args.quiet)
         if args.command == "sweep":
-            return cmd_sweep(config, out_dir, dt, _parse_mpr_list(args.mpr), args.quiet)
+            return cmd_sweep(config, out_dir, _parse_mpr_list(args.mpr), args.quiet)
         if args.command == "toll":
             return cmd_toll(config, out_dir, dt, args.incentive, args.quiet)
         if args.command == "oracle":
-            return cmd_oracle(config, out_dir, dt, args.quiet)
+            return cmd_oracle(config, out_dir, args.quiet)
         raise ScenarioError(f"unknown command {args.command!r}")
     except ScenarioError as exc:
         print(f"commuteq: input error: {exc}", file=sys.stderr)

@@ -29,11 +29,10 @@ and, on an optimum, the toll revenue.
 
 Every solved pattern is an :class:`EquilibriumSolution`.  The system optimum
 (:class:`toll.SystemOptimum`) is one too: the one-band walk with Psi in
-place of Phi, selected by the class attribute ``optimum``.  Each segment
-carries the map its delays invert, so one rule (:func:`_segment_delays`)
-picks the segment that owns each arrival time and inverts that map there,
-for the solver's profile, for :func:`sample_profiles` and for
-:func:`solution_delay`.
+place of Phi, selected by the class attribute ``optimum``.  No solve samples
+a grid.  Each segment carries the map its delays invert, so one rule
+(:func:`_segment_delays`) picks the segment that owns each arrival time and
+inverts that map there, for :func:`sample_profiles` and :func:`solution_delay`.
 
 The root tolerance :data:`ROOT_RTOL` and the count check :data:`COUNT_RTOL`
 are fixed: each root is a closed-form mass solved by Newton from above, so
@@ -50,7 +49,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .errors import SolverError
+from .errors import ScenarioError, SolverError
 from .model import (
     CostMap,
     EnergyModel,
@@ -70,6 +69,9 @@ ROOT_RTOL = 1e-10
 
 #: Largest miss allowed between a band's exact count and its population, as a share of the fleet.
 COUNT_RTOL = 1e-8
+
+#: Most rows a sampled profile may have; a finer ``dt`` is an input error.
+MAX_GRID_ROWS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -135,7 +137,7 @@ class EquilibriumSolution:
     ``roots`` are the delays at the band edges, from 0 at the window edge to
     the peak at t*; band k holds the delays from ``roots[k]`` to
     ``roots[k + 1]`` and is ``segments[k]`` on the early flank.  ``costs``
-    are the exact rush-hour totals; ``profile`` is sampled on the solve's grid.
+    are the exact rush-hour totals; no grid is stored (see ``profile``).
     """
 
     optimum: ClassVar[bool] = False
@@ -146,7 +148,6 @@ class EquilibriumSolution:
     class_counts: dict[VehicleClass, float]
     roots: tuple[float, ...]
     costs: CostBreakdown
-    profile: TimeProfile
 
     @property
     def is_empty(self) -> bool:
@@ -166,14 +167,21 @@ class EquilibriumSolution:
         """The arrival flow at the peak delay (veh/h)."""
         return float(flow_from_delay(self.max_delay, self.scenario))
 
-
-def _class_index(cls: VehicleClass) -> int:
-    return 0 if cls is VehicleClass.GV else 1
+    @property
+    def profile(self) -> TimeProfile:
+        """`sample_profiles(self, DEFAULTS.dt)`, sampled afresh on each read."""
+        return sample_profiles(self, DEFAULTS.dt)
 
 
 def _window_grid(t_star: float, window: tuple[float, float], dt: float) -> np.ndarray:
-    """Uniform grid with ``t_star`` on it, spanning the window plus 2*dt."""
+    """Uniform grid with ``t_star`` on it, spanning the window plus 2*dt.  A ``dt``
+    that is not positive and finite, or that needs more than :data:`MAX_GRID_ROWS`
+    rows, raises :class:`ScenarioError` (a ValueError) before a row is built."""
+    if not 0.0 < dt < math.inf:  # NaN fails both comparisons
+        raise ScenarioError(f"dt must be positive and finite, got {dt}")
     t0, t1 = window
+    if not (t1 - t0) / dt + 7.0 <= MAX_GRID_ROWS:  # at most that many rows; inf fails too
+        raise ScenarioError(f"dt = {dt:g} h samples the window on more than {MAX_GRID_ROWS} rows")
     k_lo = int(math.ceil((t_star - t0) / dt - 1e-12)) + 2
     k_hi = int(math.ceil((t1 - t_star) / dt - 1e-12)) + 2
     return t_star + dt * np.arange(-k_lo, k_hi + 1, dtype=float)
@@ -256,7 +264,6 @@ def conservation_root(
 def _solve_bands(
     scenario: Scenario,
     bands: tuple[tuple[EnergyModel, float], ...],
-    dt: float,
     kind: type[EquilibriumSolution],
 ) -> EquilibriumSolution:
     """The fleet as bands of delay ``((model, population), ...)``, listed from
@@ -276,10 +283,7 @@ def _solve_bands(
     """
     if scenario.n_total == 0.0:
         window = (scenario.t_star, scenario.t_star)
-        profile = _sample(scenario, window, (), dt, kind.optimum)
-        return kind(
-            scenario, window, (), {}, {}, (0.0,), CostBreakdown(0.0, 0.0, 0.0, 0.0), profile
-        )
+        return kind(scenario, window, (), {}, {}, (0.0,), CostBreakdown(0.0, 0.0, 0.0, 0.0))
     if any(model != scenario.energy_model(model.vehicle_class) for model, _ in bands):
         raise ValueError("model must be the scenario's energy model of its class")
     pick = marginal_social_cost_map if kind.optimum else congestion_cost_map
@@ -329,7 +333,6 @@ def _solve_bands(
         totals[2] += cost * count - (cmap.a * t1 + cmap.b * t2)
         if kind.optimum:
             totals[3] += scenario.nu * ((scenario.alpha + model.c1) * t1 + 2.0 * model.c2 * t2)
-    profile = _sample(scenario, window, segments, dt, kind.optimum)
     return kind(
         scenario,
         window,
@@ -338,15 +341,10 @@ def _solve_bands(
         dict(zip(classes, counts)),
         tuple(roots),
         CostBreakdown(*totals),
-        profile,
     )
 
 
-def solve_single_class(
-    scenario: Scenario,
-    model: EnergyModel,
-    dt: float = DEFAULTS.dt,
-) -> EquilibriumSolution:
+def solve_single_class(scenario: Scenario, model: EnergyModel) -> EquilibriumSolution:
     """Equilibrium when the whole fleet is one vehicle class.
 
     One band on the congestion cost map Phi (see :func:`_solve_bands`): the
@@ -354,13 +352,10 @@ def solve_single_class(
     and C = Phi(T_peak), with the peak delay the fleet's conservation root.
     """
     bands = ((model, scenario.n_total),)
-    return _solve_bands(scenario, bands, dt, EquilibriumSolution)
+    return _solve_bands(scenario, bands, EquilibriumSolution)
 
 
-def solve_mixed(
-    scenario: Scenario,
-    dt: float = DEFAULTS.dt,
-) -> EquilibriumSolution:
+def solve_mixed(scenario: Scenario) -> EquilibriumSolution:
     """Two-class equilibrium at the scenario's EV market penetration.
 
     Two bands on Phi (see :func:`_solve_bands`), or at mpr 0 or 1 the one
@@ -375,7 +370,7 @@ def solve_mixed(
         for cls, share in ((VehicleClass.GV, 1.0 - scenario.mpr), (VehicleClass.EV, scenario.mpr))
         if share > 0.0
     )
-    return _solve_bands(scenario, bands, dt, EquilibriumSolution)
+    return _solve_bands(scenario, bands, EquilibriumSolution)
 
 
 def _validate_no_deviation(
@@ -457,8 +452,6 @@ def _sample(
     inverts each segment's own map; with ``optimum`` (segments on Psi) the
     toll column carries the charge ``tau = Psi - Phi``.
     """
-    if not 0.0 < dt < math.inf:  # NaN fails both comparisons
-        raise ValueError(f"dt must be positive and finite, got {dt}")
     times = _window_grid(scenario.t_star, window, dt)
     owner, sd, delay = _segment_delays(scenario, segments, times)
     flow_gv = np.zeros_like(times)
@@ -470,12 +463,13 @@ def _sample(
         mask = owner == k
         model = scenario.energy_model(seg.vehicle_class)
         seg_delay = delay[mask]
-        flow = flow_gv if seg.vehicle_class is VehicleClass.GV else flow_ev
+        gv = seg.vehicle_class is VehicleClass.GV
+        flow = flow_gv if gv else flow_ev
         flow[mask] = flow_from_delay(seg_delay, scenario)
         cost_en[mask] = energy_cost(model, seg_delay)
         if optimum:
             toll[mask] = toll_at_delay(model, scenario, seg_delay)
-        active[mask] = _class_index(seg.vehicle_class)
+        active[mask] = 0 if gv else 1
     cost_tt = scenario.alpha * delay
     cost_sd = np.where(owner >= 0, sd, 0.0)
 
@@ -497,10 +491,10 @@ def _sample(
 
 
 def sample_profiles(solution: EquilibriumSolution, dt: float) -> TimeProfile:
-    """Resample a solved pattern (equilibrium or optimum) onto a uniform grid
-    with spacing ``dt`` hours; at the solve's own ``dt`` it is the solution's
-    profile.  A ``dt`` that is not positive and finite raises ValueError, here
-    and in every solve."""
+    """Sample a solved pattern (equilibrium or optimum) on a uniform grid with
+    spacing ``dt`` hours.  A ``dt`` that is not positive and finite, or too
+    fine for :data:`MAX_GRID_ROWS` rows, raises :class:`ScenarioError` (a
+    ValueError)."""
     return _sample(solution.scenario, solution.window, solution.segments, dt, solution.optimum)
 
 

@@ -4,8 +4,9 @@ The extra-congested period (ECP) measures how long delays exceed the worst
 delay of the all-gasoline baseline; the extra congestion delay (ECD) is the
 pointwise-by-arrival-time delay difference against that baseline.  Both
 treat delay as zero outside a pattern's rush window.  ECP is a closed form
-in the solution's bands; ECD is read off the sampled profiles.  The peak
-delay, the peak flow and the exact cost totals are the solution's own.
+in the solution's bands; ECD compares exact delays on the grids that ``dt``
+would sample.  The peak delay, the peak flow and the exact cost totals are
+the solution's own.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .equilibrium import EquilibriumSolution, TimeProfile
+from .equilibrium import EquilibriumSolution, _window_grid, solution_delay
 
 
 @dataclass(frozen=True)
@@ -47,18 +48,21 @@ def extra_congested_period(solution: EquilibriumSolution, baseline_max_delay: fl
 
 
 def extra_congestion_delay(
-    profile: TimeProfile, baseline: TimeProfile
+    solution: EquilibriumSolution, baseline: EquilibriumSolution, dt: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Pointwise delay difference profile - baseline on the union grid."""
-    grid = np.union1d(profile.times, baseline.times)
-    own = np.interp(grid, profile.times, profile.delay, left=0.0, right=0.0)
-    base = np.interp(grid, baseline.times, baseline.delay, left=0.0, right=0.0)
-    return grid, own - base
+    """Pointwise delay difference solution - baseline, each delay exact (0 outside its
+    window), on the union of the ``t* + dt*k`` grids that ``sample_profiles``
+    lays over the two; a ``dt`` it rejects raises the same ScenarioError."""
+    grids = [_window_grid(s.scenario.t_star, s.window, dt) for s in (solution, baseline)]
+    grid = np.union1d(*grids)
+    return grid, solution_delay(solution, grid) - solution_delay(baseline, grid)
 
 
-def summarize(solution: EquilibriumSolution, baseline: EquilibriumSolution) -> MetricsReport:
-    """ECP and max ECD against ``baseline``; against itself, both are zero."""
-    _, ecd_delta = extra_congestion_delay(solution.profile, baseline.profile)
+def summarize(
+    solution: EquilibriumSolution, baseline: EquilibriumSolution, dt: float
+) -> MetricsReport:
+    """ECP and max ECD (on ``dt``'s grids) against ``baseline``; against itself, both are zero."""
+    _, ecd_delta = extra_congestion_delay(solution, baseline, dt)
     return MetricsReport(
         ecp=extra_congested_period(solution, baseline.max_delay),
         max_ecd=float(np.max(ecd_delta)),

@@ -18,7 +18,8 @@ delay evaluated, and it adds only read-only views (the multiplier, the toll
 revenue and the total cost), no stored field.  Charging the externality
 part ``tau = nu * T * Phi'(T)`` at the optimal flows makes the pattern
 cost-constant for individuals, i.e. a user equilibrium of the tolled system;
-:func:`verify_tolled_equilibrium` certifies that identity.  The toll revenue
+on a sampled optimum, :func:`compute_toll` reads that charge and
+:func:`verify_tolled_equilibrium` certifies the identity.  The toll revenue
 and the total cost read the solution's exact :class:`CostBreakdown`: the
 revenue is the band integral of tau, the same closed form as the
 conservation masses.
@@ -31,7 +32,7 @@ from dataclasses import replace
 import numpy as np
 
 from .dynamics import CLASS_ORDER, crowded_edges, extend_grid, init_assignment
-from .equilibrium import EquilibriumSolution, _solve_bands
+from .equilibrium import EquilibriumSolution, TimeProfile, _solve_bands
 from .model import (
     EnergyModel,
     Scenario,
@@ -49,7 +50,7 @@ class SystemOptimum(EquilibriumSolution):
     """Total-cost-minimizing pattern for one vehicle class.
 
     An :class:`EquilibriumSolution` on Psi: its one segment's cost is the
-    multiplier, the shadow cost of one additional commuter ($).  The
+    multiplier, the shadow cost of one additional commuter ($).  A sampled
     profile's toll column already carries the externality charge, so its
     ``cost_total`` is constant at the multiplier across the window.
     """
@@ -70,44 +71,38 @@ class SystemOptimum(EquilibriumSolution):
         return self.costs.social
 
 
-def solve_system_optimum(
-    scenario: Scenario,
-    model: EnergyModel,
-    dt: float = DEFAULTS.dt,
-) -> SystemOptimum:
+def solve_system_optimum(scenario: Scenario, model: EnergyModel) -> SystemOptimum:
     """Minimize total system cost over departure patterns of one class.
 
     The single-class equilibrium with Psi in place of Phi: one segment at the
-    multiplier, whose profile carries the toll column.  The optimal pattern
-    must absorb the fleet to ``equilibrium.COUNT_RTOL * n_total``.
+    multiplier, whose sampled profile carries the toll column.  The optimal
+    pattern must absorb the fleet to ``equilibrium.COUNT_RTOL * n_total``.
     """
     bands = ((model, scenario.n_total),)
-    return _solve_bands(scenario, bands, dt, SystemOptimum)
+    return _solve_bands(scenario, bands, SystemOptimum)
 
 
-def compute_toll(so: SystemOptimum) -> np.ndarray:
-    """Toll tau(t) = nu * T_so(t) * Phi'(T_so(t)): the optimum's own toll column, not a copy."""
-    return so.profile.toll
+def compute_toll(profile: TimeProfile) -> np.ndarray:
+    """Toll tau(t) = nu * T_so(t) * Phi'(T_so(t)): a sampled optimum's toll column, not a copy."""
+    return profile.toll
 
 
-def verify_tolled_equilibrium(so: SystemOptimum, toll: np.ndarray) -> float:
+def verify_tolled_equilibrium(so: SystemOptimum, profile: TimeProfile) -> float:
     """Max deviation of the tolled trip cost from constancy over the window ($).
 
-    ``toll`` is a charge on the optimum's grid, ``so.profile.times``.  A
-    valid one leaves every commuter of the optimal pattern paying exactly
+    ``profile`` is ``so`` sampled on a grid, and its toll column the charge.
+    A valid one leaves every commuter of the optimal pattern paying exactly
     the multiplier, certifying that the system optimum is a user
     equilibrium of the tolled system.
     """
-    if np.shape(toll) != so.profile.times.shape:
-        raise ValueError(f"toll shape {np.shape(toll)} is not the grid's {so.profile.times.shape}")
     if so.is_empty:
         return 0.0
     scenario = so.scenario
     model = scenario.energy_model(so.segments[0].vehicle_class)
-    inside = so.profile.active >= 0
-    delay = so.profile.delay[inside]
-    sd = schedule_delay(so.profile.times[inside], scenario)
-    total = congestion_cost(model, scenario, delay) + toll[inside] + sd
+    inside = profile.active >= 0
+    delay = profile.delay[inside]
+    sd = schedule_delay(profile.times[inside], scenario)
+    total = congestion_cost(model, scenario, delay) + profile.toll[inside] + sd
     return float(np.max(np.abs(total - so.multiplier)))
 
 

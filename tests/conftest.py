@@ -141,6 +141,19 @@ def grid_ecp(profile, baseline_max_delay: float) -> float:
     return float(np.sum(frac * widths))
 
 
+def interpolated_ecd(profile, baseline_profile) -> tuple[np.ndarray, np.ndarray]:
+    """Reference ECD of two sampled profiles: the interpolated difference that
+    the exact ``extra_congestion_delay`` replaced, kept to check it against.
+
+    The pointwise delay difference profile - baseline on the union of their
+    grids, each delay interpolated linearly there and zero beyond its grid.
+    """
+    grid = np.union1d(profile.times, baseline_profile.times)
+    own = np.interp(grid, profile.times, profile.delay, left=0.0, right=0.0)
+    base = np.interp(grid, baseline_profile.times, baseline_profile.delay, left=0.0, right=0.0)
+    return grid, own - base
+
+
 #: Schedule-penalty levels per band that :func:`sampled_no_deviation` sweeps.
 DEVIATION_LEVELS = 257
 

@@ -27,7 +27,6 @@ from numpy.testing import assert_allclose
 
 from commuteq import (
     VehicleClass,
-    compute_toll,
     congestion_cost,
     delay_from_flow,
     extra_congested_period,
@@ -45,6 +44,7 @@ from commuteq import (
 from commuteq.cli import main as cli_main
 from commuteq.dynamics import USED_MASS_FRACTION
 from commuteq.model import congestion_cost_map, marginal_social_cost_map
+from commuteq.numerics import DEFAULTS
 from conftest import N_TOTAL, grid_ecp, gv_ev_gv_pattern
 
 USED_MASS = USED_MASS_FRACTION * N_TOTAL
@@ -173,8 +173,7 @@ def test_criterion_6abc_toll_validity(scenario, gv_solution, ev_solution):
     start = time.perf_counter()
     sc = replace(scenario, mpr=1.0)
     so = solve_system_optimum(sc, sc.ev_energy)
-    toll = compute_toll(so)
-    residual = verify_tolled_equilibrium(so, toll)
+    residual = verify_tolled_equilibrium(so, sample_profiles(so, DEFAULTS.dt))
     ue_total = ev_solution.class_costs[VehicleClass.EV] * N_TOTAL
     saving = 1.0 - so.total_cost / ue_total
     wider = (so.window[1] - so.window[0]) > ev_solution.duration
@@ -198,8 +197,8 @@ def test_criterion_6abc_toll_validity(scenario, gv_solution, ev_solution):
 def test_criterion_6d_ecd_reduction(scenario, gv_solution, ev_solution):
     sc = replace(scenario, mpr=1.0)
     so = solve_system_optimum(sc, sc.ev_energy)
-    _, untolled = extra_congestion_delay(ev_solution.profile, gv_solution.profile)
-    _, tolled = extra_congestion_delay(so.profile, gv_solution.profile)
+    _, untolled = extra_congestion_delay(ev_solution, gv_solution, DEFAULTS.dt)
+    _, tolled = extra_congestion_delay(so, gv_solution, DEFAULTS.dt)
     max_untolled = float(np.max(untolled))
     max_tolled = float(np.max(tolled))
     reduction = 1.0 - max_tolled / max_untolled

@@ -15,6 +15,7 @@ from commuteq import (
     cli,
     equilibrium,
     load_config,
+    sample_profiles,
     solve_system_optimum,
 )
 from commuteq.cli import (
@@ -168,7 +169,9 @@ class TestToll:
         assert main(["toll", "--out", str(out), "--incentive", "--dt", "0.01", "--quiet"]) == EXIT_OK
         scenario = load_config(bundled_scenario_path()).scenario
         cls = VehicleClass.EV if mpr == "1" else VehicleClass.GV
-        profile = solve_system_optimum(scenario, scenario.energy_model(cls), dt=0.01 / 60.0).profile
+        profile = sample_profiles(
+            solve_system_optimum(scenario, scenario.energy_model(cls)), 0.01 / 60.0
+        )
         assert len(profile.times) > 20 * CSV_BLOCK_ROWS
         header, rows = _read_csv(out / "so_profile.csv")
         assert header == list(PROFILE_COLUMNS)
@@ -180,16 +183,8 @@ class TestToll:
     @pytest.mark.parametrize("mpr", ["0", "1"])
     def test_ue_lines_do_not_depend_on_dt(self, tmp_path, monkeypatch, mpr):
         # the UE's social cost is exact, its window analytic and its peak delay
-        # the peak root; so it is solved at the file's dt alone
+        # the peak root, and it is solved on no grid
         monkeypatch.setenv("CEQ_DEMAND_MPR", mpr)
-        solved_dt = []
-        real = cli.solve_mixed
-
-        def recording(scenario, **kwargs):
-            solved_dt.append(kwargs["dt"])
-            return real(scenario, **kwargs)
-
-        monkeypatch.setattr(cli, "solve_mixed", recording)
         lines = []
         for dt in ("0.01", "1"):
             out = tmp_path / dt
@@ -198,7 +193,6 @@ class TestToll:
             lines.append({key: value for key, value in summary.items() if key.startswith("ue_")})
         assert sorted(lines[0]) == ["ue_duration_hours", "ue_max_delay_hours", "ue_social_cost"]
         assert lines[0] == lines[1]
-        assert solved_dt == [load_config(bundled_scenario_path()).numerics.dt] * 2
 
     def test_mixed_fleet_is_an_input_error(self, tmp_path, monkeypatch, capsys):
         # the mixed-fleet system optimum is not built; no all-EV answer instead
@@ -414,6 +408,16 @@ class TestExitCodes:
         assert err.startswith("commuteq: input error: ") and err.count("\n") == 1
         assert not (out / "summary.txt").exists()
 
+    @pytest.mark.parametrize("command", ["solve", "toll"])
+    def test_dt_too_fine_to_sample_is_an_input_error(self, tmp_path, capsys, command):
+        # the grid is measured before a row is built: 1e-320 no longer overflows int()
+        out = tmp_path / "o"
+        assert main([command, "--dt", "1e-320", "--out", str(out), "--quiet"]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("commuteq: input error: ") and err.count("\n") == 1
+        assert f"more than {equilibrium.MAX_GRID_ROWS} rows" in err
+        assert not (out / "summary.txt").exists()
+
     @pytest.mark.parametrize("spec, rows", [("0:1e-320:1", "about 1e+320"), ("0:1e-9:1", "1e+09")])
     def test_mpr_range_past_the_row_cap_is_an_input_error(self, tmp_path, capsys, spec, rows):
         # a list of 1e9 values is never built: the range is measured first
@@ -498,13 +502,33 @@ class TestOracle:
         config = load_config(bundled_scenario_path(), env={})
         config = replace(config, numerics=replace(config.numerics, max_days=5))
         with pytest.raises(SolverError) as info:
-            cli.cmd_oracle(config, tmp_path, config.numerics.dt, quiet=True)
+            cli.cmd_oracle(config, tmp_path, quiet=True)
         diagnostics = info.value.diagnostics
         assert diagnostics["days"] == 5
         assert diagnostics["weighted_gap"] > config.numerics.gap_tol
         assert diagnostics["relative_gap"] > 0.0
         summary = _read_summary(tmp_path / "summary.txt")
         assert float(summary["weighted_gap"]) == pytest.approx(diagnostics["weighted_gap"], rel=1e-9)
+
+
+class TestSampling:
+    @pytest.mark.parametrize(
+        "command, mpr, samples",
+        [("sweep", "1", 0), ("oracle", "1", 0), ("toll", "1", 1), ("solve", "0.5", 1)],
+    )
+    def test_only_the_profile_writers_sample(self, tmp_path, monkeypatch, command, mpr, samples):
+        # no solve samples a grid: solve and toll sample their solution once, at --dt
+        monkeypatch.setenv("CEQ_DEMAND_MPR", mpr)
+        grids = []
+        real = equilibrium._sample
+
+        def counting(scenario, window, segments, dt, optimum):
+            grids.append(dt)
+            return real(scenario, window, segments, dt, optimum)
+
+        monkeypatch.setattr(equilibrium, "_sample", counting)
+        assert main([command, "--out", str(tmp_path), "--dt", "0.5", "--quiet"]) == EXIT_OK
+        assert grids == [0.5 / 60.0] * samples
 
 
 class TestDeterminism:

@@ -16,12 +16,14 @@ from commuteq import (
     EnergyModel,
     SolverError,
     VehicleClass,
+    extra_congestion_delay,
     flow_from_delay,
     sample_profiles,
     schedule_delay,
     solution_delay,
     solve_mixed,
     solve_single_class,
+    summarize,
 )
 from commuteq import equilibrium
 from commuteq.cli import EXIT_OK, main
@@ -29,7 +31,6 @@ from commuteq.equilibrium import window_mass
 from commuteq.model import CostMap, congestion_cost_map, delay_from_flow, marginal_social_cost_map
 from commuteq.numerics import trapezoid_refine
 from commuteq.scenario_io import _RETIRED, Numerics, ScenarioConfig, emit_config
-from commuteq.toll import solve_system_optimum
 from conftest import N_TOTAL, basic_scenario, sampled_no_deviation
 
 GOLDEN_COST_GV = 4.389575841217798
@@ -625,11 +626,10 @@ class TestSampleProfiles:
         "dt", [0.0, -1.0 / 60.0, math.inf, math.nan], ids=["zero", "negative", "inf", "nan"]
     )
     def test_invalid_dt(self, gv_solution, dt):
-        sc = gv_solution.scenario
         for call in (
             partial(sample_profiles, gv_solution),
-            partial(solve_mixed, basic_scenario(mpr=0.5)),
-            partial(solve_system_optimum, sc, sc.gv_energy),
+            partial(summarize, gv_solution, gv_solution),
+            partial(extra_congestion_delay, gv_solution, gv_solution),
         ):
             with pytest.raises(ValueError, match="dt must be positive and finite"):
                 call(dt)

@@ -26,8 +26,8 @@ from commuteq import (
     toll_at_delay,
 )
 from commuteq.equilibrium import TimeProfile
-from commuteq.numerics import trapezoid_refine
-from conftest import basic_scenario, grid_ecp
+from commuteq.numerics import DEFAULTS, trapezoid_refine
+from conftest import basic_scenario, grid_ecp, interpolated_ecd
 
 # frozen from the solved patterns after oracle verification
 GOLDEN_PEAK_DELAY_RATIO = 1.5239669599992096
@@ -119,17 +119,17 @@ class TestExtraCongestedPeriod:
 
 class TestExtraCongestionDelay:
     def test_profile_against_itself(self, gv_solution):
-        _, delta = extra_congestion_delay(gv_solution.profile, gv_solution.profile)
+        _, delta = extra_congestion_delay(gv_solution, gv_solution, DEFAULTS.dt)
         assert np.all(delta == 0.0)
 
     def test_antisymmetry(self, gv_solution, ev_solution):
-        _, forward = extra_congestion_delay(ev_solution.profile, gv_solution.profile)
-        _, backward = extra_congestion_delay(gv_solution.profile, ev_solution.profile)
+        _, forward = extra_congestion_delay(ev_solution, gv_solution, DEFAULTS.dt)
+        _, backward = extra_congestion_delay(gv_solution, ev_solution, DEFAULTS.dt)
         assert_allclose(forward, -backward, rtol=0, atol=0)
 
     def test_untolled_ecd_positive_on_central_region(self, gv_solution, ev_solution):
         # positive on one contiguous block around t* covering most of the window
-        grid, delta = extra_congestion_delay(ev_solution.profile, gv_solution.profile)
+        grid, delta = extra_congestion_delay(ev_solution, gv_solution, DEFAULTS.dt)
         t0, t1 = ev_solution.window
         inside = (grid >= t0) & (grid <= t1)
         assert np.mean(delta[inside] > 0.0) > 0.75
@@ -138,14 +138,29 @@ class TestExtraCongestionDelay:
         assert grid[positive[0]] < 8.0 < grid[positive[-1]]
 
     def test_golden_untolled_maximum(self, gv_solution, ev_solution):
-        _, delta = extra_congestion_delay(ev_solution.profile, gv_solution.profile)
+        _, delta = extra_congestion_delay(ev_solution, gv_solution, DEFAULTS.dt)
         assert_allclose(float(np.max(delta)), GOLDEN_MAX_ECD_UNTOLLED, rtol=1e-6)
 
     def test_golden_tolled_maximum(self, scenario, gv_solution):
         sc = replace(scenario, mpr=1.0)
         so = solve_system_optimum(sc, sc.ev_energy)
-        _, delta = extra_congestion_delay(so.profile, gv_solution.profile)
+        _, delta = extra_congestion_delay(so, gv_solution, DEFAULTS.dt)
         assert_allclose(float(np.max(delta)), GOLDEN_MAX_ECD_TOLLED, rtol=1e-6)
+
+    @pytest.mark.parametrize("dt_minutes", [3.0, 1.0, 0.5, 0.1, 0.01])
+    def test_equals_the_interpolated_profiles(self, dt_minutes):
+        # the exact delays on the union grid against the sampled profiles
+        # interpolated there: 7 patterns against the all-GV baseline, both ways
+        dt = dt_minutes / 60.0
+        baseline = solve_mixed(basic_scenario(0.0))
+        patterns = [solve_mixed(basic_scenario(mpr)) for mpr in (0.0, 0.1, 0.5, 0.9, 1.0)]
+        patterns += [_solved("so", mpr) for mpr in (0.0, 1.0)]
+        for pattern in patterns:
+            for a, b in ((pattern, baseline), (baseline, pattern)):
+                grid, delta = extra_congestion_delay(a, b, dt)
+                reference = interpolated_ecd(sample_profiles(a, dt), sample_profiles(b, dt))
+                assert np.array_equal(grid, reference[0])
+                assert np.array_equal(delta, reference[1])
 
 
 def _quadrature_breakdown(solution) -> tuple[float, float, float, float]:
@@ -254,7 +269,7 @@ class TestCostAccounting:
 class TestSummarize:
     def test_baseline_free_report(self, gv_solution):
         # a solution summarized against itself has no extra congestion
-        report = summarize(gv_solution, gv_solution)
+        report = summarize(gv_solution, gv_solution, DEFAULTS.dt)
         assert report.ecp == 0.0
         assert report.max_ecd == 0.0
         assert_allclose(gv_solution.peak_flow, np.max(gv_solution.profile.flow_total), rtol=1e-14)
@@ -265,7 +280,7 @@ class TestSummarize:
         assert_allclose(ratio, GOLDEN_PEAK_DELAY_RATIO, rtol=1e-6)
 
     def test_full_report_against_baseline(self, gv_solution, ev_solution):
-        report = summarize(ev_solution, gv_solution)
+        report = summarize(ev_solution, gv_solution, DEFAULTS.dt)
         assert report.ecp > 0.0
         assert report.max_ecd > 0.0
         assert_allclose(report.max_ecd, GOLDEN_MAX_ECD_UNTOLLED, rtol=1e-6)

@@ -10,9 +10,14 @@ checks each named function is still bound where the tracer looks for it.
 import ast
 import importlib
 import inspect
+from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from commuteq import bundled_scenario_path, load_config, sample_profiles, solve_mixed
+from commuteq.numerics import DEFAULTS
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -44,3 +49,13 @@ def test_named_function_is_bound_in_a_layer(name):
         if inspect.isfunction(getattr(importlib.import_module(f"commuteq.{layer}"), name, None))
     ]
     assert binders, f"no commuteq layer module in {LAYERS} binds a function {name!r}"
+
+
+def test_resampler_reads_the_solution_profile_dt():
+    # the Resampler re-samples each solution at ``solution.profile.dt``
+    solution = solve_mixed(load_config(bundled_scenario_path(), env={}).scenario)
+    profile = solution.profile
+    assert profile.dt == DEFAULTS.dt
+    resampled = sample_profiles(solution, profile.dt)
+    for field in fields(profile):
+        assert np.array_equal(getattr(resampled, field.name), getattr(profile, field.name)), field.name

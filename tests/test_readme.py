@@ -18,7 +18,7 @@ def test_library_example_runs():
     namespace: dict = {}
     exec(compile(_library_example(), str(README), "exec"), namespace)
     cq, so = namespace["cq"], namespace["so"]
-    assert cq.verify_tolled_equilibrium(so, namespace["toll"]) <= 1e-12 * so.multiplier
+    assert cq.verify_tolled_equilibrium(so, namespace["profile"]) <= 1e-12 * so.multiplier
     assert namespace["gap"].converged
     ue, report = namespace["ue"], namespace["report"]
     assert report.ecp > 0.0

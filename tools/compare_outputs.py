@@ -5,22 +5,23 @@ Usage, from anywhere (standard library only):
     python3 tools/compare_outputs.py PARENT_DIR CHANGE_DIR
 
 Each case (``solve``, ``solve --dt 0.1``, ``sweep``, ``toll``,
-``toll --incentive``, ``toll --dt 0.01``, ``toll --incentive --dt 0.01`` and
-``oracle``, each at mpr 0, 0.5 and 1 through ``CEQ_DEMAND_MPR``, then
-``sweep --mpr`` 0, 0.5 and 1 and ``sweep --dt 0.1`` on the bundled file)
-runs as ``python -m commuteq.cli`` on the checkout's ``src``, in a fresh
-working directory per side and with the same relative ``--out`` path, so
-both sides print the same paths.  Then ``solve`` runs on
+``toll --incentive``, ``toll --dt 0.01``, ``toll --incentive --dt 0.01``,
+``oracle`` and ``oracle --dt 0.1``, each at mpr 0, 0.5 and 1 through
+``CEQ_DEMAND_MPR``, then ``sweep --mpr`` 0, 0.5 and 1 and ``sweep --dt 0.1``
+on the bundled file) runs as ``python -m commuteq.cli`` on the checkout's
+``src``, in a fresh working directory per side and with the same relative
+``--out`` path, so both sides print the same paths.  Then ``solve`` runs on
 scenario files the tool writes (as ``scenario.toml`` in the working
 directory): a minimal mpr-0 file with no ``s_max``, ``[numerics]`` or
 ``[energy.ev]``, a wide mpr-0.8 draw and the minimal file at mpr 0.5 with
 the retired keys ``root_rtol = 1e-17`` and ``mixed_rtol = 1e-16``, which
-must solve, broken files and
-a bad ``CEQ_*`` override, which must exit 2, and the minimal file at mpr 0.5
-with EV energy models (c1, c2) of (8, 1), (6, 20) and (0.5, 40), whose
-GV-EV-GV walk fails its no-deviation check and must exit 3.  Last come 6 seeded wide
-draws, a Latin hypercube over ``perfbench/workloads.py`` ``WIDE_RANGES``
-from ``random.Random("compare_outputs:wide")`` (built as in
+must solve; broken files, a bad ``CEQ_*`` override and the minimal file
+with ``--dt 1e-320``, too fine to sample, which must exit 2; and the
+minimal file at mpr 0.5 with EV energy models (c1, c2) of (8, 1), (6, 20)
+and (0.5, 40), whose GV-EV-GV walk fails its no-deviation check and must
+exit 3.  Last come 6 seeded wide draws, a Latin hypercube over
+``perfbench/workloads.py`` ``WIDE_RANGES`` from
+``random.Random("compare_outputs:wide")`` (built as in
 ``tools/oracle_eta_scan.py``) at mpr 0, 0.2, ..., 1; each runs ``solve``,
 ``toll --incentive --dt 0.05`` at mpr 0 and 1, and ``oracle``.  Other
 ``CEQ_*`` variables are dropped from the environment.  Every file under
@@ -53,6 +54,7 @@ COMMANDS = (
     ("toll", "--dt", "0.01"),
     ("toll", "--incentive", "--dt", "0.01"),  # the toll_fine op: ~10k rows, many row blocks
     ("oracle",),
+    ("oracle", "--dt", "0.1"),  # the oracle samples no grid, so --dt changes no byte
 )
 MPRS = ("0", "0.5", "1")
 
@@ -117,7 +119,8 @@ mixed_rtol = 1e-08
 # the minimal file at mpr 0.5, open for an [energy.ev] model
 MIXED = MINIMAL.replace("mpr = 0.0", "mpr = 0.5") + "\n[energy.ev]\n"
 
-# label, scenario file text, CEQ_* variables, the exit code ``solve`` must give
+# label, scenario file text, CEQ_* variables, the exit code ``solve`` must give, and
+# any flags ``solve`` takes
 SCENARIO_CASES = (
     ("minimal mpr-0 file", MINIMAL, {}, 0),
     ("wide mpr-0.8 draw", WIDE_DRAW, {}, 0),
@@ -132,6 +135,8 @@ SCENARIO_CASES = (
     ("no [energy.ev] at mpr 0.5", MINIMAL.replace("mpr = 0.0", "mpr = 0.5"), {}, 2),
     ("non-integer max_days", MINIMAL + "\n[numerics]\nmax_days = 10.5\n", {}, 2),
     ("bad CEQ_* override", MINIMAL, {"CEQ_DEMAND_WIBBLE": "1", "CEQ_CORRIDOR_NU": "fast"}, 2),
+    # a grid of about 1e323 rows, rejected before a row is built
+    ("--dt 1e-320", MINIMAL, {}, 2, "--dt", "1e-320"),
     # EV models past the Scenario warning: the topology message on stderr
     *((f"EV ({c1}, {c2}) at mpr 0.5", MIXED + f"c1 = {c1}\nc2 = {c2}\n", {}, 3)
       for c1, c2 in (("8", "1"), ("6", "20"), ("0.5", "40"))),
@@ -238,8 +243,8 @@ def main(argv: list[str]) -> int:
     cases = [(f"{' '.join(command)} @ mpr {mpr}", command, {"CEQ_DEMAND_MPR": mpr}, None, None)
              for command in COMMANDS for mpr in MPRS]
     cases += [(" ".join(command), command, {}, None, None) for command in SWEEPS]
-    cases += [(f"scenario file: {label}", ("solve",), variables, text, expected)
-              for label, text, variables, expected in SCENARIO_CASES]
+    cases += [(f"scenario file: {label}", ("solve", *flags), variables, text, expected)
+              for label, text, variables, expected, *flags in SCENARIO_CASES]
     cases += [(f"wide draw {k}: {' '.join(command)}"
                + "".join(f" @ mpr {mpr}" for mpr in variables.values()),
                command, variables, text, None)
