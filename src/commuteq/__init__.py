@@ -32,7 +32,6 @@ from .model import (
     VehicleClass,
     average_speed,
     congestion_cost,
-    congestion_cost_slope,
     delay_from_flow,
     energy_cost,
     flow_from_delay,
@@ -74,7 +73,6 @@ __all__ = [
     "bundled_scenario_path",
     "compute_toll",
     "congestion_cost",
-    "congestion_cost_slope",
     "day_step",
     "delay_from_flow",
     "emit_config",

@@ -439,6 +439,10 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"commuteq: i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except ArithmeticError as exc:  # an input whose numbers leave the float range
+        print(f"commuteq: input error: float range exceeded ({type(exc).__name__}: {exc})",
+              file=sys.stderr)
+        return EXIT_INPUT
 
 
 def entry() -> None:

@@ -6,7 +6,8 @@ update coincide with the discretized user equilibrium, equal cost across a
 class's occupied bins, which makes the converged state an independent check
 on the analytic solvers: the two share only the core cost formulas.  A run
 stops once every class's mass-weighted relative gap is small
-(:func:`run_until_converged`).
+(:func:`run_until_converged`); an empty fleet runs the same loop and stops
+before its first day.
 
 The update is a deterministic proportional swap with a Newton-scaled
 sending fraction.  Each day, every bin whose cost exceeds its class minimum
@@ -16,12 +17,13 @@ split over all cheaper bins in proportion to the pairwise cost advantage
 Sci. 1984).  The fraction is ``eta * min(1, e/s)``: ``e`` is the bin's cost
 excess over the class minimum and ``s`` the relief, the cost drop that
 removing the class's whole mass from the bin would bring, linearized in the
-delay.  So a bin takes ``eta`` of the Newton step that would bring its cost
-down to the minimum, measured against how fast its own cost responds, as in
-path-based assignment (Jayakrishnan et al., "A faster path-based algorithm
-for traffic assignment", TRR 1443, 1994).  The fraction is 0 exactly when
-the excess is, so the equal-cost fixed points are the same as for any
-proportional swap.
+delay through the slope of the class's cost map (``CostMap.slope``).  So a
+bin takes ``eta`` of the Newton step that would bring its cost down to the
+minimum, measured against how fast its own cost responds, as in path-based
+assignment (Jayakrishnan et al., "A faster path-based algorithm for traffic
+assignment", TRR 1443, 1994).  The fraction is 0 exactly when the excess
+is, so the equal-cost fixed points are the same as for any proportional
+swap.
 
 The classes move in turn, a Gauss-Seidel sweep: the GV row first, then the
 EV row on the delay and costs of the masses the GV move left.  Moved on
@@ -60,12 +62,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .equilibrium import MAX_GRID_ROWS
+from .errors import ScenarioError
 from .model import (
     EnergyModel,
     Scenario,
     VehicleClass,
     congestion_cost_map,
-    congestion_cost_slope,
     delay_from_flow,
     flow_from_delay,
     schedule_delay,
@@ -162,7 +165,8 @@ def init_assignment(scenario: Scenario, bin_width: float) -> BinAssignment:
     ``-N`` at ``T = 0`` and is convex, since ``Phi_gv(T) * f(T)`` is a sum of
     powers of ``T`` above 1.  Any strictly positive spread works;
     convergence, not the start, carries the correctness burden, and the
-    run grows a grid whose edges the support reaches.
+    run grows a grid whose edges the support reaches.  A start of more than
+    :data:`MAX_GRID_ROWS` bins raises :class:`ScenarioError` (a ValueError).
     """
     if bin_width <= 0.0:
         raise ValueError("bin_width must be positive")
@@ -175,11 +179,14 @@ def init_assignment(scenario: Scenario, bin_width: float) -> BinAssignment:
         flow = float(flow_from_delay(delay, scenario))
         value = k * cost(delay) * flow - n
         # d/dT [Phi f] = f * (Phi' + Phi / (nu T)), with Phi / T = a + b T
-        return value, k * flow * (cost.a + 2.0 * cost.b * delay + p * (cost.a + cost.b * delay))
+        return value, k * flow * (cost.slope(delay) + p * (cost.a + cost.b * delay))
 
     # Phi(T) >= a T bounds the root: K a T f(T) = N at this delay
     ceiling = (n * scenario.trip_km**p / (k * cost.a * scenario.capacity_r)) ** (1.0 / (1.0 + p))
     half_width = k * cost(solve_bracketed(shortfall, 0.0, ceiling, rtol=1e-6))
+    # at most 2*ceil(x) + 1 <= 2*x + 3 bins; checked before ceil(), and inf or NaN fail too
+    if not 2.0 * (half_width / bin_width) + 3.0 <= MAX_GRID_ROWS:
+        raise ScenarioError(f"bin width {bin_width:g} h needs more than {MAX_GRID_ROWS} start bins")
     half_bins = max(int(math.ceil(half_width / bin_width)), 2)
     centers = scenario.t_star + bin_width * np.arange(-half_bins, half_bins + 1, dtype=float)
     masses = np.zeros((2, centers.size))
@@ -265,7 +272,7 @@ def _swap(
     # dT/dM = nu*T/M, the delay's rise per unit of bin mass; 0 at an empty bin
     delay_rise = np.divide(scenario.nu * delay, bin_mass, out=np.zeros(n), where=bin_mass > 0.0)
     # the cost the bin would shed if its whole class mass left, linearized
-    relief = congestion_cost_slope(model, scenario, delay) * delay_rise * m
+    relief = congestion_cost_map(model, scenario).slope(delay) * delay_rise * m
     order = excess.argsort(kind="stable")
     # from here to the scatter, every array is in sorted position order
     excess = excess[order]
@@ -354,28 +361,17 @@ def run_until_converged(
     the costs, to :func:`day_step`.  Non-convergence within ``max_days`` is
     reported, not raised; the caller decides what an unconverged oracle
     means.  ``eta`` outside (0, 1] and a nonpositive ``gap_tol`` raise
-    ``ValueError`` before any day runs, also for an empty fleet.  Underflow in
-    the days is flushed to zero whatever the caller's numpy error state, which
-    is restored on return.
+    ``ValueError`` before any day runs.  An empty fleet runs the same loop:
+    its empty start scores no class, so a zero gap and no crowded edge stop
+    it before day 1, with ``stop_reason`` "empty".  Underflow in the days is
+    flushed to zero whatever the caller's numpy error state, which is
+    restored on return.
     """
     if gap_tol <= 0.0:
         raise ValueError("gap_tol must be positive")
     if not 0.0 < eta <= 1.0:
         raise ValueError("eta must lie in (0, 1]")
     assignment = init_assignment(scenario, bin_width)
-    if scenario.n_total == 0.0:
-        report = GapReport(
-            gap={},
-            relative_gap={},
-            weighted_gap={},
-            converged=True,
-            days=0,
-            stop_reason="empty",
-            trace=np.zeros((1, len(CLASS_ORDER))),
-            weighted_trace=np.zeros((1, len(CLASS_ORDER))),
-        )
-        return assignment, report
-
     # both gaps per class per day, flat: 8 bytes a value, not a float object
     # in a list per day
     trace = array("d")
@@ -422,7 +418,7 @@ def run_until_converged(
         report,
         converged=converged,
         days=days,
-        stop_reason="gap_tol" if converged else "max_days",
+        stop_reason="empty" if not report.weighted_gap else "gap_tol" if converged else "max_days",
         trace=rows[:, 0],
         weighted_trace=rows[:, 1],
     )

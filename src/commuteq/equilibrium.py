@@ -195,7 +195,7 @@ def _mass_scale(scenario: Scenario) -> float:
 
 def _antiderivative(cmap: CostMap, p: float, delay: float, j: int) -> float:
     """`F_j(T) = a * T**(j+1+p) / (j+1+p) + 2*b * T**(j+2+p) / (j+2+p)`, an antiderivative
-    of `T**j * T**p * (a + 2*b*T)`."""
+    of `T**j * T**p * cmap.slope(T)`."""
     return delay ** (j + 1.0 + p) * (cmap.a / (j + 1.0 + p) + 2.0 * cmap.b * delay / (j + 2.0 + p))
 
 
@@ -209,7 +209,7 @@ def _band_moments(
     the arrival flow is ``q = R * (T/m)**p`` (p = 1/nu) and the cost residual
     ``r = cmap(T)`` runs from ``cmap(t_lo)`` to ``cmap(t_hi)``.  Along a flank
     the schedule penalty, and so the arrival time, is affine in ``r``; with
-    dr = (a + 2*b*T) dT moment j is exactly `K * R * m**-p * [F_j(t_hi) - F_j(t_lo)]`.
+    dr = cmap.slope(T) dT moment j is exactly `K * R * m**-p * [F_j(t_hi) - F_j(t_lo)]`.
     """
     p = 1.0 / scenario.nu
     scale = _mass_scale(scenario)
@@ -236,7 +236,7 @@ def conservation_root(
     """Delay ``T`` whose window ``[t_lo, T]`` absorbs ``population`` > 0.
 
     The mass ``M(T) = window_mass(scenario, cmap, T, t_lo)`` is increasing
-    and convex with the exact slope `K * R * m**-p * T**p * (a + 2*b*T)`.
+    and convex with the exact slope `K * R * m**-p * T**p * cmap.slope(T)`.
     Each term of ``F_0`` alone is a lower bound on ``F_0``, so the smaller of
     `((1+p) * F* / a)**(1/(1+p))` and `((2+p) * F* / (2*b))**(1/(2+p))`, with
     `F* = F_0(t_lo) + population / (K * R * m**-p)`, lies above the root; a
@@ -248,14 +248,13 @@ def conservation_root(
     """
     p = 1.0 / scenario.nu
     scale = _mass_scale(scenario)
-    a, b = cmap.a, cmap.b
     target = _antiderivative(cmap, p, t_lo, 0) + population / scale
-    hi = ((1.0 + p) * target / a) ** (1.0 / (1.0 + p))
-    if b > 0.0:
-        hi = min(hi, ((2.0 + p) * target / (2.0 * b)) ** (1.0 / (2.0 + p)))
+    hi = ((1.0 + p) * target / cmap.a) ** (1.0 / (1.0 + p))
+    if cmap.b > 0.0:
+        hi = min(hi, ((2.0 + p) * target / (2.0 * cmap.b)) ** (1.0 / (2.0 + p)))
 
     def conservation(delay: float) -> tuple[float, float]:
-        slope = scale * delay**p * (a + 2.0 * b * delay)
+        slope = scale * delay**p * cmap.slope(delay)
         return window_mass(scenario, cmap, delay, t_lo) - population, slope
 
     return solve_bracketed(conservation, t_lo, hi * (1.0 + 1e-9), rtol=ROOT_RTOL)

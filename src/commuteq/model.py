@@ -6,6 +6,10 @@ travel time in excess of the free-flow travel time.  The flow-delay relation
 ``T = m * (f / R)**nu`` adopts the convention that ``(f/R)**nu`` evaluates in
 h/km, so delays come out in hours.
 
+Each cost quadratic in the delay (Phi, and the marginal social cost Psi) is
+a :class:`CostMap` with its value, slope and inverse; the toll, the
+conservation roots and the oracle's relief read Phi' from it.
+
 All functions accept floats or numpy arrays and are pure; every type here is
 immutable after construction and safe for concurrent use.
 """
@@ -172,11 +176,6 @@ def congestion_cost(model: EnergyModel, scenario: Scenario, delay: ArrayLike) ->
     return congestion_cost_map(model, scenario)(delay)
 
 
-def congestion_cost_slope(model: EnergyModel, scenario: Scenario, delay: ArrayLike) -> ArrayLike:
-    """Derivative of the congestion cost with respect to the delay."""
-    return scenario.alpha + model.c1 + 2.0 * model.c2 * delay
-
-
 @dataclass(frozen=True)
 class CostMap:
     """A cost quadratic in the congestion delay, ``a*T + b*T**2`` with a > 0, b >= 0.
@@ -191,6 +190,10 @@ class CostMap:
     def __call__(self, delay: ArrayLike) -> ArrayLike:
         """The cost a*T + b*T**2 at delay T >= 0 (unchecked)."""
         return self.a * delay + self.b * delay * delay
+
+    def slope(self, delay: ArrayLike) -> ArrayLike:
+        """The derivative a + 2*b*T at delay T (unchecked)."""
+        return self.a + 2.0 * self.b * delay
 
     def invert(self, cost: ArrayLike) -> ArrayLike:
         """Unique delay T >= 0 with a*T + b*T**2 = ``cost`` >= 0 (unchecked).
@@ -217,9 +220,8 @@ def marginal_social_cost_map(model: EnergyModel, scenario: Scenario) -> CostMap:
 
 def toll_at_delay(model: EnergyModel, scenario: Scenario, delay: ArrayLike) -> ArrayLike:
     """Externality charge tau = nu * T * Phi'(T) = Psi(T) - Phi(T) at delay T."""
-    return scenario.nu * np.asarray(delay, dtype=float) * congestion_cost_slope(
-        model, scenario, delay
-    )
+    slope = congestion_cost_map(model, scenario).slope(delay)
+    return scenario.nu * np.asarray(delay, dtype=float) * slope
 
 
 def marginal_social_cost(model: EnergyModel, scenario: Scenario, delay: ArrayLike) -> ArrayLike:

@@ -1,8 +1,11 @@
 """CLI tests: outputs, column contract, exit codes, determinism."""
 
 import argparse
+import ast
 import csv
+import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -437,12 +440,125 @@ class TestExitCodes:
         with pytest.raises(ScenarioError, match="expands to 10002 rows"):
             _parse_mpr_list("0:9.999e-5:1")
 
+    @pytest.mark.parametrize(
+        "var, value, command",
+        [
+            # the mass scale K * R * m**-1e6 underflows to 0; the oracle's start ceiling overflows
+            *(("CEQ_CORRIDOR_NU", "1e-6", cmd) for cmd in ("solve", "sweep", "toll", "oracle")),
+            # the band antiderivative T**(1 + 1/nu) overflows
+            *(("CEQ_DEMAND_N_TOTAL", "1e300", cmd) for cmd in ("solve", "sweep", "toll")),
+            *(("CEQ_CORRIDOR_CAPACITY_R", "1e-300", cmd) for cmd in ("solve", "sweep", "toll")),
+        ],
+    )
+    def test_float_range_failure_is_an_input_error(
+        self, tmp_path, capsys, monkeypatch, var, value, command
+    ):
+        monkeypatch.setenv(var, value)
+        out = tmp_path / "o"
+        assert main([command, "--out", str(out), "--quiet"]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("commuteq: input error: float range exceeded (")
+        assert err.count("\n") == 1
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("bin_minutes", ["1e-12", "1e-320"])
+    def test_oracle_bin_grid_past_the_cap_is_an_input_error(
+        self, tmp_path, capsys, monkeypatch, bin_minutes
+    ):
+        # about 1.3e14 bins (a 973 TiB array), and a ratio that overflows to inf: both refused
+        # before ceil() and before a bin is built
+        monkeypatch.setenv("CEQ_NUMERICS_BIN_MINUTES", bin_minutes)
+        out = tmp_path / "o"
+        assert main(["oracle", "--out", str(out), "--quiet"]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("commuteq: input error: ") and err.count("\n") == 1
+        assert f"more than {equilibrium.MAX_GRID_ROWS} start bins" in err
+        assert list(out.iterdir()) == []
+
     def test_oracle_underflow_is_flushed_under_a_raising_error_state(self, tmp_path, monkeypatch):
         # near-empty bins underflow in b*T*T; at mpr 0 that raised out of main
         monkeypatch.setenv("CEQ_DEMAND_MPR", "0")
         with np.errstate(under="raise"):
             assert main(["oracle", "--out", str(tmp_path / "o"), "--quiet"]) == EXIT_OK
             assert np.geterr()["under"] == "raise"
+
+
+def _wide_ranges() -> dict:
+    """``WIDE_RANGES`` of ``perfbench/workloads.py``, read without importing the benchmark."""
+    source = (Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py").read_text()
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "WIDE_RANGES":
+            return ast.literal_eval(node.value)
+    raise LookupError("perfbench/workloads.py assigns no WIDE_RANGES")
+
+
+def _contract_draws(count: int, seed: int) -> list[tuple[float, str]]:
+    """``(mpr, scenario file)`` pairs whose parameters are each log-uniform over
+    a decade either side of their ``WIDE_RANGES`` bounds, at a uniform mpr."""
+    rng = np.random.default_rng(seed)
+    ranges = _wide_ranges()
+    draws = []
+    for _ in range(count):
+        p = {
+            name: float(np.exp(rng.uniform(np.log(lo / 10.0), np.log(hi * 10.0))))
+            for name, (lo, hi) in ranges.items()
+        }
+        mpr = float(rng.uniform(0.0, 1.0))
+        draws.append((mpr, (
+            f"[corridor]\ntrip_km = {p['trip_km']!r}\ncapacity_r = {p['capacity_r']!r}\n"
+            f"nu = {p['nu']!r}\n\n[demand]\nn_total = {p['n_total']!r}\nt_star = 8.0\n"
+            f"alpha = {p['alpha']!r}\nbeta = {p['beta']!r}\ngamma = {p['gamma']!r}\n"
+            f"mpr = {mpr!r}\n\n"
+            f"[energy.gv]\nc1 = {p['gv_c1']!r}\nc2 = {p['gv_c2']!r}\n\n"
+            f"[energy.ev]\nc1 = {p['ev_c1']!r}\nc2 = {p['ev_c2']!r}\n\n[numerics]\nmax_days = 300\n"
+        )))
+    return draws
+
+
+#: 16 seeded wide draws; every draw stays in, whatever it gives.
+CONTRACT_DRAWS = _contract_draws(16, seed=20261020)
+
+
+class TestExitContract:
+    """The CLI's exit contract on seeded wide draws: 0, 2 or 3, never 1 (an
+    uncaught exception, which fails the test here).  On 0 the outputs parse;
+    on 2 or 3 stderr is one message line."""
+
+    # a draw may trip the Scenario warnings, which go through ``warnings``
+    # (recorded by pytest), not through the one error line counted here
+    @pytest.mark.filterwarnings("ignore::UserWarning")
+    @pytest.mark.parametrize("draw", range(len(CONTRACT_DRAWS)))
+    def test_seeded_draw_exits_0_2_or_3(self, tmp_path, capsys, monkeypatch, draw):
+        mpr, text = CONTRACT_DRAWS[draw]
+        path = tmp_path / "scenario.toml"
+        path.write_text(text, encoding="utf-8")
+        # toll solves a single-class fleet: the draw's nearer end, 0 or 1
+        commands = [("solve", {}), ("sweep", {}), ("toll", {"CEQ_DEMAND_MPR": str(round(mpr))})]
+        if draw % 4 == 0:  # the oracle on 4 of the draws, at most 300 days each
+            commands.append(("oracle", {}))
+        for command, variables in commands:
+            out = tmp_path / command
+            extra = ["--mpr", "0,0.5,1"] if command == "sweep" else []
+            with monkeypatch.context() as env:
+                for var, value in variables.items():
+                    env.setenv(var, value)
+                argv = [command, *extra, "--scenario", str(path), "--out", str(out), "--quiet"]
+                code = main(argv)
+            err = capsys.readouterr().err
+            assert code in (EXIT_OK, EXIT_INPUT, EXIT_SOLVER), (command, code, err)
+            if code != EXIT_OK:
+                assert err.startswith("commuteq: ") and err.count("\n") == 1, (command, err)
+            elif command == "sweep":
+                header, rows = _read_csv(out / "sweep.csv")
+                assert header[0] == "mpr" and [row[0] for row in rows] == ["0", "0.5", "1"]
+                # the cost cells are empty for a class with no commuters
+                assert all(math.isfinite(float(cell)) for row in rows for cell in row[3:])
+            else:
+                lines = (out / "summary.txt").read_text(encoding="utf-8").splitlines()
+                assert all(" = " in line for line in lines)
+                summary = _summary_numbers(out / "summary.txt")
+                assert summary["command"] == command
+                assert all(math.isfinite(v) for v in summary.values() if isinstance(v, float))
 
 
 class TestOracle:

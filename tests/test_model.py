@@ -13,7 +13,6 @@ from commuteq import (
     VehicleClass,
     average_speed,
     congestion_cost,
-    congestion_cost_slope,
     delay_from_flow,
     energy_cost,
     flow_from_delay,
@@ -137,9 +136,13 @@ class TestInvertCongestionCost:
 
     def test_slope(self, sc):
         h = 1e-7
+        ts = np.linspace(0.0, 2.0, 201)
         for model in (sc.gv_energy, sc.ev_energy):
+            phi = congestion_cost_map(model, sc)
             fd = (congestion_cost(model, sc, 0.5 + h) - congestion_cost(model, sc, 0.5)) / h
-            assert_allclose(congestion_cost_slope(model, sc, 0.5), fd, rtol=1e-6)
+            assert_allclose(phi.slope(0.5), fd, rtol=1e-6)
+            # Phi' = alpha + c1 + 2*c2*T, with the same float operations
+            assert np.array_equal(phi.slope(ts), sc.alpha + model.c1 + 2.0 * model.c2 * ts)
 
 
 class TestFlowDelayRelation:

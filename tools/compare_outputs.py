@@ -19,8 +19,13 @@ must solve; broken files, a bad ``CEQ_*`` override and the minimal file
 with ``--dt 1e-320``, too fine to sample, which must exit 2; and the
 minimal file at mpr 0.5 with EV energy models (c1, c2) of (8, 1), (6, 20)
 and (0.5, 40), whose GV-EV-GV walk fails its no-deviation check and must
-exit 3.  Last come 6 seeded wide draws, a Latin hypercube over
-``perfbench/workloads.py`` ``WIDE_RANGES`` from
+exit 3.  Then the bundled file runs with one key overridden: ``n_total =
+0.0`` through every command, which must exit 0; ``nu = 1e-6`` through every
+command, and ``n_total = 1e300`` and ``capacity_r = 1e-300`` through
+``solve``, ``sweep`` and ``toll``, whose numbers leave the float range; and
+``bin_minutes`` of 1e-12 and 1e-320 through ``oracle``, a start grid of more
+than 1,000,000 bins.  Those last must exit 2.  Last come 6 seeded wide
+draws, a Latin hypercube over ``perfbench/workloads.py`` ``WIDE_RANGES`` from
 ``random.Random("compare_outputs:wide")`` (built as in
 ``tools/oracle_eta_scan.py``) at mpr 0, 0.2, ..., 1; each runs ``solve``,
 ``toll --incentive --dt 0.05`` at mpr 0 and 1, and ``oracle``.  Other
@@ -142,6 +147,20 @@ SCENARIO_CASES = (
       for c1, c2 in (("8", "1"), ("6", "20"), ("0.5", "40"))),
 )
 
+# the bundled file with one key overridden, the commands run on it and the exit code each
+# must give: an empty fleet, which every command solves, then numbers past the float range
+# and a bin width too fine for the oracle's start grid, which must fail as input errors
+OVERRIDE_CASES = (
+    ({"CEQ_DEMAND_N_TOTAL": "0.0"}, ("solve", "sweep", "toll", "oracle"), 0),
+    ({"CEQ_CORRIDOR_NU": "1e-6"}, ("solve", "sweep", "toll", "oracle"), 2),
+    ({"CEQ_DEMAND_N_TOTAL": "1e300"}, ("solve", "sweep", "toll"), 2),
+    ({"CEQ_CORRIDOR_CAPACITY_R": "1e-300"}, ("solve", "sweep", "toll"), 2),
+    # about 1.3e14 bins, and an inf ratio; no width between 1e-9 and 1e-3 minutes, which
+    # an unchecked oracle would try to allocate
+    ({"CEQ_NUMERICS_BIN_MINUTES": "1e-12"}, ("oracle",), 2),
+    ({"CEQ_NUMERICS_BIN_MINUTES": "1e-320"}, ("oracle",), 2),
+)
+
 # each wide draw's commands, with their CEQ_* variables
 WIDE_COMMANDS = (
     (("solve",), {}),
@@ -245,6 +264,9 @@ def main(argv: list[str]) -> int:
     cases += [(" ".join(command), command, {}, None, None) for command in SWEEPS]
     cases += [(f"scenario file: {label}", ("solve", *flags), variables, text, expected)
               for label, text, variables, expected, *flags in SCENARIO_CASES]
+    cases += [(f"{command} @ {' '.join(f'{k}={v}' for k, v in variables.items())}",
+               (command,), variables, None, expected)
+              for variables, commands, expected in OVERRIDE_CASES for command in commands]
     cases += [(f"wide draw {k}: {' '.join(command)}"
                + "".join(f" @ mpr {mpr}" for mpr in variables.values()),
                command, variables, text, None)
