@@ -31,21 +31,19 @@ from .model import (
     Scenario,
     VehicleClass,
     average_speed,
-    congestion_cost,
     delay_from_flow,
     energy_cost,
     flow_from_delay,
     schedule_delay,
+    toll_at_delay,
 )
 from .numerics import Numerics
 from .scenario_io import ScenarioConfig, bundled_scenario_path, emit_config, load_config
 from .toll import (
     SystemOptimum,
     compute_toll,
-    marginal_social_cost,
     minimize_binned_total_cost,
     solve_system_optimum,
-    toll_at_delay,
     verify_tolled_equilibrium,
 )
 
@@ -72,7 +70,6 @@ __all__ = [
     "bin_costs",
     "bundled_scenario_path",
     "compute_toll",
-    "congestion_cost",
     "day_step",
     "delay_from_flow",
     "emit_config",
@@ -83,7 +80,6 @@ __all__ = [
     "gap_measure",
     "init_assignment",
     "load_config",
-    "marginal_social_cost",
     "minimize_binned_total_cost",
     "run_until_converged",
     "sample_profiles",

@@ -226,8 +226,8 @@ def cmd_toll(config: ScenarioConfig, out_dir: Path, dt: float, incentive: bool, 
             ("duration_hours", so.duration),
             ("max_delay_hours", so.max_delay),
             ("max_toll", float(np.max(toll))),
-            ("toll_revenue", so.toll_revenue),
-            ("so_social_cost", so.total_cost),
+            ("toll_revenue", so.costs.toll_revenue),
+            ("so_social_cost", so.costs.social),
             ("ue_social_cost", ue.costs.social),
             ("ue_duration_hours", ue.duration),
             ("ue_max_delay_hours", ue.max_delay),

@@ -146,9 +146,6 @@ def bin_costs(
     :func:`schedule_delay` of the bin centers, which depends on the grid
     alone, and ``delay`` is :meth:`BinAssignment.delays`.
     """
-    # the flow is checked for negative values once, in delay_from_flow; the
-    # delay of a nonnegative flow is nonnegative, so each class's cost skips
-    # the check congestion_cost would repeat
     costs = np.empty_like(assignment.masses)
     for row, cls in enumerate(CLASS_ORDER):
         costs[row] = congestion_cost_map(scenario.energy_model(cls), scenario)(delay) + schedule
@@ -166,7 +163,8 @@ def init_assignment(scenario: Scenario, bin_width: float) -> BinAssignment:
     powers of ``T`` above 1.  Any strictly positive spread works;
     convergence, not the start, carries the correctness burden, and the
     run grows a grid whose edges the support reaches.  A start of more than
-    :data:`MAX_GRID_ROWS` bins raises :class:`ScenarioError` (a ValueError).
+    :data:`MAX_GRID_ROWS` bins, or a start root past the float range, raises
+    :class:`ScenarioError` (a ValueError).
     """
     if bin_width <= 0.0:
         raise ValueError("bin_width must be positive")
@@ -181,8 +179,14 @@ def init_assignment(scenario: Scenario, bin_width: float) -> BinAssignment:
         # d/dT [Phi f] = f * (Phi' + Phi / (nu T)), with Phi / T = a + b T
         return value, k * flow * (cost.slope(delay) + p * (cost.a + cost.b * delay))
 
-    # Phi(T) >= a T bounds the root: K a T f(T) = N at this delay
+    # K a T f(T) = N bounds the root, as Phi(T) >= a T; padded, since with b = 0 it is the root
     ceiling = (n * scenario.trip_km**p / (k * cost.a * scenario.capacity_r)) ** (1.0 / (1.0 + p))
+    ceiling *= 1.0 + 1e-9
+    if not math.isfinite(shortfall(ceiling)[0]):
+        raise ScenarioError(
+            f"n_total {n:g} and capacity_r {scenario.capacity_r:g} put the oracle's "
+            "start spread past the float range"
+        )
     half_width = k * cost(solve_bracketed(shortfall, 0.0, ceiling, rtol=1e-6))
     # at most 2*ceil(x) + 1 <= 2*x + 3 bins; checked before ceil(), and inf or NaN fail too
     if not 2.0 * (half_width / bin_width) + 3.0 <= MAX_GRID_ROWS:

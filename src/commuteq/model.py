@@ -7,8 +7,9 @@ travel time in excess of the free-flow travel time.  The flow-delay relation
 h/km, so delays come out in hours.
 
 Each cost quadratic in the delay (Phi, and the marginal social cost Psi) is
-a :class:`CostMap` with its value, slope and inverse; the toll, the
-conservation roots and the oracle's relief read Phi' from it.
+a :class:`CostMap` with its value, slope and inverse, and is evaluated only
+through it; the toll, the conservation roots and the oracle's relief read
+Phi' from it.
 
 All functions accept floats or numpy arrays and are pure; every type here is
 immutable after construction and safe for concurrent use.
@@ -170,12 +171,6 @@ def energy_cost(model: EnergyModel, delay: ArrayLike) -> ArrayLike:
     return model.c1 * delay + model.c2 * delay**2
 
 
-def congestion_cost(model: EnergyModel, scenario: Scenario, delay: ArrayLike) -> ArrayLike:
-    """Combined time-plus-energy cost of congestion: alpha*T + E(T)."""
-    _check_nonnegative(delay, "congestion delay")
-    return congestion_cost_map(model, scenario)(delay)
-
-
 @dataclass(frozen=True)
 class CostMap:
     """A cost quadratic in the congestion delay, ``a*T + b*T**2`` with a > 0, b >= 0.
@@ -222,11 +217,6 @@ def toll_at_delay(model: EnergyModel, scenario: Scenario, delay: ArrayLike) -> A
     """Externality charge tau = nu * T * Phi'(T) = Psi(T) - Phi(T) at delay T."""
     slope = congestion_cost_map(model, scenario).slope(delay)
     return scenario.nu * np.asarray(delay, dtype=float) * slope
-
-
-def marginal_social_cost(model: EnergyModel, scenario: Scenario, delay: ArrayLike) -> ArrayLike:
-    """Psi(T) = Phi(T) + nu*T*Phi'(T), the social cost slope of added flow."""
-    return congestion_cost(model, scenario, delay) + toll_at_delay(model, scenario, delay)
 
 
 def delay_from_flow(flow: ArrayLike, scenario: Scenario) -> ArrayLike:

@@ -14,15 +14,14 @@ with Psi in place of Phi, solved and sampled by the same code, and the
 multiplier ``lambda`` is the map at its conservation root.
 :class:`SystemOptimum` is that :class:`EquilibriumSolution`; its class
 attribute ``optimum`` selects Psi wherever the solution is sampled or its
-delay evaluated, and it adds only read-only views (the multiplier, the toll
-revenue and the total cost), no stored field.  Charging the externality
-part ``tau = nu * T * Phi'(T)`` at the optimal flows makes the pattern
-cost-constant for individuals, i.e. a user equilibrium of the tolled system;
-on a sampled optimum, :func:`compute_toll` reads that charge and
-:func:`verify_tolled_equilibrium` certifies the identity.  The toll revenue
-and the total cost read the solution's exact :class:`CostBreakdown`: the
-revenue is the band integral of tau, the same closed form as the
-conservation masses.
+delay evaluated, and it adds one read-only view, the multiplier, and no
+stored field.  Charging the externality part ``tau = nu * T * Phi'(T)`` at
+the optimal flows makes the pattern cost-constant for individuals, i.e. a
+user equilibrium of the tolled system; on a sampled optimum,
+:func:`compute_toll` reads that charge and :func:`verify_tolled_equilibrium`
+certifies the identity.  The toll revenue and the social cost are the
+solution's exact :class:`CostBreakdown` (``costs``): the revenue is the
+band integral of tau, the same closed form as the conservation masses.
 """
 
 from __future__ import annotations
@@ -37,11 +36,10 @@ from .model import (
     EnergyModel,
     Scenario,
     VehicleClass,
-    congestion_cost,
+    congestion_cost_map,
     delay_from_flow,
-    marginal_social_cost,
+    marginal_social_cost_map,
     schedule_delay,
-    toll_at_delay,  # re-exported: one of this module's public names
 )
 from .numerics import DEFAULTS, project_to_simplex
 
@@ -60,15 +58,6 @@ class SystemOptimum(EquilibriumSolution):
     @property
     def multiplier(self) -> float:
         return next(iter(self.class_costs.values()), 0.0)
-
-    @property
-    def toll_revenue(self) -> float:
-        return self.costs.toll_revenue
-
-    @property
-    def total_cost(self) -> float:
-        """Social cost `lambda * N - revenue`, exact: the toll is a transfer."""
-        return self.costs.social
 
 
 def solve_system_optimum(scenario: Scenario, model: EnergyModel) -> SystemOptimum:
@@ -102,7 +91,7 @@ def verify_tolled_equilibrium(so: SystemOptimum, profile: TimeProfile) -> float:
     inside = profile.active >= 0
     delay = profile.delay[inside]
     sd = schedule_delay(profile.times[inside], scenario)
-    total = congestion_cost(model, scenario, delay) + profile.toll[inside] + sd
+    total = congestion_cost_map(model, scenario)(delay) + profile.toll[inside] + sd
     return float(np.max(np.abs(total - so.multiplier)))
 
 
@@ -125,17 +114,18 @@ def minimize_binned_total_cost(
     if n == 0.0:
         return grid.centers, grid.masses[row], 0.0
 
+    phi = congestion_cost_map(model, scenario)
+    psi = marginal_social_cost_map(model, scenario)
+
     def descend(centers: np.ndarray, mass: np.ndarray):
         sd = np.asarray(schedule_delay(centers, scenario), dtype=float)
 
         def total_cost(m: np.ndarray) -> float:
             delay = delay_from_flow(m / bin_width, scenario)
-            unit = congestion_cost(model, scenario, delay) + sd
-            return float(np.sum(m * unit))
+            return float(np.sum(m * (phi(delay) + sd)))
 
         def gradient(m: np.ndarray) -> np.ndarray:
-            delay = delay_from_flow(m / bin_width, scenario)
-            return np.asarray(marginal_social_cost(model, scenario, delay), dtype=float) + sd
+            return psi(delay_from_flow(m / bin_width, scenario)) + sd
 
         value = total_cost(mass)
         step = 1.0

@@ -6,8 +6,10 @@ carry their wall-clock time for the runtime gates in the acceptance tests.
 
 from __future__ import annotations
 
+import ast
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,7 +24,9 @@ from commuteq import (
     run_until_converged,
     solve_mixed,
     solve_single_class,
+    toll_at_delay,
 )
+from commuteq.model import congestion_cost_map
 
 N_TOTAL = 3000.0
 
@@ -112,6 +116,21 @@ def oracle_mpr1(scenario):
 @pytest.fixture(scope="session")
 def oracle_mixed(scenario):
     return timed_oracle(replace(scenario, mpr=0.5))
+
+
+def wide_ranges() -> dict:
+    """``WIDE_RANGES`` of ``perfbench/workloads.py``, read without importing the benchmark."""
+    source = (Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py").read_text()
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "WIDE_RANGES":
+            return ast.literal_eval(node.value)
+    raise LookupError("perfbench/workloads.py assigns no WIDE_RANGES")
+
+
+def reference_psi(model: EnergyModel, scenario: Scenario, delay):
+    """Reference marginal social cost Psi = Phi + tau, written out from its
+    definition, to check ``marginal_social_cost_map`` against."""
+    return congestion_cost_map(model, scenario)(delay) + toll_at_delay(model, scenario, delay)
 
 
 def grid_ecp(profile, baseline_max_delay: float) -> float:

@@ -27,12 +27,10 @@ from numpy.testing import assert_allclose
 
 from commuteq import (
     VehicleClass,
-    congestion_cost,
     delay_from_flow,
     extra_congested_period,
     extra_congestion_delay,
     flow_from_delay,
-    marginal_social_cost,
     minimize_binned_total_cost,
     sample_profiles,
     solution_delay,
@@ -45,7 +43,7 @@ from commuteq.cli import main as cli_main
 from commuteq.dynamics import USED_MASS_FRACTION
 from commuteq.model import congestion_cost_map, marginal_social_cost_map
 from commuteq.numerics import DEFAULTS
-from conftest import N_TOTAL, grid_ecp, gv_ev_gv_pattern
+from conftest import N_TOTAL, grid_ecp, gv_ev_gv_pattern, reference_psi
 
 USED_MASS = USED_MASS_FRACTION * N_TOTAL
 
@@ -175,7 +173,7 @@ def test_criterion_6abc_toll_validity(scenario, gv_solution, ev_solution):
     so = solve_system_optimum(sc, sc.ev_energy)
     residual = verify_tolled_equilibrium(so, sample_profiles(so, DEFAULTS.dt))
     ue_total = ev_solution.class_costs[VehicleClass.EV] * N_TOTAL
-    saving = 1.0 - so.total_cost / ue_total
+    saving = 1.0 - so.costs.social / ue_total
     wider = (so.window[1] - so.window[0]) > ev_solution.duration
     flatter = so.max_delay < ev_solution.max_delay
     elapsed = time.perf_counter() - start
@@ -224,9 +222,9 @@ def test_criterion_7_system_optimum_oracle(scenario):
     sc = replace(scenario, mpr=1.0)
     so = solve_system_optimum(sc, sc.ev_energy)
     _, mass, value = minimize_binned_total_cost(sc, sc.ev_energy, bin_width=1.0 / 60.0)
-    gap = abs(value - so.total_cost) / so.total_cost
+    gap = abs(value - so.costs.social) / so.costs.social
     ok = gap <= 0.005
-    detail = f"direct minimization {value:.2f}$ vs analytic {so.total_cost:.2f}$, gap {100*gap:.3f}% (<=0.5%)"
+    detail = f"direct minimization {value:.2f}$ vs analytic {so.costs.social:.2f}$, gap {100*gap:.3f}% (<=0.5%)"
     assert ok, _verdict("criterion 7 system-optimum oracle", ok, detail)
     _verdict("criterion 7 system-optimum oracle", ok, detail)
 
@@ -235,9 +233,10 @@ def test_criterion_8_formula_round_trips(scenario, gv_solution, ev_solution):
     delays = np.linspace(0.0, 10.0, 2001)
     worst = 0.0
     for model in (scenario.gv_energy, scenario.ev_energy):
-        back = congestion_cost_map(model, scenario).invert(congestion_cost(model, scenario, delays))
+        phi = congestion_cost_map(model, scenario)
+        back = phi.invert(phi(delays))
         worst = max(worst, float(np.max(np.abs(back - delays) / np.maximum(delays, 1e-300))))
-        msc = marginal_social_cost(model, scenario, delays)
+        msc = reference_psi(model, scenario, delays)
         back2 = marginal_social_cost_map(model, scenario).invert(msc)
         worst = max(worst, float(np.max(np.abs(back2 - delays) / np.maximum(delays, 1e-300))))
     flows = np.linspace(1.0, 2.0 * scenario.capacity_r, 2001)

@@ -1,11 +1,9 @@
 """CLI tests: outputs, column contract, exit codes, determinism."""
 
 import argparse
-import ast
 import csv
 import math
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,6 +31,7 @@ from commuteq.cli import (
     _write_csvs,
     main,
 )
+from conftest import wide_ranges
 
 GOLDEN_MAX_DELAY_EV = 0.3983845685044753  # bundled scenario has mpr = 1
 GOLDEN_MAX_DELAY_GV = 0.2614128645575636
@@ -461,6 +460,21 @@ class TestExitCodes:
         assert err.count("\n") == 1
         assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "var, value", [("CEQ_DEMAND_N_TOTAL", "1e300"), ("CEQ_CORRIDOR_CAPACITY_R", "1e-300")]
+    )
+    def test_oracle_start_past_the_float_range_is_an_input_error(
+        self, tmp_path, capsys, monkeypatch, var, value
+    ):
+        # the start root's shortfall at its ceiling overflows: refused before the root solve
+        monkeypatch.setenv(var, value)
+        out = tmp_path / "o"
+        assert main(["oracle", "--out", str(out), "--quiet"]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("commuteq: input error: n_total ") and err.count("\n") == 1
+        assert "capacity_r" in err and "start spread past the float range" in err
+        assert list(out.iterdir()) == []
+
     @pytest.mark.parametrize("bin_minutes", ["1e-12", "1e-320"])
     def test_oracle_bin_grid_past_the_cap_is_an_input_error(
         self, tmp_path, capsys, monkeypatch, bin_minutes
@@ -483,20 +497,11 @@ class TestExitCodes:
             assert np.geterr()["under"] == "raise"
 
 
-def _wide_ranges() -> dict:
-    """``WIDE_RANGES`` of ``perfbench/workloads.py``, read without importing the benchmark."""
-    source = (Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py").read_text()
-    for node in ast.parse(source).body:
-        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "WIDE_RANGES":
-            return ast.literal_eval(node.value)
-    raise LookupError("perfbench/workloads.py assigns no WIDE_RANGES")
-
-
 def _contract_draws(count: int, seed: int) -> list[tuple[float, str]]:
     """``(mpr, scenario file)`` pairs whose parameters are each log-uniform over
     a decade either side of their ``WIDE_RANGES`` bounds, at a uniform mpr."""
     rng = np.random.default_rng(seed)
-    ranges = _wide_ranges()
+    ranges = wide_ranges()
     draws = []
     for _ in range(count):
         p = {
@@ -613,6 +618,17 @@ class TestOracle:
         assert "max_delay_deviation_vs_analytic" not in summary
         assert float(summary["mass_gv"]) == pytest.approx(1500.0)
         assert float(summary["mass_ev"]) == pytest.approx(1500.0)
+
+    def test_linear_gv_energy_model_converges(self, tmp_path, monkeypatch):
+        # with c2 = 0 the start root's ceiling is the root itself; the all-EV bundled
+        # fleet still builds its start spread from the GV map
+        monkeypatch.setenv("CEQ_ENERGY_GV_C2", "0")
+        out = tmp_path / "o"
+        with pytest.warns(UserWarning, match="EV energy coefficients"):
+            assert main(["oracle", "--out", str(out), "--quiet"]) == EXIT_OK
+        summary = _read_summary(out / "summary.txt")
+        assert summary["converged"] == "true"
+        assert float(summary["max_delay_deviation_vs_analytic"]) <= 0.02
 
     def test_unconverged_oracle_diagnostics_carry_both_gaps(self, tmp_path):
         config = load_config(bundled_scenario_path(), env={})

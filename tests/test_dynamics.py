@@ -12,7 +12,6 @@ from commuteq import (
     Scenario,
     ScenarioError,
     VehicleClass,
-    congestion_cost,
     day_step,
     delay_from_flow,
     flow_from_delay,
@@ -27,7 +26,14 @@ from commuteq import (
 from commuteq.dynamics import CLASS_ORDER, USED_MASS_FRACTION, BinAssignment, bin_costs
 from commuteq.equilibrium import MAX_GRID_ROWS
 from commuteq.model import congestion_cost_map
-from conftest import BUNDLED_NUMERICS, N_TOTAL, basic_scenario, gv_ev_gv_pattern, timed_oracle
+from conftest import (
+    BUNDLED_NUMERICS,
+    N_TOTAL,
+    basic_scenario,
+    gv_ev_gv_pattern,
+    timed_oracle,
+    wide_ranges,
+)
 
 BIN_WIDTH = 1.0 / 60.0
 
@@ -65,7 +71,7 @@ class TestInitAssignment:
         # W = (1/beta + 1/gamma) * Phi_gv(T(N/W)), rounded up to whole bins;
         # W minus that right side rises in W
         def excess(width: float) -> float:
-            cost = congestion_cost(sc.gv_energy, sc, delay_from_flow(sc.n_total / width, sc))
+            cost = congestion_cost_map(sc.gv_energy, sc)(delay_from_flow(sc.n_total / width, sc))
             return width - (1.0 / sc.beta + 1.0 / sc.gamma) * cost
 
         assignment = init_assignment(sc, BIN_WIDTH)
@@ -83,6 +89,27 @@ class TestInitAssignment:
     def test_invalid_bin_width(self):
         with pytest.raises(ValueError):
             init_assignment(basic_scenario(), 0.0)
+
+    def test_linear_gv_energy_model_on_wide_draws(self):
+        # with c2 = 0 the start root's ceiling is the root itself: unpadded, about a
+        # third of these draws left the shortfall there just below 0, "root not bracketed"
+        rng = np.random.default_rng(20261021)
+        ranges = wide_ranges()
+        for _ in range(2000):
+            p = {name: float(rng.uniform(lo, hi)) for name, (lo, hi) in ranges.items()}
+            corridor = ("n_total", "capacity_r", "nu", "trip_km", "alpha", "beta", "gamma")
+            sc = replace(
+                basic_scenario(),
+                **{name: p[name] for name in corridor},
+                gv_energy=EnergyModel(VehicleClass.GV, p["gv_c1"], 0.0),
+            )
+            assignment = init_assignment(sc, BIN_WIDTH)
+            assert_allclose(assignment.masses.sum(), sc.n_total, rtol=1e-12)
+
+    @pytest.mark.parametrize("key, value", [("n_total", 1e300), ("capacity_r", 1e-300)])
+    def test_start_past_the_float_range_is_an_input_error(self, key, value):
+        with pytest.raises(ScenarioError, match="start spread past the float range"):
+            init_assignment(replace(basic_scenario(), **{key: value}), BIN_WIDTH)
 
     @pytest.mark.parametrize("bin_minutes", [1e-12, 1e-320])
     def test_bin_grid_past_the_cap_is_an_input_error(self, bin_minutes):
@@ -122,7 +149,7 @@ def _class_sequential(
         if masses[1].sum() > 0.0:
             bin_mass = new_masses.sum(axis=0)
             delay = delay_from_flow(bin_mass / assignment.bin_width, sc)
-            ev_costs = congestion_cost(sc.ev_energy, sc, delay) + schedule_delay(
+            ev_costs = congestion_cost_map(sc.ev_energy, sc)(delay) + schedule_delay(
                 assignment.centers, sc
             )
     ev = swap(masses[1], ev_costs, sc.ev_energy, delay, bin_mass)
@@ -231,7 +258,7 @@ def _reference_costs(assignment: BinAssignment, sc: Scenario) -> np.ndarray:
     """Bin costs rebuilt from the model formulas alone, nothing cached."""
     delay = delay_from_flow(assignment.masses.sum(axis=0) / assignment.bin_width, sc)
     sd = schedule_delay(assignment.centers, sc)
-    return np.array([congestion_cost(sc.energy_model(cls), sc, delay) + sd for cls in CLASS_ORDER])
+    return np.array([congestion_cost_map(sc.energy_model(cls), sc)(delay) + sd for cls in CLASS_ORDER])
 
 
 def _assert_no_stale_grid_state(assignment: BinAssignment, report, sc: Scenario) -> None:

@@ -224,7 +224,7 @@ class TestCostAccounting:
         assert breakdown.toll_revenue == 0.0
         empty_so = solve_system_optimum(sc, sc.gv_energy)
         assert empty_so.costs.social == 0.0
-        assert empty_so.toll_revenue == 0.0
+        assert empty_so.costs.toll_revenue == 0.0
 
     def test_so_cheaper_than_ue_on_same_grid(self, scenario, ev_solution):
         sc = replace(scenario, mpr=1.0)
@@ -262,8 +262,7 @@ class TestCostAccounting:
     def test_so_total_cost_is_the_social_total(self, mpr):
         so = _solved("so", mpr)
         (count,) = so.class_counts.values()
-        assert so.total_cost == so.costs.social
-        assert_allclose(so.total_cost, so.multiplier * count - so.toll_revenue, rtol=1e-12)
+        assert_allclose(so.costs.social, so.multiplier * count - so.costs.toll_revenue, rtol=1e-12)
 
 
 class TestSummarize:

@@ -12,7 +12,6 @@ from commuteq import (
     ScenarioError,
     VehicleClass,
     average_speed,
-    congestion_cost,
     delay_from_flow,
     energy_cost,
     flow_from_delay,
@@ -77,35 +76,33 @@ class TestEnergyCost:
 
 
 class TestCongestionCost:
+    """Phi, ``congestion_cost_map(model, scenario)``."""
+
     def test_zero(self, sc):
-        assert congestion_cost(sc.gv_energy, sc, 0.0) == 0.0
+        assert congestion_cost_map(sc.gv_energy, sc)(0.0) == 0.0
 
     def test_gv_at_one_hour(self, sc):
         # 8.4 + 4 + 16.8
-        assert_allclose(congestion_cost(sc.gv_energy, sc, 1.0), 29.2, rtol=1e-15)
+        assert_allclose(congestion_cost_map(sc.gv_energy, sc)(1.0), 29.2, rtol=1e-15)
 
     def test_ev_at_half_hour(self, sc):
         # 8.4*0.5 + 0.5*0.5 + 3*0.25
-        assert_allclose(congestion_cost(sc.ev_energy, sc, 0.5), 5.2, rtol=1e-15)
+        assert_allclose(congestion_cost_map(sc.ev_energy, sc)(0.5), 5.2, rtol=1e-15)
 
     def test_strictly_increasing(self, sc):
         ts = np.linspace(0.0, 10.0, 1001)
-        assert np.all(np.diff(congestion_cost(sc.gv_energy, sc, ts)) > 0.0)
+        assert np.all(np.diff(congestion_cost_map(sc.gv_energy, sc)(ts)) > 0.0)
 
     def test_convexity_second_derivative(self, sc):
         # central second difference must match 2*c2
         h = 1e-4
         ts = np.linspace(0.1, 8.0, 80)
         second = (
-            congestion_cost(sc.gv_energy, sc, ts + h)
-            - 2.0 * congestion_cost(sc.gv_energy, sc, ts)
-            + congestion_cost(sc.gv_energy, sc, ts - h)
+            congestion_cost_map(sc.gv_energy, sc)(ts + h)
+            - 2.0 * congestion_cost_map(sc.gv_energy, sc)(ts)
+            + congestion_cost_map(sc.gv_energy, sc)(ts - h)
         ) / (h * h)
         assert_allclose(second, 2.0 * sc.gv_energy.c2, rtol=1e-6)
-
-    def test_negative_delay_rejected(self, sc):
-        with pytest.raises(ValueError):
-            congestion_cost(sc.ev_energy, sc, np.array([0.1, -0.2]))
 
 
 class TestInvertCongestionCost:
@@ -120,13 +117,13 @@ class TestInvertCongestionCost:
     @pytest.mark.parametrize("delay", [0.01, 0.1, 0.5, 2.0])
     def test_round_trip(self, sc, delay):
         for model in (sc.gv_energy, sc.ev_energy):
-            cost = congestion_cost(model, sc, delay)
+            cost = congestion_cost_map(model, sc)(delay)
             assert_allclose(congestion_cost_map(model, sc).invert(cost), delay, rtol=1e-12)
 
     def test_round_trip_grid(self, sc):
         ts = np.linspace(0.0, 10.0, 2001)
         for model in (sc.gv_energy, sc.ev_energy):
-            back = congestion_cost_map(model, sc).invert(congestion_cost(model, sc, ts))
+            back = congestion_cost_map(model, sc).invert(congestion_cost_map(model, sc)(ts))
             assert_allclose(back, ts, rtol=1e-12, atol=1e-15)
 
     def test_linear_model(self, sc):
@@ -139,7 +136,7 @@ class TestInvertCongestionCost:
         ts = np.linspace(0.0, 2.0, 201)
         for model in (sc.gv_energy, sc.ev_energy):
             phi = congestion_cost_map(model, sc)
-            fd = (congestion_cost(model, sc, 0.5 + h) - congestion_cost(model, sc, 0.5)) / h
+            fd = (congestion_cost_map(model, sc)(0.5 + h) - congestion_cost_map(model, sc)(0.5)) / h
             assert_allclose(phi.slope(0.5), fd, rtol=1e-6)
             # Phi' = alpha + c1 + 2*c2*T, with the same float operations
             assert np.array_equal(phi.slope(ts), sc.alpha + model.c1 + 2.0 * model.c2 * ts)

@@ -14,7 +14,6 @@ from commuteq import (
     cli,
     compute_toll,
     flow_from_delay,
-    marginal_social_cost,
     minimize_binned_total_cost,
     sample_profiles,
     solution_delay,
@@ -23,9 +22,9 @@ from commuteq import (
     verify_tolled_equilibrium,
 )
 from commuteq import equilibrium
-from commuteq.model import marginal_social_cost_map
+from commuteq.model import congestion_cost_map, marginal_social_cost_map
 from commuteq.numerics import trapezoid_refine
-from conftest import N_TOTAL, basic_scenario
+from conftest import N_TOTAL, basic_scenario, reference_psi
 
 GOLDEN_MULTIPLIER = 5.496988810052838
 GOLDEN_SO_TOTAL_COST = 9121.457409009927
@@ -52,23 +51,28 @@ def toll(profile):
 
 
 class TestMarginalSocialCost:
+    """``marginal_social_cost_map`` against Phi + tau, its definition."""
+
+    def test_equals_phi_plus_toll(self, sc):
+        ts = np.linspace(0.0, 3.0, 301)
+        for model in (sc.gv_energy, sc.ev_energy):
+            psi = marginal_social_cost_map(model, sc)
+            assert_allclose(psi(ts), reference_psi(model, sc, ts), rtol=1e-14, atol=0.0)
+
     def test_strictly_increasing(self, sc):
         ts = np.linspace(0.0, 2.0, 2001)
-        values = marginal_social_cost(sc.ev_energy, sc, ts)
+        values = marginal_social_cost_map(sc.ev_energy, sc)(ts)
         assert np.all(np.diff(values) > 0.0)
 
     def test_exceeds_private_cost(self, sc):
-        from commuteq import congestion_cost
-
         ts = np.linspace(0.01, 2.0, 200)
-        assert np.all(
-            marginal_social_cost(sc.ev_energy, sc, ts) > congestion_cost(sc.ev_energy, sc, ts)
-        )
+        psi = marginal_social_cost_map(sc.ev_energy, sc)
+        assert np.all(psi(ts) > congestion_cost_map(sc.ev_energy, sc)(ts))
 
     def test_inverse_round_trip(self, sc):
         ts = np.linspace(0.0, 3.0, 301)
         for model in (sc.gv_energy, sc.ev_energy):
-            values = marginal_social_cost(model, sc, ts)
+            values = reference_psi(model, sc, ts)
             assert_allclose(
                 marginal_social_cost_map(model, sc).invert(values), ts, rtol=1e-12, atol=1e-15
             )
@@ -80,7 +84,7 @@ class TestSystemOptimum:
         empty = solve_system_optimum(sc, sc.ev_energy)
         assert empty.is_empty
         assert empty.multiplier == 0.0
-        assert empty.total_cost == 0.0
+        assert empty.costs.social == 0.0
 
     def test_golden_multiplier(self, so):
         assert_allclose(so.multiplier, GOLDEN_MULTIPLIER, rtol=1e-6)
@@ -105,7 +109,7 @@ class TestSystemOptimum:
 
     def test_cheaper_than_equilibrium(self, so, ev_solution):
         ue_total = ev_solution.class_costs[VehicleClass.EV] * N_TOTAL
-        assert so.total_cost < ue_total * (1.0 - 0.001)
+        assert so.costs.social < ue_total * (1.0 - 0.001)
 
     def test_missed_conservation_is_a_solver_error(self, sc, monkeypatch):
         # a root stopped at 1% of the multiplier misses the fleet by ~1e-4 of N
@@ -181,7 +185,7 @@ class TestTollRevenueClosedForm:
             model = (sc.gv_energy, sc.ev_energy)[i % 2]
             optimum = solve_system_optimum(sc, model)
             reference = _trapezoid_revenue(sc, model, optimum.multiplier)
-            worst = max(worst, abs(optimum.toll_revenue - reference) / reference)
+            worst = max(worst, abs(optimum.costs.toll_revenue - reference) / reference)
         assert worst <= 1e-10
 
 
@@ -217,7 +221,7 @@ class TestTollSchedule:
         grid_revenue = float(
             np.trapezoid(so.profile.flow_total * so.profile.toll, so.profile.times)
         )
-        assert_allclose(grid_revenue, so.toll_revenue, rtol=1e-2)
+        assert_allclose(grid_revenue, so.costs.toll_revenue, rtol=1e-2)
 
     def test_incentive_rebase(self, tmp_path, monkeypatch):
         # the columns `toll --incentive` hands to the CSV writer
@@ -255,10 +259,10 @@ class TestBinnedMinimization:
         _, mass, value = minimize_binned_total_cost(sc, sc.ev_energy, bin_width=1.0 / 60.0)
         assert_allclose(mass.sum(), N_TOTAL, rtol=1e-9)
         assert np.all(mass >= 0.0)
-        assert abs(value - so.total_cost) / so.total_cost <= 0.005
+        assert abs(value - so.costs.social) / so.costs.social <= 0.005
 
     def test_golden_total_cost(self, so):
-        assert_allclose(so.total_cost, GOLDEN_SO_TOTAL_COST, rtol=1e-6)
+        assert_allclose(so.costs.social, GOLDEN_SO_TOTAL_COST, rtol=1e-6)
 
     def test_empty_population(self):
         sc = replace(basic_scenario(mpr=1.0), n_total=0.0)
