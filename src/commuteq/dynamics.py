@@ -4,10 +4,12 @@ Commuters are binned by arrival minute (fractional vehicle mass allowed) and
 reassign themselves toward cheaper bins day after day.  Fixed points of the
 update coincide with the discretized user equilibrium, equal cost across a
 class's occupied bins, which makes the converged state an independent check
-on the analytic solvers: the two share only the core cost formulas.  A run
-stops once every class's mass-weighted relative gap is small
-(:func:`run_until_converged`); an empty fleet runs the same loop and stops
-before its first day.
+on the analytic solvers.  The two share the core cost formulas and one
+conservation root, which only sizes the start grid (:func:`init_assignment`);
+the grid grows whenever the support reaches its edge, so the converged
+masses come from the days alone.  A run stops once every class's
+mass-weighted relative gap is small (:func:`run_until_converged`); an empty
+fleet runs the same loop and stops before its first day.
 
 The update is a deterministic proportional swap with a Newton-scaled
 sending fraction.  Each day, every bin whose cost exceeds its class minimum
@@ -62,18 +64,18 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .equilibrium import MAX_GRID_ROWS
+from .equilibrium import MAX_GRID_ROWS, conservation_root
 from .errors import ScenarioError
 from .model import (
+    CostMap,
     EnergyModel,
     Scenario,
     VehicleClass,
     congestion_cost_map,
     delay_from_flow,
-    flow_from_delay,
     schedule_delay,
 )
-from .numerics import DEFAULTS, solve_bracketed
+from .numerics import DEFAULTS
 
 CLASS_ORDER = (VehicleClass.GV, VehicleClass.EV)
 
@@ -152,42 +154,30 @@ def bin_costs(
     return costs
 
 
+def start_map(scenario: Scenario) -> CostMap:
+    """The map on which the window mass from 0 to T is ``K * Phi_gv(T) * f(T)``."""
+    cost = congestion_cost_map(scenario.gv_energy, scenario)
+    p = 1.0 / scenario.nu
+    return CostMap((1.0 + p) * cost.a, (2.0 + p) * cost.b / 2.0)
+
+
 def init_assignment(scenario: Scenario, bin_width: float) -> BinAssignment:
     """Uniform starting spread, centered on the preferred arrival time.
 
     The spread is twice the rush window ``W`` of a GV fleet arriving at the
-    uniform flow ``N/W``: ``W = (1/beta + 1/gamma) * Phi_gv(T(N/W))``, so each
-    side of the preferred time gets ``W``.  The root is solved for the delay
-    of that uniform flow, where ``K * Phi_gv(T) * f(T) - N`` rises from
-    ``-N`` at ``T = 0`` and is convex, since ``Phi_gv(T) * f(T)`` is a sum of
-    powers of ``T`` above 1.  Any strictly positive spread works;
-    convergence, not the start, carries the correctness burden, and the
-    run grows a grid whose edges the support reaches.  A start of more than
-    :data:`MAX_GRID_ROWS` bins, or a start root past the float range, raises
-    :class:`ScenarioError` (a ValueError).
+    uniform flow ``N/W``: ``W = K * Phi_gv(T(N/W))`` with K = 1/beta + 1/gamma,
+    so the flow's delay solves ``K * Phi_gv(T) * f(T) = N``.  With p = 1/nu
+    the left side is ``K * R * m**-p * (a*T**(1+p) + b*T**(2+p))``, the window
+    mass from 0 on :func:`start_map`, so T is that map's :func:`conservation_root`
+    (0 for an empty fleet).  Any positive spread works: convergence carries the
+    correctness burden, and the run grows a grid whose edges the support
+    reaches.  A start of over :data:`MAX_GRID_ROWS` bins is a ScenarioError.
     """
     if bin_width <= 0.0:
         raise ValueError("bin_width must be positive")
+    delay = conservation_root(scenario, start_map(scenario), scenario.n_total, 0.0)
     k = 1.0 / scenario.beta + 1.0 / scenario.gamma
-    cost = congestion_cost_map(scenario.gv_energy, scenario)
-    n = scenario.n_total
-    p = 1.0 / scenario.nu
-
-    def shortfall(delay: float) -> tuple[float, float]:
-        flow = float(flow_from_delay(delay, scenario))
-        value = k * cost(delay) * flow - n
-        # d/dT [Phi f] = f * (Phi' + Phi / (nu T)), with Phi / T = a + b T
-        return value, k * flow * (cost.slope(delay) + p * (cost.a + cost.b * delay))
-
-    # K a T f(T) = N bounds the root, as Phi(T) >= a T; padded, since with b = 0 it is the root
-    ceiling = (n * scenario.trip_km**p / (k * cost.a * scenario.capacity_r)) ** (1.0 / (1.0 + p))
-    ceiling *= 1.0 + 1e-9
-    if not math.isfinite(shortfall(ceiling)[0]):
-        raise ScenarioError(
-            f"n_total {n:g} and capacity_r {scenario.capacity_r:g} put the oracle's "
-            "start spread past the float range"
-        )
-    half_width = k * cost(solve_bracketed(shortfall, 0.0, ceiling, rtol=1e-6))
+    half_width = k * congestion_cost_map(scenario.gv_energy, scenario)(delay)
     # at most 2*ceil(x) + 1 <= 2*x + 3 bins; checked before ceil(), and inf or NaN fail too
     if not 2.0 * (half_width / bin_width) + 3.0 <= MAX_GRID_ROWS:
         raise ScenarioError(f"bin width {bin_width:g} h needs more than {MAX_GRID_ROWS} start bins")
@@ -452,22 +442,15 @@ def crowded_edges(assignment: BinAssignment, scenario: Scenario) -> tuple[bool, 
 
 def extend_grid(assignment: BinAssignment, grow_lo: bool, grow_hi: bool) -> BinAssignment:
     """Pad the bin grid with empty bins (half the current span per side)."""
-    n = assignment.centers.size
-    extra = max(n // 2, 8)
+    extra = max(assignment.centers.size // 2, 8)
     h = assignment.bin_width
-    first, last = assignment.centers[0], assignment.centers[-1]
-    parts_c = []
-    parts_m = []
-    if grow_lo:
-        parts_c.append(first - h * np.arange(extra, 0, -1, dtype=float))
-        parts_m.append(np.zeros((len(CLASS_ORDER), extra)))
-    parts_c.append(assignment.centers)
-    parts_m.append(assignment.masses)
-    if grow_hi:
-        parts_c.append(last + h * np.arange(1, extra + 1, dtype=float))
-        parts_m.append(np.zeros((len(CLASS_ORDER), extra)))
-    return BinAssignment(
-        bin_width=h,
-        centers=np.concatenate(parts_c),
-        masses=np.concatenate(parts_m, axis=1),
+    lo = extra if grow_lo else 0
+    hi = extra if grow_hi else 0
+    centers = np.concatenate(
+        [
+            assignment.centers[0] - h * np.arange(lo, 0, -1, dtype=float),
+            assignment.centers,
+            assignment.centers[-1] + h * np.arange(1, hi + 1, dtype=float),
+        ]
     )
+    return BinAssignment(h, centers, np.pad(assignment.masses, ((0, 0), (lo, hi))))

@@ -233,7 +233,7 @@ def conservation_root(
     population: float,
     t_lo: float,
 ) -> float:
-    """Delay ``T`` whose window ``[t_lo, T]`` absorbs ``population`` > 0.
+    """Delay ``T`` whose window ``[t_lo, T]`` absorbs ``population`` >= 0 (``t_lo`` for 0).
 
     The mass ``M(T) = window_mass(scenario, cmap, T, t_lo)`` is increasing
     and convex with the exact slope `K * R * m**-p * T**p * cmap.slope(T)`.

@@ -20,6 +20,7 @@ from commuteq import (
     SolverError,
     VehicleClass,
     bundled_scenario_path,
+    flow_from_delay,
     load_config,
     run_until_converged,
     solve_mixed,
@@ -27,6 +28,7 @@ from commuteq import (
     toll_at_delay,
 )
 from commuteq.model import congestion_cost_map
+from commuteq.numerics import solve_bracketed
 
 N_TOTAL = 3000.0
 
@@ -203,3 +205,28 @@ def sampled_no_deviation(outer, inner) -> None:
                     f"cost_{intruder.value}": intruder_cost,
                 },
             )
+
+
+def reference_start_delay(scenario: Scenario) -> float:
+    """Reference delay of the oracle's start spread: the shortfall root that
+    ``dynamics.init_assignment`` solved before it used ``conservation_root``,
+    kept to check it against.
+
+    Solves ``K * Phi_gv(T) * f(T) = N`` (K = 1/beta + 1/gamma) with the flow
+    taken from ``flow_from_delay``.  The shortfall rises from ``-N`` at 0 and is
+    convex; ``K * a * T * f(T) = N`` bounds the root from above, as
+    ``Phi_gv(T) >= a * T``, padded since with ``c2 = 0`` it is the root.
+    """
+    k = 1.0 / scenario.beta + 1.0 / scenario.gamma
+    cost = congestion_cost_map(scenario.gv_energy, scenario)
+    n = scenario.n_total
+    p = 1.0 / scenario.nu
+
+    def shortfall(delay: float) -> tuple[float, float]:
+        flow = float(flow_from_delay(delay, scenario))
+        # d/dT [Phi f] = f * (Phi' + Phi / (nu T)), with Phi / T = a + b T
+        slope = k * flow * (cost.slope(delay) + p * (cost.a + cost.b * delay))
+        return k * cost(delay) * flow - n, slope
+
+    ceiling = (n * scenario.trip_km**p / (k * cost.a * scenario.capacity_r)) ** (1.0 / (1.0 + p))
+    return solve_bracketed(shortfall, 0.0, ceiling * (1.0 + 1e-9), rtol=1e-12)

@@ -461,18 +461,28 @@ class TestExitCodes:
         assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize(
-        "var, value", [("CEQ_DEMAND_N_TOTAL", "1e300"), ("CEQ_CORRIDOR_CAPACITY_R", "1e-300")]
+        "var, value",
+        [
+            ("CEQ_DEMAND_N_TOTAL", "1e300"),
+            ("CEQ_CORRIDOR_CAPACITY_R", "1e-300"),
+            # in range, but bracketed by its linear term alone, far above the root, the start
+            # root used to run out of iterations and exit 3; solve and toll exit 2 here too
+            ("CEQ_DEMAND_N_TOTAL", "1e150"),
+            ("CEQ_CORRIDOR_CAPACITY_R", "1e-150"),
+        ],
     )
     def test_oracle_start_past_the_float_range_is_an_input_error(
         self, tmp_path, capsys, monkeypatch, var, value
     ):
-        # the start root's shortfall at its ceiling overflows: refused before the root solve
+        # the start root solves to a delay whose rush needs far more bins than the cap
         monkeypatch.setenv(var, value)
         out = tmp_path / "o"
         assert main(["oracle", "--out", str(out), "--quiet"]) == EXIT_INPUT
         err = capsys.readouterr().err
-        assert err.startswith("commuteq: input error: n_total ") and err.count("\n") == 1
-        assert "capacity_r" in err and "start spread past the float range" in err
+        assert err == (
+            "commuteq: input error: bin width 0.0166667 h needs more than "
+            f"{equilibrium.MAX_GRID_ROWS} start bins\n"
+        )
         assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize("bin_minutes", ["1e-12", "1e-320"])

@@ -1,5 +1,6 @@
 """Day-to-day oracle tests: conservation, fixed points, convergence."""
 
+import math
 import tracemalloc
 from dataclasses import replace
 
@@ -23,14 +24,21 @@ from commuteq import (
     solve_mixed,
     solve_single_class,
 )
-from commuteq.dynamics import CLASS_ORDER, USED_MASS_FRACTION, BinAssignment, bin_costs
-from commuteq.equilibrium import MAX_GRID_ROWS
+from commuteq.dynamics import (
+    CLASS_ORDER,
+    USED_MASS_FRACTION,
+    BinAssignment,
+    bin_costs,
+    start_map,
+)
+from commuteq.equilibrium import MAX_GRID_ROWS, window_mass
 from commuteq.model import congestion_cost_map
 from conftest import (
     BUNDLED_NUMERICS,
     N_TOTAL,
     basic_scenario,
     gv_ev_gv_pattern,
+    reference_start_delay,
     timed_oracle,
     wide_ranges,
 )
@@ -106,10 +114,69 @@ class TestInitAssignment:
             assignment = init_assignment(sc, BIN_WIDTH)
             assert_allclose(assignment.masses.sum(), sc.n_total, rtol=1e-12)
 
-    @pytest.mark.parametrize("key, value", [("n_total", 1e300), ("capacity_r", 1e-300)])
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("n_total", 1e300),
+            ("capacity_r", 1e-300),
+            # in range, but bracketed by its linear term alone, far above the root, the
+            # start root used to run out of iterations with a SolverError
+            ("n_total", 1e150),
+            ("capacity_r", 1e-150),
+        ],
+    )
     def test_start_past_the_float_range_is_an_input_error(self, key, value):
-        with pytest.raises(ScenarioError, match="start spread past the float range"):
+        with pytest.raises(ScenarioError, match=f"more than {MAX_GRID_ROWS} start bins"):
             init_assignment(replace(basic_scenario(), **{key: value}), BIN_WIDTH)
+
+    @staticmethod
+    def _reference_bins(sc: Scenario) -> int:
+        half_width = (1.0 / sc.beta + 1.0 / sc.gamma) * congestion_cost_map(sc.gv_energy, sc)(
+            reference_start_delay(sc)
+        )
+        return 2 * max(math.ceil(half_width / BIN_WIDTH), 2) + 1
+
+    @pytest.mark.parametrize(
+        "sc, bins",
+        [
+            (basic_scenario(), 135),
+            (basic_scenario(mpr=0.5), 135),
+            (basic_scenario(mpr=1.0), 135),
+            (replace(basic_scenario(), capacity_r=N_TOTAL / 0.57, nu=3.12), 247),
+        ],
+        ids=["mpr0", "mpr0.5", "mpr1", "over-capacity"],
+    )
+    def test_bin_count_matches_the_reference_root(self, sc, bins):
+        assert init_assignment(sc, BIN_WIDTH).centers.size == self._reference_bins(sc) == bins
+
+    @pytest.mark.parametrize("linear", [False, True], ids=["quadratic", "linear"])
+    def test_bin_count_matches_the_reference_root_on_wide_draws(self, linear):
+        rng = np.random.default_rng(20261022)
+        ranges = wide_ranges()
+        corridor = ("n_total", "capacity_r", "nu", "trip_km", "alpha", "beta", "gamma")
+        for _ in range(2000):
+            p = {name: float(rng.uniform(lo, hi)) for name, (lo, hi) in ranges.items()}
+            c2 = 0.0 if linear else p["gv_c2"]
+            sc = replace(
+                basic_scenario(),
+                **{name: p[name] for name in corridor},
+                gv_energy=EnergyModel(VehicleClass.GV, p["gv_c1"], c2),
+            )
+            assert init_assignment(sc, BIN_WIDTH).centers.size == self._reference_bins(sc)
+
+    @pytest.mark.parametrize("linear", [False, True], ids=["quadratic", "linear"])
+    def test_start_map_window_mass_is_the_uniform_flow_rush(self, linear):
+        # K * R * m**-p * T**p * Phi_gv(T) = K * Phi_gv(T) * f(T), the mass the start root solves
+        sc = basic_scenario()
+        if linear:
+            sc = replace(sc, gv_energy=EnergyModel(VehicleClass.GV, 4.0, 0.0))
+        k = 1.0 / sc.beta + 1.0 / sc.gamma
+        p = 1.0 / sc.nu
+        phi = congestion_cost_map(sc.gv_energy, sc)
+        for delay in np.random.default_rng(7).uniform(0.0, 2.0, 50):
+            delay = float(delay)
+            expected = k * sc.capacity_r * sc.trip_km**-p * delay**p * phi(delay)
+            assert_allclose(window_mass(sc, start_map(sc), delay, 0.0), expected, rtol=1e-12)
 
     @pytest.mark.parametrize("bin_minutes", [1e-12, 1e-320])
     def test_bin_grid_past_the_cap_is_an_input_error(self, bin_minutes):
