@@ -25,7 +25,7 @@ from .equilibrium import (
     solve_single_class,
 )
 from .errors import CommuteqError, ScenarioError, SolverError
-from .metrics import MetricsReport, extra_congested_period, extra_congestion_delay, summarize
+from .metrics import MetricsReport, extra_congested_period, summarize
 from .model import (
     EnergyModel,
     Scenario,
@@ -75,7 +75,6 @@ __all__ = [
     "emit_config",
     "energy_cost",
     "extra_congested_period",
-    "extra_congestion_delay",
     "flow_from_delay",
     "gap_measure",
     "init_assignment",

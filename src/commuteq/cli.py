@@ -9,7 +9,7 @@ codes: 0 success, 2 input or validation error, 3 solver non-convergence,
 4 I/O failure.
 
 No solve samples a grid: ``solve`` and ``toll`` sample their solution once,
-at ``--dt``, for their CSVs (and the max ECD's grid, or the residual).
+at ``--dt``, for their CSVs (and ``toll`` for its residual).
 ``sweep`` and ``oracle`` accept ``--dt`` and write nothing that depends on it.
 
 The argument parser is built once per process, on the first :func:`main`
@@ -156,7 +156,7 @@ def cmd_solve(config: ScenarioConfig, out_dir: Path, dt: float, quiet: bool) -> 
     scenario = config.scenario
     solution = solve_mixed(scenario)
     baseline = solution if scenario.mpr == 0.0 else solve_mixed(replace(scenario, mpr=0.0))
-    report = metrics.summarize(solution, baseline, dt)
+    report = metrics.summarize(solution, baseline)
     _write_csvs({out_dir / "profile.csv": _profile_columns(sample_profiles(solution, dt))})
     _write_summary(out_dir / "summary.txt", [("command", "solve")] + _solution_summary(solution, report))
     if not quiet:

@@ -357,9 +357,11 @@ def run_until_converged(
     means.  ``eta`` outside (0, 1] and a nonpositive ``gap_tol`` raise
     ``ValueError`` before any day runs.  An empty fleet runs the same loop:
     its empty start scores no class, so a zero gap and no crowded edge stop
-    it before day 1, with ``stop_reason`` "empty".  Underflow in the days is
-    flushed to zero whatever the caller's numpy error state, which is
-    restored on return.
+    it before day 1, with ``stop_reason`` "empty".  A day whose weighted gap
+    is not finite, as when a bin's delay overflows at a huge ``nu``, raises
+    :class:`ScenarioError` before :func:`day_step` moves on its costs.
+    Underflow in the days is flushed to zero whatever the caller's numpy
+    error state, which is restored on return.
     """
     if gap_tol <= 0.0:
         raise ValueError("gap_tol must be positive")
@@ -369,14 +371,22 @@ def run_until_converged(
     # both gaps per class per day, flat: 8 bytes a value, not a float object
     # in a list per day
     trace = array("d")
+    days = 0
 
     def record(report: GapReport) -> None:
+        # a cost past the float range leaves the gap inf or NaN: stop before a day moves on it
+        if not math.isfinite(report.worst_weighted_gap):
+            raise ScenarioError(
+                f"oracle costs left the float range on day {days}: a bin delay "
+                f"trip_km * (flow / capacity_r) ** nu overflows at nu = {scenario.nu:g}"
+            )
         trace.extend([report.relative_gap.get(cls, 0.0) for cls in CLASS_ORDER])
         trace.extend([report.weighted_gap.get(cls, 0.0) for cls in CLASS_ORDER])
 
-    # a near-empty bin's b*T*T underflows, and zero is the right value; one
-    # errstate for the whole run, since entering one costs about 3% of a day
-    with np.errstate(under="ignore"):
+    # a near-empty bin's b*T*T underflows, and zero is the right value; a
+    # cost that overflows is caught by its gap in record().  One errstate for
+    # the whole run, since entering one costs about 3% of a day
+    with np.errstate(under="ignore", over="ignore", invalid="ignore"):
         # each day's delays and costs are computed once: they score the day's
         # state and then drive the next day's first move
         schedule = schedule_delay(assignment.centers, scenario)
@@ -384,7 +394,6 @@ def run_until_converged(
         costs = bin_costs(assignment, scenario, schedule, delay)
         report = gap_measure(assignment, scenario, costs)
         record(report)
-        days = 0
         while days < max_days:
             # a too narrow initial spread can equalize costs inside a cramped
             # grid, so convergence is only accepted (and progress periodically

@@ -4,19 +4,21 @@ The extra-congested period (ECP) measures how long delays exceed the worst
 delay of the all-gasoline baseline; the extra congestion delay (ECD) is the
 pointwise-by-arrival-time delay difference against that baseline.  Both
 treat delay as zero outside a pattern's rush window.  ECP is a closed form
-in the solution's bands; ECD compares exact delays on the grids that ``dt``
-would sample.  The peak delay, the peak flow and the exact cost totals are
+in the solution's bands; the max ECD is the exact maximum of the two
+delays' difference, found among a few schedule-penalty levels.  Nothing here
+samples a grid.  The peak delay, the peak flow and the exact cost totals are
 the solution's own.
 """
 
 from __future__ import annotations
 
 import bisect
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .equilibrium import EquilibriumSolution, _window_grid, solution_delay
+from .equilibrium import EquilibriumSolution, solution_delay
 
 
 @dataclass(frozen=True)
@@ -47,23 +49,41 @@ def extra_congested_period(solution: EquilibriumSolution, baseline_max_delay: fl
     return (1.0 / scenario.beta + 1.0 / scenario.gamma) * level
 
 
-def extra_congestion_delay(
-    solution: EquilibriumSolution, baseline: EquilibriumSolution, dt: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Pointwise delay difference solution - baseline, each delay exact (0 outside its
-    window), on the union of the ``t* + dt*k`` grids that ``sample_profiles``
-    lays over the two; a ``dt`` it rejects raises the same ScenarioError."""
-    grids = [_window_grid(s.scenario.t_star, s.window, dt) for s in (solution, baseline)]
-    grid = np.union1d(*grids)
-    return grid, solution_delay(solution, grid) - solution_delay(baseline, grid)
+def _max_ecd(solution: EquilibriumSolution, baseline: EquilibriumSolution) -> float:
+    """The exact maximum over arrival time of the delay difference solution - baseline.
+
+    Both delays depend on the arrival time only through the schedule
+    penalty ``s``, the same on both flanks.  On a band ``D = map^-1(C - s)``,
+    with `dD/ds = -1/sqrt(a**2 + 4*b*(C - s))`, so where one band of each
+    pattern holds ``s`` the difference is monotone but for one stationary
+    level, linear in ``s``.  So the maximum is at t*, at a band's outer edge
+    on the early flank (``s = C_k - map_k(roots[k])``) of either pattern, or
+    at the stationary level of a pair of bands; beyond both windows it is 0.
+    Each candidate is a true evaluation, so an extra one is harmless.
+    """
+    bands = [p.segments[: len(p.roots) - 1] for p in (solution, baseline)]  # the early flanks
+    levels = [0.0]
+    for one, two in itertools.product(*bands):
+        m1, m2, c1, c2 = one.cost_map, two.cost_map, one.equilibrium_cost, two.equilibrium_cost
+        if m1.b != m2.b:
+            level = (m1.a**2 - m2.a**2 + 4.0 * (m1.b * c1 - m2.b * c2)) / (4.0 * (m1.b - m2.b))
+            levels.append(max(level, 0.0))
+    sc = solution.scenario
+    times = [seg.t_lo for band in bands for seg in band] + [sc.t_star - s / sc.beta for s in levels]
+    delta = solution_delay(solution, times) - solution_delay(baseline, times)
+    return max(0.0, float(np.max(delta)))
 
 
-def summarize(
-    solution: EquilibriumSolution, baseline: EquilibriumSolution, dt: float
-) -> MetricsReport:
-    """ECP and max ECD (on ``dt``'s grids) against ``baseline``; against itself, both are zero."""
-    _, ecd_delta = extra_congestion_delay(solution, baseline, dt)
+def summarize(solution: EquilibriumSolution, baseline: EquilibriumSolution) -> MetricsReport:
+    """ECP and the exact max ECD against ``baseline``; against itself, both are zero.
+
+    The ECD compares the two patterns at equal schedule penalties, so they
+    must share t*, beta and gamma, else ``ValueError``.
+    """
+    a, b = solution.scenario, baseline.scenario
+    if (a.t_star, a.beta, a.gamma) != (b.t_star, b.beta, b.gamma):
+        raise ValueError("solution and baseline must share t_star, beta and gamma")
     return MetricsReport(
         ecp=extra_congested_period(solution, baseline.max_delay),
-        max_ecd=float(np.max(ecd_delta)),
+        max_ecd=_max_ecd(solution, baseline),
     )

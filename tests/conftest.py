@@ -163,8 +163,9 @@ def grid_ecp(profile, baseline_max_delay: float) -> float:
 
 
 def interpolated_ecd(profile, baseline_profile) -> tuple[np.ndarray, np.ndarray]:
-    """Reference ECD of two sampled profiles: the interpolated difference that
-    the exact ``extra_congestion_delay`` replaced, kept to check it against.
+    """Reference ECD of two sampled profiles: the interpolated difference whose
+    largest node was the max ECD before ``metrics.summarize`` took the exact
+    maximum, kept to check the exact delays and that maximum against.
 
     The pointwise delay difference profile - baseline on the union of their
     grids, each delay interpolated linearly there and zero beyond its grid.

@@ -3,6 +3,7 @@
 import argparse
 import csv
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -224,7 +225,7 @@ def _agree(a, b, rtol):
 
 class TestExactTotals:
     """Every summary scalar is exact: ``--dt`` shapes only the CSV profiles
-    and the max ECD, and the commands report one social cost."""
+    and ``toll``'s residual, and the commands report one social cost."""
 
     @pytest.mark.parametrize("mpr", ["0", "1"])
     def test_social_cost_agrees_across_commands(self, tmp_path, monkeypatch, mpr):
@@ -250,12 +251,12 @@ class TestExactTotals:
             summaries.append(_summary_numbers(out / "summary.txt"))
         coarse, fine = summaries
         assert sorted(coarse) == sorted(fine)
-        # the two grid quantities
-        grid = {"max_ecd_hours", "tolled_equilibrium_residual"}
+        # toll's residual is read on the sampled optimum; solve reads no grid
+        grid = {"tolled_equilibrium_residual"} if command == "toll" else set()
         apart = {key: (coarse[key], fine[key]) for key in coarse
                  if key not in grid and not _agree(coarse[key], fine[key], 1e-9)}
         assert not apart
-        assert grid & set(coarse)
+        assert grid <= set(coarse)
 
     def test_sweep_does_not_depend_on_dt(self, tmp_path):
         tables = []
@@ -484,6 +485,26 @@ class TestExitCodes:
             f"{equilibrium.MAX_GRID_ROWS} start bins\n"
         )
         assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("mpr", ["0", "0.5", "1"])
+    def test_oracle_costs_past_the_float_range_are_an_input_error(
+        self, tmp_path, capfd, monkeypatch, mpr
+    ):
+        # a finite start whose first day overflows a bin delay: one stderr line, no
+        # numpy warning, no output; solve exits 0 on the same file
+        monkeypatch.setenv("CEQ_CORRIDOR_NU", "1e150")
+        monkeypatch.setenv("CEQ_DEMAND_MPR", mpr)
+        out = tmp_path / "o"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["oracle", "--out", str(out), "--quiet"]) == EXIT_INPUT
+        err = capfd.readouterr().err
+        assert err == (
+            "commuteq: input error: oracle costs left the float range on day 1: a bin delay "
+            "trip_km * (flow / capacity_r) ** nu overflows at nu = 1e+150\n"
+        )
+        assert list(out.iterdir()) == []
+        assert main(["solve", "--out", str(tmp_path / "s"), "--quiet"]) == EXIT_OK
 
     @pytest.mark.parametrize("bin_minutes", ["1e-12", "1e-320"])
     def test_oracle_bin_grid_past_the_cap_is_an_input_error(

@@ -24,6 +24,7 @@ from commuteq import (
     solve_mixed,
     solve_single_class,
 )
+from commuteq import dynamics
 from commuteq.dynamics import (
     CLASS_ORDER,
     USED_MASS_FRACTION,
@@ -709,6 +710,26 @@ class TestConvergedRuns:
         assert report.converged is False
         assert report.stop_reason == "max_days"
         assert report.days == 3
+
+    @pytest.mark.parametrize("mpr", [0.0, 0.5, 1.0])
+    def test_costs_past_the_float_range_stop_before_a_day_moves_on_them(
+        self, monkeypatch, recwarn, mpr
+    ):
+        # at nu = 1e150 the start is finite (flow / R about 0.48), but the first
+        # day piles mass into a bin with flow > R, whose delay overflows
+        sc = replace(basic_scenario(mpr), nu=1e150)
+        real = dynamics.day_step
+        moved_on = []
+
+        def checked(assignment, scenario, eta, costs, *args):
+            moved_on.append(bool(np.all(np.isfinite(costs))))
+            return real(assignment, scenario, eta, costs, *args)
+
+        monkeypatch.setattr(dynamics, "day_step", checked)
+        with pytest.raises(ScenarioError, match=r"float range on day 1: .* nu = 1e\+150"):
+            run_until_converged(sc)
+        assert moved_on == [True]
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
     def test_grid_grows_past_a_too_narrow_initial_spread(self):
         # with gamma / beta = 7, seven eighths of the window lie before t*,

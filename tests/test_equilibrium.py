@@ -6,7 +6,6 @@ profiles within tolerance (see test_acceptance.py); they guard regressions.
 
 import math
 from dataclasses import replace
-from functools import partial
 
 import numpy as np
 import pytest
@@ -16,14 +15,12 @@ from commuteq import (
     EnergyModel,
     SolverError,
     VehicleClass,
-    extra_congestion_delay,
     flow_from_delay,
     sample_profiles,
     schedule_delay,
     solution_delay,
     solve_mixed,
     solve_single_class,
-    summarize,
 )
 from commuteq import equilibrium
 from commuteq.cli import EXIT_OK, main
@@ -626,13 +623,8 @@ class TestSampleProfiles:
         "dt", [0.0, -1.0 / 60.0, math.inf, math.nan], ids=["zero", "negative", "inf", "nan"]
     )
     def test_invalid_dt(self, gv_solution, dt):
-        for call in (
-            partial(sample_profiles, gv_solution),
-            partial(summarize, gv_solution, gv_solution),
-            partial(extra_congestion_delay, gv_solution, gv_solution),
-        ):
-            with pytest.raises(ValueError, match="dt must be positive and finite"):
-                call(dt)
+        with pytest.raises(ValueError, match="dt must be positive and finite"):
+            sample_profiles(gv_solution, dt)
 
 
 class TestSolutionDelay:

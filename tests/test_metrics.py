@@ -1,8 +1,9 @@
 """Indicator tests: ECP measure, ECD differences, cost accounting identities.
 
 The exact ECP is checked against the grid measure it replaced
-(``conftest.grid_ecp``), and the exact cost totals against a refined
-trapezoid of flow times cost over arrival time.
+(``conftest.grid_ecp``), the exact max ECD against the grid maxima it
+replaced (``conftest.interpolated_ecd``) and a dense scan, and the exact
+cost totals against a refined trapezoid of flow times cost over arrival time.
 """
 
 from dataclasses import replace
@@ -12,10 +13,10 @@ import pytest
 from numpy.testing import assert_allclose
 
 from commuteq import (
+    EnergyModel,
     VehicleClass,
     energy_cost,
     extra_congested_period,
-    extra_congestion_delay,
     flow_from_delay,
     sample_profiles,
     schedule_delay,
@@ -27,12 +28,12 @@ from commuteq import (
 )
 from commuteq.equilibrium import TimeProfile
 from commuteq.numerics import DEFAULTS, trapezoid_refine
-from conftest import basic_scenario, grid_ecp, interpolated_ecd
+from conftest import basic_scenario, grid_ecp, interpolated_ecd, wide_ranges
 
 # frozen from the solved patterns after oracle verification
 GOLDEN_PEAK_DELAY_RATIO = 1.5239669599992096
 GOLDEN_MAX_ECD_UNTOLLED = 0.13697170394691172
-GOLDEN_MAX_ECD_TOLLED = 0.023608838891727924
+GOLDEN_MAX_ECD_TOLLED = 0.024046137697152123
 
 
 def _synthetic_profile(times, delay):
@@ -117,19 +118,41 @@ class TestExtraCongestedPeriod:
         assert extra_congested_period(so, gv_solution.max_delay) == 0.0
 
 
+def _ecd_on_grids(solution, baseline, dt):
+    """The ECD curve, solution - baseline, each delay exact, on the union of the
+    grids that ``sample_profiles`` lays over the two at ``dt``."""
+    grid = np.union1d(sample_profiles(solution, dt).times, sample_profiles(baseline, dt).times)
+    return grid, solution_delay(solution, grid) - solution_delay(baseline, grid)
+
+
+def _wide_draws(seed: int, count: int):
+    """``count`` seeded uniform draws over ``WIDE_RANGES``, each at an interior mpr."""
+    rng = np.random.default_rng(seed)
+    ranges = wide_ranges()
+    for _ in range(count):
+        p = {name: float(rng.uniform(lo, hi)) for name, (lo, hi) in ranges.items()}
+        corridor = ("n_total", "capacity_r", "nu", "trip_km", "alpha", "beta", "gamma")
+        yield replace(
+            basic_scenario(float(rng.uniform(0.05, 0.95))),
+            **{name: p[name] for name in corridor},
+            gv_energy=EnergyModel(VehicleClass.GV, p["gv_c1"], p["gv_c2"]),
+            ev_energy=EnergyModel(VehicleClass.EV, p["ev_c1"], p["ev_c2"]),
+        )
+
+
 class TestExtraCongestionDelay:
     def test_profile_against_itself(self, gv_solution):
-        _, delta = extra_congestion_delay(gv_solution, gv_solution, DEFAULTS.dt)
+        _, delta = _ecd_on_grids(gv_solution, gv_solution, DEFAULTS.dt)
         assert np.all(delta == 0.0)
 
     def test_antisymmetry(self, gv_solution, ev_solution):
-        _, forward = extra_congestion_delay(ev_solution, gv_solution, DEFAULTS.dt)
-        _, backward = extra_congestion_delay(gv_solution, ev_solution, DEFAULTS.dt)
+        _, forward = _ecd_on_grids(ev_solution, gv_solution, DEFAULTS.dt)
+        _, backward = _ecd_on_grids(gv_solution, ev_solution, DEFAULTS.dt)
         assert_allclose(forward, -backward, rtol=0, atol=0)
 
     def test_untolled_ecd_positive_on_central_region(self, gv_solution, ev_solution):
         # positive on one contiguous block around t* covering most of the window
-        grid, delta = extra_congestion_delay(ev_solution, gv_solution, DEFAULTS.dt)
+        grid, delta = _ecd_on_grids(ev_solution, gv_solution, DEFAULTS.dt)
         t0, t1 = ev_solution.window
         inside = (grid >= t0) & (grid <= t1)
         assert np.mean(delta[inside] > 0.0) > 0.75
@@ -138,29 +161,110 @@ class TestExtraCongestionDelay:
         assert grid[positive[0]] < 8.0 < grid[positive[-1]]
 
     def test_golden_untolled_maximum(self, gv_solution, ev_solution):
-        _, delta = extra_congestion_delay(ev_solution, gv_solution, DEFAULTS.dt)
-        assert_allclose(float(np.max(delta)), GOLDEN_MAX_ECD_UNTOLLED, rtol=1e-6)
+        max_ecd = summarize(ev_solution, gv_solution).max_ecd
+        assert_allclose(max_ecd, GOLDEN_MAX_ECD_UNTOLLED, rtol=1e-6)
 
     def test_golden_tolled_maximum(self, scenario, gv_solution):
         sc = replace(scenario, mpr=1.0)
         so = solve_system_optimum(sc, sc.ev_energy)
-        _, delta = extra_congestion_delay(so, gv_solution, DEFAULTS.dt)
-        assert_allclose(float(np.max(delta)), GOLDEN_MAX_ECD_TOLLED, rtol=1e-6)
+        assert_allclose(summarize(so, gv_solution).max_ecd, GOLDEN_MAX_ECD_TOLLED, rtol=1e-6)
 
     @pytest.mark.parametrize("dt_minutes", [3.0, 1.0, 0.5, 0.1, 0.01])
     def test_equals_the_interpolated_profiles(self, dt_minutes):
         # the exact delays on the union grid against the sampled profiles
-        # interpolated there: 7 patterns against the all-GV baseline, both ways
+        # interpolated there, and the grid's maximum below the exact one:
+        # 7 patterns against the all-GV baseline, both ways
         dt = dt_minutes / 60.0
         baseline = solve_mixed(basic_scenario(0.0))
         patterns = [solve_mixed(basic_scenario(mpr)) for mpr in (0.0, 0.1, 0.5, 0.9, 1.0)]
         patterns += [_solved("so", mpr) for mpr in (0.0, 1.0)]
         for pattern in patterns:
             for a, b in ((pattern, baseline), (baseline, pattern)):
-                grid, delta = extra_congestion_delay(a, b, dt)
+                grid, delta = _ecd_on_grids(a, b, dt)
                 reference = interpolated_ecd(sample_profiles(a, dt), sample_profiles(b, dt))
                 assert np.array_equal(grid, reference[0])
                 assert np.array_equal(delta, reference[1])
+                assert np.max(delta) <= summarize(a, b).max_ecd + 1e-15
+
+    @pytest.mark.parametrize("kind, mpr", [("ue", 0.5), ("ue", 1.0), ("so", 0.0), ("so", 1.0)])
+    def test_grid_maxima_rise_to_the_exact_one(self, gv_solution, kind, mpr):
+        # the grids at 1, 0.1 and 0.01 min are (to rounding) nested, so their
+        # maxima rise; on a UE the maximum is at t*, a node of every grid
+        solution = _solved(kind, mpr)
+        exact = summarize(solution, gv_solution).max_ecd
+        grid = [
+            float(np.max(interpolated_ecd(
+                sample_profiles(solution, minutes / 60.0),
+                sample_profiles(gv_solution, minutes / 60.0),
+            )[1]))
+            for minutes in (1.0, 0.1, 0.01)
+        ]
+        assert grid[0] <= grid[1] + 1e-15 and grid[1] <= grid[2] + 1e-15
+        assert grid[2] <= exact + 1e-15
+        if kind == "ue":
+            assert grid == [exact] * 3
+        else:
+            # the optimum's maximum is at a kink, the baseline window's opening
+            errors = [exact - value for value in grid]
+            assert errors[2] < errors[1] / 5.0 < errors[0] / 25.0
+
+    def test_exact_maximum_against_a_dense_scan(self):
+        # seeded wide draws: the UE at an interior mpr and both optima against
+        # the all-GV UE, both ways, so the baseline window lies inside the
+        # solution's and around it; no scan node may beat the exact maximum,
+        # and the scan's spacing bounds how far below it the scan may read
+        nested = set()
+        for sc in _wide_draws(20261022, 40):
+            baseline = solve_mixed(replace(sc, mpr=0.0))
+            patterns = [solve_mixed(sc)]
+            patterns += [solve_system_optimum(sc, model) for model in (sc.gv_energy, sc.ev_energy)]
+            for pattern in patterns:
+                for a, b in ((pattern, baseline), (baseline, pattern)):
+                    exact = summarize(a, b).max_ecd
+                    peak = max(a.max_delay, b.max_delay)
+                    lo, hi = min(a.window[0], b.window[0]), max(a.window[1], b.window[1])
+                    times = np.linspace(lo - 0.01, hi + 0.01, 20_001)
+                    scan = float(np.max(solution_delay(a, times) - solution_delay(b, times)))
+                    assert scan <= exact + 1e-12 * peak
+                    assert exact - scan <= 1e-3 * peak
+                    nested.add(a.window[0] < b.window[0])
+        assert nested == {True, False}
+
+    @pytest.mark.parametrize("c2, alpha", [(30.0, 10.0), (60.0, 14.0), (120.0, 18.0)])
+    def test_maximum_where_the_two_slopes_match(self, c2, alpha):
+        # a steep quadratic GV map against a linear one (c2 = 0) on another corridor
+        # with the same schedule: the difference peaks inside both bands, at the
+        # stationary level, above its value at t* and at every band edge
+        sc = basic_scenario()
+        solution = solve_mixed(replace(sc, gv_energy=EnergyModel(VehicleClass.GV, 4.0, c2)))
+        baseline = solve_mixed(
+            replace(sc, alpha=alpha, gv_energy=EnergyModel(VehicleClass.GV, 4.0, 0.0))
+        )
+        exact = summarize(solution, baseline).max_ecd
+        nodes = [sc.t_star] + [seg.t_lo for seg in (*solution.segments, *baseline.segments)]
+        at_nodes = np.max(solution_delay(solution, nodes) - solution_delay(baseline, nodes))
+        times = np.linspace(6.0, 9.0, 400_001)
+        scan = float(np.max(solution_delay(solution, times) - solution_delay(baseline, times)))
+        assert scan <= exact <= scan * (1.0 + 1e-9)
+        assert exact > at_nodes + 1e-4
+
+    def test_nonnegative_and_zero_against_itself(self, gv_solution, ev_solution, mixed_solution):
+        empty = solve_mixed(replace(basic_scenario(), n_total=0.0))
+        patterns = [gv_solution, ev_solution, mixed_solution, empty]
+        patterns += [_solved("so", mpr) for mpr in (0.0, 1.0)]
+        for a in patterns:
+            assert summarize(a, a).max_ecd == 0.0
+            for b in patterns:
+                assert summarize(a, b).max_ecd >= 0.0
+        assert summarize(empty, gv_solution).max_ecd == 0.0
+        assert summarize(gv_solution, empty).max_ecd == gv_solution.max_delay
+
+    @pytest.mark.parametrize("key", ["t_star", "beta", "gamma"])
+    def test_mismatched_schedule_raises(self, scenario, gv_solution, key):
+        other = solve_mixed(replace(scenario, **{key: 1.25 * getattr(scenario, key)}))
+        for a, b in ((gv_solution, other), (other, gv_solution)):
+            with pytest.raises(ValueError, match="must share t_star, beta and gamma"):
+                summarize(a, b)
 
 
 def _quadrature_breakdown(solution) -> tuple[float, float, float, float]:
@@ -268,7 +372,7 @@ class TestCostAccounting:
 class TestSummarize:
     def test_baseline_free_report(self, gv_solution):
         # a solution summarized against itself has no extra congestion
-        report = summarize(gv_solution, gv_solution, DEFAULTS.dt)
+        report = summarize(gv_solution, gv_solution)
         assert report.ecp == 0.0
         assert report.max_ecd == 0.0
         assert_allclose(gv_solution.peak_flow, np.max(gv_solution.profile.flow_total), rtol=1e-14)
@@ -279,7 +383,7 @@ class TestSummarize:
         assert_allclose(ratio, GOLDEN_PEAK_DELAY_RATIO, rtol=1e-6)
 
     def test_full_report_against_baseline(self, gv_solution, ev_solution):
-        report = summarize(ev_solution, gv_solution, DEFAULTS.dt)
+        report = summarize(ev_solution, gv_solution)
         assert report.ecp > 0.0
         assert report.max_ecd > 0.0
         assert_allclose(report.max_ecd, GOLDEN_MAX_ECD_UNTOLLED, rtol=1e-6)

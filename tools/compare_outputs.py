@@ -26,10 +26,13 @@ and ``capacity_r = 1e-300`` through every command, whose numbers leave the
 float range; ``n_total = 1e150`` and ``capacity_r = 1e-150`` through every
 command, a fleet whose rush is too long for ``solve`` and ``toll`` to sample
 and for the oracle's start grid, while ``sweep``, which samples no grid, must
-exit 0; and ``bin_minutes`` of 1e-12 and 1e-320 through ``oracle``, a start
-grid of more than 1,000,000 bins.  Those last must exit 2.  Last come 6
-seeded wide draws, a Latin hypercube over ``perfbench/workloads.py``
-``WIDE_RANGES`` from ``random.Random("compare_outputs:wide")`` (built as in
+exit 0; ``nu = 1e150`` through every command, which ``solve``, ``sweep`` and
+``toll`` must solve (exit 0) and whose oracle, started in range, overflows a
+bin delay on its first day and must exit 2; and ``bin_minutes`` of 1e-12 and
+1e-320 through ``oracle``, a start grid of more than 1,000,000 bins, which
+must exit 2.  Last come 6 seeded wide draws, a Latin hypercube over
+``perfbench/workloads.py`` ``WIDE_RANGES`` from
+``random.Random("compare_outputs:wide")`` (built as in
 ``tools/oracle_eta_scan.py``) at mpr 0, 0.2, ..., 1; each runs ``solve``,
 ``toll --incentive --dt 0.05`` at mpr 0 and 1, and ``oracle``.  Other
 ``CEQ_*`` variables are dropped from the environment.  Every file under
@@ -165,6 +168,9 @@ OVERRIDE_CASES = (
     ({"CEQ_DEMAND_N_TOTAL": "1e150"}, ("sweep",), 0),
     ({"CEQ_CORRIDOR_CAPACITY_R": "1e-150"}, ("solve", "toll", "oracle"), 2),
     ({"CEQ_CORRIDOR_CAPACITY_R": "1e-150"}, ("sweep",), 0),
+    # a start in range whose first day overflows a bin delay: the oracle stops, the solves solve
+    ({"CEQ_CORRIDOR_NU": "1e150"}, ("solve", "sweep", "toll"), 0),
+    ({"CEQ_CORRIDOR_NU": "1e150"}, ("oracle",), 2),
     # about 1.3e14 bins, and an inf ratio; no width between 1e-9 and 1e-3 minutes, which
     # an unchecked oracle would try to allocate
     ({"CEQ_NUMERICS_BIN_MINUTES": "1e-12"}, ("oracle",), 2),
